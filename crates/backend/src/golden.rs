@@ -398,16 +398,20 @@ impl DctImpl for GoldenDct {
         &self.params
     }
 
-    fn transform(&self, x: &[i64; 8]) -> Result<[f64; 8]> {
-        Ok(match &self.model {
-            Model::Direct { perm } => direct_transform(x, &self.params, perm),
-            Model::EvenOdd { scc: false } => {
-                even_odd_transform(x, &self.params, |k, n| dct_coeff(2 * k + 1, n))
-            }
-            Model::EvenOdd { scc: true } => even_odd_transform(x, &self.params, scc_odd_coeff),
-            Model::Cordic1 { fact, sched } => cordic1_transform(x, &self.params, fact, sched),
-            Model::Cordic2 { fact, sched } => cordic2_transform(x, &self.params, fact, sched),
-        })
+    fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
+        assert_eq!(xs.len(), out.len(), "one output row per block");
+        for (x, o) in xs.iter().zip(out) {
+            *o = match &self.model {
+                Model::Direct { perm } => direct_transform(x, &self.params, perm),
+                Model::EvenOdd { scc: false } => {
+                    even_odd_transform(x, &self.params, |k, n| dct_coeff(2 * k + 1, n))
+                }
+                Model::EvenOdd { scc: true } => even_odd_transform(x, &self.params, scc_odd_coeff),
+                Model::Cordic1 { fact, sched } => cordic1_transform(x, &self.params, fact, sched),
+                Model::Cordic2 { fact, sched } => cordic2_transform(x, &self.params, fact, sched),
+            };
+        }
+        Ok(())
     }
 
     fn cycles_per_block(&self) -> u64 {

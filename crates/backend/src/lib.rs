@@ -32,7 +32,7 @@ mod mapping;
 use dsra_core::error::{CoreError, Result};
 use dsra_core::report::ExecOutcome;
 use dsra_core::rng::{fnv1a_fold as mix, SplitMix64};
-use dsra_dct::{DaParams, DctImpl};
+use dsra_dct::{transform_random_blocks, DaParams, DctImpl};
 use dsra_me::{MeSearchResult, Plane, SearchParams};
 use dsra_video::{
     encode_frame, me_search_planes, EncodeConfig, JobPayload, JobSpec, SequenceConfig,
@@ -193,17 +193,13 @@ pub(crate) fn run_payload<E: PayloadEngines + ?Sized>(
             let mut rng = SplitMix64::new(job.seed);
             let mut cycles = 0u64;
             let mut sum = 0xA5A5_A5A5u64;
-            for _ in 0..blocks {
-                let x: [i64; 8] = std::array::from_fn(|_| {
-                    rng.next_below(2 * amplitude as u64 + 1) as i64 - amplitude
-                });
-                let y = imp.transform(&x)?;
+            transform_random_blocks(imp, &mut rng, usize::from(blocks), amplitude, |_, y| {
                 cycles += imp.cycles_per_block();
                 for v in y {
                     // Quantise to kill any last-bit noise before digesting.
                     sum = mix(sum, (v * 256.0).round() as i64 as u64);
                 }
-            }
+            })?;
             (cycles, sum)
         }
         JobPayload::MeSearch {

@@ -3,14 +3,14 @@
 //! CI runs this file as a smoke pass so regressions in either surface
 //! before they reach the `soc_serve` numbers.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Duration;
 
 use dsra_core::bitstream::Bitstream;
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::place::{place, PlacerOptions};
 use dsra_core::route::{route, RouterOptions};
-use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl};
+use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl, LANES};
 use dsra_me::{MeEngine, Systolic2d};
 use dsra_runtime::{DctMapping, RuntimeConfig, SocRuntime};
 use dsra_sim::{ExecPlan, Simulator};
@@ -19,7 +19,9 @@ use dsra_video::{generate_job_mix, JobMixConfig};
 
 /// `engine_step`: raw cycles/second of the flat-plan simulator on the two
 /// array archetypes — the bit-serial DA datapath and the 2-D systolic ME
-/// array. Steady-state stepping performs zero heap allocations.
+/// array — plus the 8-lane DA sweep the DCT drivers run. Rows report ns
+/// per block-cycle (one lane for one clock). Steady-state stepping
+/// performs zero heap allocations.
 fn bench_engine_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_step");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
@@ -27,12 +29,23 @@ fn bench_engine_step(c: &mut Criterion) {
     let da = BasicDa::new(DaParams::precise()).unwrap();
     let da_plan = ExecPlan::compile(da.netlist()).unwrap();
     let mut da_sim = Simulator::with_plan(da.netlist(), &da_plan);
+    g.throughput(Throughput::Elements(1000));
     g.bench_function("basic_da_1k_cycles", |b| {
         b.iter(|| {
             da_sim.run(1000);
             da_sim.cycle()
         })
     });
+
+    let mut da_lanes = Simulator::<_, LANES>::with_plan_lanes(da.netlist(), &da_plan);
+    g.throughput(Throughput::Elements(1000 * LANES as u64));
+    g.bench_function("basic_da_x8_1k_cycles", |b| {
+        b.iter(|| {
+            da_lanes.run(1000);
+            da_lanes.cycle()
+        })
+    });
+    g.throughput(Throughput::Elements(1000));
 
     let me = Systolic2d::new(16).unwrap();
     let me_plan = ExecPlan::compile(me.netlist()).unwrap();
@@ -46,6 +59,7 @@ fn bench_engine_step(c: &mut Criterion) {
 
     // Per-search construction over a shared plan (what the ME worker pays
     // per job): must stay cheap — buffers only, no graph walk.
+    g.throughput(Throughput::Elements(1));
     g.bench_function("with_plan_construction", |b| {
         b.iter(|| Simulator::with_plan(me.netlist(), &me_plan).cycle())
     });

@@ -2,14 +2,14 @@
 //! *simulator-side* cost of regenerating each experiment; the experiment
 //! outputs themselves come from the `dsra-bench` binaries.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 
 use dsra_bench::{da_activity, me_activity, shifted_planes};
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::place::{place, PlacerOptions};
 use dsra_core::route::{route, RouterOptions};
-use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl};
+use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl, LANES};
 use dsra_me::{MeEngine, SearchParams, Sequential, Systolic1d, Systolic2d};
 use dsra_tech::{evaluate_against_fpga, TechModel};
 
@@ -27,18 +27,26 @@ fn bench_table1(c: &mut Criterion) {
     g.finish();
 }
 
-/// Figs. 4–9 (E2): one 8-point block through each mapping, cycle-accurately.
+/// Figs. 4–9 (E2): one 8-point block through each mapping, cycle-accurately,
+/// then a lane batch of eight (one simulator sweep per cycle). Both rows
+/// report ns per block-cycle.
 fn bench_dct_transform(c: &mut Criterion) {
     let mut g = c.benchmark_group("dct_transform");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
     let impls = all_impls(DaParams::precise()).unwrap();
     let x = [919i64, -1204, 33, 508, -77, 1800, -900, 263];
+    let batch: [[i64; 8]; LANES] = std::array::from_fn(|l| x.map(|v| v - 100 * l as i64));
+    let mut out = [[0.0; 8]; LANES];
     for imp in &impls {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(imp.name().replace(' ', "_")),
-            imp,
-            |b, imp| b.iter(|| imp.transform(&x).unwrap()),
-        );
+        let name = imp.name().replace(' ', "_");
+        g.throughput(Throughput::Elements(imp.cycles_per_block()));
+        g.bench_with_input(BenchmarkId::from_parameter(&name), imp, |b, imp| {
+            b.iter(|| imp.transform(&x).unwrap())
+        });
+        g.throughput(Throughput::Elements(imp.cycles_per_block() * LANES as u64));
+        g.bench_with_input(BenchmarkId::new("batch8", &name), imp, |b, imp| {
+            b.iter(|| imp.transform_batch(&batch, &mut out).unwrap())
+        });
     }
     g.finish();
 }

@@ -6,7 +6,9 @@
 //! untestable and the bench trajectory effectively write-only. This is a
 //! strict recursive-descent parser over exactly the JSON the writers
 //! emit: objects, arrays, strings with `\"`/`\\`/`\/`/`\u` escapes,
-//! numbers, booleans and null.
+//! numbers, booleans and null. Input from outside (baselines, traces fed
+//! back into `trace_report`) never panics the reader: malformed,
+//! truncated or absurdly nested documents come back as `Err`.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +69,7 @@ impl Json {
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -90,11 +92,18 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting accepted. The writers nest a handful of
+/// levels; the bound keeps hostile input from exhausting the stack.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if depth > MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -180,7 +189,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -189,7 +198,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -202,7 +211,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut fields: Vec<(String, Json)> = Vec::new();
     skip_ws(b, pos);
@@ -218,7 +227,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         }
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {

@@ -213,16 +213,20 @@ pub fn analyze_chrome_trace(doc: &Json) -> Result<TraceAnalysis, String> {
             ("X", "idle" | "gated" | "reconfig" | "waking" | "exec") => {
                 let dur = arg_u64(ev, "dur").ok_or_else(|| format!("span {i} has no dur"))?;
                 let ts = arg_u64(ev, "ts").ok_or_else(|| format!("span {i} has no ts"))?;
+                let span_end = ts
+                    .checked_add(dur)
+                    .ok_or_else(|| format!("span {i} ends past the last cycle"))?;
                 let p = arrays.entry(tid).or_default();
-                match name {
-                    "idle" => p.idle += dur,
-                    "gated" => p.gated += dur,
-                    "reconfig" => p.reconfig += dur,
-                    "waking" => p.waking += dur,
-                    _ => p.exec += dur,
-                }
+                let total = match name {
+                    "idle" => &mut p.idle,
+                    "gated" => &mut p.gated,
+                    "reconfig" => &mut p.reconfig,
+                    "waking" => &mut p.waking,
+                    _ => &mut p.exec,
+                };
+                *total = total.saturating_add(dur);
                 let end = array_span.entry(tid).or_default();
-                *end = (*end).max(ts + dur);
+                *end = (*end).max(span_end);
                 if matches!(name, "reconfig" | "waking") {
                     let kernel = args
                         .get("kernel")
@@ -234,7 +238,7 @@ pub fn analyze_chrome_trace(doc: &Json) -> Result<TraceAnalysis, String> {
                         stall_cycles: 0,
                         events: 0,
                     });
-                    s.stall_cycles += dur;
+                    s.stall_cycles = s.stall_cycles.saturating_add(dur);
                     s.events += 1;
                 }
             }
@@ -322,7 +326,7 @@ pub fn analyze_chrome_trace(doc: &Json) -> Result<TraceAnalysis, String> {
             TenantQueue {
                 tenant,
                 dispatched: delays.len() as u64,
-                queue_cycles: delays.iter().sum(),
+                queue_cycles: delays.iter().fold(0, |a, &d| a.saturating_add(d)),
                 max_queue_cycles: delays.last().copied().unwrap_or(0),
                 p99_queue_cycles: exact_p99(&delays),
                 sheds: waits.len() as u64,
@@ -554,7 +558,9 @@ pub fn events_from_chrome(doc: &Json) -> Result<Vec<TraceEvent>, String> {
                     array: tid,
                     phase,
                     start: ts,
-                    end: ts + dur,
+                    end: ts
+                        .checked_add(dur)
+                        .ok_or_else(|| format!("span {i} ends past the last cycle"))?,
                     job: arg_u64(args, "job").map(|j| j as u32),
                     kernel: args.get("kernel").and_then(Json::as_str).map(str::to_owned),
                 });
@@ -580,7 +586,9 @@ pub fn events_from_chrome(doc: &Json) -> Result<Vec<TraceEvent>, String> {
                     deadline: 0,
                 });
                 out.push(TraceEvent::JobShed {
-                    t: ts + queued,
+                    t: ts
+                        .checked_add(queued)
+                        .ok_or_else(|| format!("shed {i} ends past the last cycle"))?,
                     job: job()?,
                     tenant: tid,
                     queued,

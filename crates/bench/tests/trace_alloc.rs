@@ -6,10 +6,14 @@
 //! configuration, and uninstalling it restores the allocation-free path.
 //!
 //! Lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide. For the same reason the tests
+//! serialize on [`SERIAL`]: run concurrently, each would count the other's
+//! allocations. (A thread-local counter would instead miss the batch
+//! path's per-array worker threads.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use dsra_monitor::MonitorConfig;
 use dsra_runtime::{DctMapping, RuntimeConfig, SocRuntime};
@@ -35,6 +39,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Held for the whole body of every test in this binary.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the serialization lock, surviving a sibling test's panic.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = f();
@@ -43,6 +57,7 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn noop_tracing_adds_no_serve_allocations() {
+    let _serial = serial();
     let mix = generate_job_mix(JobMixConfig {
         jobs: 40,
         ..Default::default()
@@ -96,6 +111,7 @@ fn noop_tracing_adds_no_serve_allocations() {
 
 #[test]
 fn monitor_sink_preserves_outcomes_and_its_allocations_stay_bounded() {
+    let _serial = serial();
     let mix = generate_job_mix(JobMixConfig {
         jobs: 40,
         ..Default::default()

@@ -8,8 +8,8 @@
 use dsra_core::error::Result;
 use dsra_core::netlist::{Netlist, NodeId};
 
-use crate::da::{add_controls, da_lane, encode_sample, serializer, DaParams};
-use crate::harness::{run_single_phase, BlockIo, DctImpl};
+use crate::da::{add_controls, da_lane, serializer, DaParams};
+use crate::harness::{BlockIo, DctImpl};
 use crate::reference;
 
 /// The Fig.-4 basic DA implementation.
@@ -59,7 +59,7 @@ impl BasicDa {
             let y = nl.output(format!("y{u}"), params.acc_width)?;
             nl.connect((acc, "y"), (y, "in"))?;
         }
-        let io = BlockIo::new(&nl)?;
+        let io = BlockIo::standard(&nl)?;
         Ok(BasicDa {
             netlist: nl,
             params,
@@ -82,19 +82,11 @@ impl DctImpl for BasicDa {
         &self.params
     }
 
-    fn transform(&self, x: &[i64; 8]) -> Result<[f64; 8]> {
-        let mut sim = self.io.sim(&self.netlist);
-        for (i, &v) in x.iter().enumerate() {
-            sim.drive(self.io.xs[i], encode_sample(v, self.params.input_bits));
-        }
-        run_single_phase(&mut sim, self.params.input_bits)?;
-        let mut out = [0.0; 8];
-        for (u, o) in out.iter_mut().enumerate() {
-            *o = self
-                .params
-                .decode_acc(sim.read(self.io.ys[u]), self.params.input_bits);
-        }
-        Ok(out)
+    fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
+        let bits = self.params.input_bits;
+        self.io
+            .single_phase_batch(&self.netlist, &self.params, bits, xs, out);
+        Ok(())
     }
 
     fn cycles_per_block(&self) -> u64 {

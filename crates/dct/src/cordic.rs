@@ -23,11 +23,11 @@ use dsra_core::cluster::{AddShiftCfg, ClusterCfg};
 use dsra_core::error::Result;
 use dsra_core::fixed::to_signed;
 use dsra_core::netlist::{Netlist, NodeId};
-use dsra_sim::Simulator;
+use dsra_sim::{InputPort, NoopProf, Simulator};
 
-use crate::da::{add_controls, da_lane, encode_sample, ControlPins, DaParams};
+use crate::da::{add_controls, da_lane, ControlPins, DaParams};
 use crate::factor::{solve_sandwich, solve_scaled_sandwich, Sandwich, ScaledSandwich};
-use crate::harness::{BlockIo, DctImpl};
+use crate::harness::{BlockIo, CtlPorts, DctImpl, LaneSchedule};
 use crate::mixed_rom::{build_butterfly_stage, STAGE_WIDTH};
 use crate::reference;
 
@@ -220,40 +220,64 @@ impl Schedule {
     }
 }
 
-/// Runs the common phase-1 part of the CORDIC schedules.
-fn run_phase1(sim: &mut Simulator<'_>, sched: &Schedule) -> Result<()> {
-    sim.set("ctl_load", 1)?;
-    sim.set("ctl_clr", 1)?;
-    sim.set("ctl_sren", 0)?;
-    sim.set("ctl_accen", 0)?;
-    sim.set("ctl_sub", 0)?;
-    sim.set("ctl_sh", 0)?;
-    sim.set("ctl_sclr", 0)?;
-    sim.step();
-    sim.set("ctl_load", 0)?;
-    sim.set("ctl_clr", 0)?;
-    sim.set("ctl_sren", 1)?;
-    sim.set("ctl_accen", 1)?;
-    for t in 0..sched.b1 {
-        sim.set("ctl_sub", u64::from(t == sched.b1 - 1))?;
-        sim.step();
-    }
-    sim.set("ctl_sren", 0)?;
-    sim.set("ctl_accen", 0)?;
-    sim.set("ctl_sub", 0)?;
-    Ok(())
+/// The phase-2 control pins, resolved once per mapping.
+#[derive(Debug, Clone, Copy)]
+struct Phase2Ports {
+    sh: InputPort,
+    sclr: InputPort,
+    accen2: InputPort,
+    sub2: InputPort,
 }
 
-/// Runs the discard window (presh cycles) with a carry clear on its last
-/// cycle, leaving `sh` asserted for phase 2.
-fn run_discard(sim: &mut Simulator<'_>, sched: &Schedule) -> Result<()> {
-    sim.set("ctl_sh", 1)?;
-    for t in 0..sched.presh {
-        sim.set("ctl_sclr", u64::from(t == sched.presh - 1))?;
+impl Phase2Ports {
+    fn resolve(nl: &Netlist) -> Result<Self> {
+        let pin = |name| InputPort::resolve(nl, name);
+        Ok(Phase2Ports {
+            sh: pin("ctl_sh")?,
+            sclr: pin("ctl_sclr")?,
+            accen2: pin("ctl_accen2")?,
+            sub2: pin("ctl_sub2")?,
+        })
+    }
+}
+
+/// Runs the common part of the CORDIC schedules: phase 1 (load, `b1`
+/// accumulate cycles with a subtracting sign cycle), then the discard
+/// window (`presh` cycles with a carry clear on its last cycle), leaving
+/// `sh` asserted for phase 2.
+fn run_phase1_and_discard<const W: usize>(
+    sim: &mut Simulator<'_, NoopProf, W>,
+    ctl: &CtlPorts,
+    p2: &Phase2Ports,
+    sched: &Schedule,
+) {
+    sim.drive(p2.accen2, 0);
+    sim.drive(p2.sub2, 0);
+    sim.drive(ctl.load, 1);
+    sim.drive(ctl.clr, 1);
+    sim.drive(ctl.sren, 0);
+    sim.drive(ctl.accen, 0);
+    sim.drive(ctl.sub, 0);
+    sim.drive(p2.sh, 0);
+    sim.drive(p2.sclr, 0);
+    sim.step();
+    sim.drive(ctl.load, 0);
+    sim.drive(ctl.clr, 0);
+    sim.drive(ctl.sren, 1);
+    sim.drive(ctl.accen, 1);
+    for t in 0..sched.b1 {
+        sim.drive(ctl.sub, u64::from(t == sched.b1 - 1));
         sim.step();
     }
-    sim.set("ctl_sclr", 0)?;
-    Ok(())
+    sim.drive(ctl.sren, 0);
+    sim.drive(ctl.accen, 0);
+    sim.drive(ctl.sub, 0);
+    sim.drive(p2.sh, 1);
+    for t in 0..sched.presh {
+        sim.drive(p2.sclr, u64::from(t == sched.presh - 1));
+        sim.step();
+    }
+    sim.drive(p2.sclr, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,9 +290,9 @@ pub struct Cordic1 {
     netlist: Netlist,
     params: DaParams,
     sched: Schedule,
-    /// Which odd output index (0..4 ⇒ X1,X3,X5,X7) each Y-lane produces.
     cycles: u64,
     io: BlockIo,
+    p2: Phase2Ports,
 }
 
 impl Cordic1 {
@@ -383,7 +407,8 @@ impl Cordic1 {
                 nl.connect((acc, "y"), (y, "in"))?;
             }
         }
-        let io = BlockIo::new(&nl)?;
+        let io = BlockIo::standard(&nl)?;
+        let p2 = Phase2Ports::resolve(&nl)?;
         let max_row_norm = fact
             .x_blocks
             .iter()
@@ -398,6 +423,7 @@ impl Cordic1 {
             sched,
             cycles,
             io,
+            p2,
         })
     }
 }
@@ -415,41 +441,41 @@ impl DctImpl for Cordic1 {
         &self.params
     }
 
-    fn transform(&self, x: &[i64; 8]) -> Result<[f64; 8]> {
-        let mut sim = self.io.sim(&self.netlist);
-        for (i, &v) in x.iter().enumerate() {
-            sim.drive(self.io.xs[i], encode_sample(v, self.params.input_bits));
-        }
-        sim.set("ctl_accen2", 0)?;
-        sim.set("ctl_sub2", 0)?;
-        run_phase1(&mut sim, &self.sched)?;
-        run_discard(&mut sim, &self.sched)?;
-        sim.set("ctl_accen2", 1)?;
-        for t in 0..self.sched.b2 {
-            sim.set("ctl_sub2", u64::from(t == self.sched.b2 - 1))?;
-            sim.step();
-        }
-        sim.set("ctl_accen2", 0)?;
-        sim.set("ctl_sub2", 0)?;
-        sim.set("ctl_sh", 0)?;
-        sim.step();
-
-        let mut out = [0.0; 8];
-        for u in [0usize, 2, 4, 6] {
-            out[u] = self
-                .params
-                .decode_acc(sim.read(self.io.ys[u]), self.sched.b1);
-        }
-        let exp = self.sched.phase2_exp(&self.params);
-        for u in [1usize, 3, 5, 7] {
-            let raw = sim.read(self.io.ys[u]);
-            out[u] = to_signed(raw, self.params.acc_width) as f64 * 2f64.powi(exp);
-        }
-        Ok(out)
+    fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
+        let bits = self.params.input_bits;
+        self.io.run_batch(&self.netlist, bits, xs, out, self);
+        Ok(())
     }
 
     fn cycles_per_block(&self) -> u64 {
         self.cycles
+    }
+}
+
+impl LaneSchedule for Cordic1 {
+    fn run<const W: usize>(&self, sim: &mut Simulator<'_, NoopProf, W>, rows: &mut [[f64; 8]]) {
+        let (params, sched, io, p2) = (&self.params, &self.sched, &self.io, &self.p2);
+        run_phase1_and_discard(sim, &io.ctl, p2, sched);
+        sim.drive(p2.accen2, 1);
+        for t in 0..sched.b2 {
+            sim.drive(p2.sub2, u64::from(t == sched.b2 - 1));
+            sim.step();
+        }
+        sim.drive(p2.accen2, 0);
+        sim.drive(p2.sub2, 0);
+        sim.drive(p2.sh, 0);
+        sim.step();
+        let exp = sched.phase2_exp(params);
+        for (lane, row) in rows.iter_mut().enumerate() {
+            for (u, o) in row.iter_mut().enumerate() {
+                let raw = sim.read_lane(io.ys[u], lane);
+                *o = if u % 2 == 0 {
+                    params.decode_acc(raw, sched.b1)
+                } else {
+                    to_signed(raw, params.acc_width) as f64 * 2f64.powi(exp)
+                };
+            }
+        }
     }
 }
 
@@ -469,12 +495,10 @@ pub struct Cordic2 {
     sched: Schedule,
     scales: [f64; 4],
     cycles: u64,
-    plan: dsra_sim::ExecPlan,
-    xs: [dsra_sim::InputPort; 8],
-    /// Even parallel outputs `y0/y2/y4/y6`, indexed by `u / 2`.
-    y_even: [dsra_sim::OutputPort; 4],
-    /// Odd serial streams `so1/so3/so5/so7`, indexed by `(u - 1) / 2`.
-    so: [dsra_sim::OutputPort; 4],
+    /// Output pins in coefficient order: even parallel outputs
+    /// `y0/y2/y4/y6`, odd serial streams `so1/so3/so5/so7`.
+    io: BlockIo,
+    p2: Phase2Ports,
 }
 
 impl Cordic2 {
@@ -606,20 +630,8 @@ impl Cordic2 {
             let y = nl.output(format!("so{}", 2 * r + 1), 1)?;
             nl.connect(src, (y, "in"))?;
         }
-        let plan = dsra_sim::ExecPlan::compile(&nl)?;
-        let mut xs = Vec::with_capacity(8);
-        for i in 0..8 {
-            xs.push(dsra_sim::InputPort::resolve(&nl, &format!("x{i}"))?);
-        }
-        let mut y_even = Vec::with_capacity(4);
-        let mut so = Vec::with_capacity(4);
-        for k in 0..4 {
-            y_even.push(dsra_sim::OutputPort::resolve(&nl, &format!("y{}", 2 * k))?);
-            so.push(dsra_sim::OutputPort::resolve(
-                &nl,
-                &format!("so{}", 2 * k + 1),
-            )?);
-        }
+        let io = BlockIo::new(&nl, ["y0", "so1", "y2", "so3", "y4", "so5", "y6", "so7"])?;
+        let p2 = Phase2Ports::resolve(&nl)?;
         let max_row_norm = fact
             .x_blocks
             .iter()
@@ -636,10 +648,8 @@ impl Cordic2 {
             sched,
             scales: fact.scales,
             cycles,
-            plan,
-            xs: xs.try_into().expect("8 inputs"),
-            y_even: y_even.try_into().expect("4 even outputs"),
-            so: so.try_into().expect("4 serial outputs"),
+            io,
+            p2,
         })
     }
 
@@ -663,49 +673,50 @@ impl DctImpl for Cordic2 {
         &self.params
     }
 
-    fn transform(&self, x: &[i64; 8]) -> Result<[f64; 8]> {
-        let mut sim = Simulator::with_plan(&self.netlist, &self.plan);
-        for (i, &v) in x.iter().enumerate() {
-            sim.drive(self.xs[i], encode_sample(v, self.params.input_bits));
-        }
-        sim.set("ctl_accen2", 0)?;
-        sim.set("ctl_sub2", 0)?;
-        run_phase1(&mut sim, &self.sched)?;
-        run_discard(&mut sim, &self.sched)?;
-        // Phase 2: sample the four serial output streams.
-        let mut streams = [0u64; 4];
-        for t in 0..self.sched.b2 {
-            sim.step();
-            for (s, stream) in streams.iter_mut().enumerate() {
-                *stream |= sim.read(self.so[s]) << t;
-            }
-        }
-        sim.set("ctl_sh", 0)?;
-        sim.step();
-
-        let mut out = [0.0; 8];
-        // Parallel scaled outputs.
-        let x0_raw = sim.read(self.y_even[0]);
-        let x4_raw = sim.read(self.y_even[2]);
-        let c4 = (std::f64::consts::PI / 4.0).cos();
-        out[0] = to_signed(x0_raw, STAGE_WIDTH) as f64 * alpha0();
-        out[4] = to_signed(x4_raw, STAGE_WIDTH) as f64 * alpha() * c4;
-        // Even rotator outputs.
-        for u in [2usize, 6] {
-            let raw = sim.read(self.y_even[u / 2]);
-            out[u] = self.params.decode_acc(raw, self.sched.b1);
-        }
-        // Odd serial streams, with the quantiser-side scale factors.
-        let exp = self.sched.stream_exp(&self.params);
-        for (s, stream) in streams.iter().enumerate() {
-            let v = to_signed(*stream, self.sched.b2) as f64 * 2f64.powi(exp);
-            out[2 * s + 1] = v * self.scales[s];
-        }
-        Ok(out)
+    fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
+        let bits = self.params.input_bits;
+        self.io.run_batch(&self.netlist, bits, xs, out, self);
+        Ok(())
     }
 
     fn cycles_per_block(&self) -> u64 {
         self.cycles
+    }
+}
+
+impl LaneSchedule for Cordic2 {
+    fn run<const W: usize>(&self, sim: &mut Simulator<'_, NoopProf, W>, rows: &mut [[f64; 8]]) {
+        let (params, sched, io, p2) = (&self.params, &self.sched, &self.io, &self.p2);
+        run_phase1_and_discard(sim, &io.ctl, p2, sched);
+        // Phase 2: sample the four serial output streams of every lane.
+        let mut streams = [[0u64; 4]; W];
+        for t in 0..sched.b2 {
+            sim.step();
+            for (lane, lane_streams) in streams.iter_mut().enumerate() {
+                for (s, stream) in lane_streams.iter_mut().enumerate() {
+                    *stream |= sim.read_lane(io.ys[2 * s + 1], lane) << t;
+                }
+            }
+        }
+        sim.drive(p2.sh, 0);
+        sim.step();
+        let c4 = (std::f64::consts::PI / 4.0).cos();
+        let exp = sched.stream_exp(params);
+        for (lane, (row, lane_streams)) in rows.iter_mut().zip(&streams).enumerate() {
+            let even = |u: usize| sim.read_lane(io.ys[u], lane);
+            // Parallel scaled outputs.
+            row[0] = to_signed(even(0), STAGE_WIDTH) as f64 * alpha0();
+            row[4] = to_signed(even(4), STAGE_WIDTH) as f64 * alpha() * c4;
+            // Even rotator outputs.
+            for u in [2usize, 6] {
+                row[u] = params.decode_acc(even(u), sched.b1);
+            }
+            // Odd serial streams, with the quantiser-side scale factors.
+            for (s, stream) in lane_streams.iter().enumerate() {
+                let v = to_signed(*stream, sched.b2) as f64 * 2f64.powi(exp);
+                row[2 * s + 1] = v * self.scales[s];
+            }
+        }
     }
 }
 

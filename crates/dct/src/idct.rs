@@ -12,8 +12,8 @@
 use dsra_core::error::Result;
 use dsra_core::netlist::{Netlist, NodeId};
 
-use crate::da::{add_controls, da_lane, encode_sample, serializer, DaParams};
-use crate::harness::{run_single_phase, BlockIo, DctImpl};
+use crate::da::{add_controls, da_lane, serializer, DaParams};
+use crate::harness::{BlockIo, DctImpl};
 use crate::reference;
 
 /// Bit-serial DA inverse DCT (structure of Fig. 4, transposed coefficients).
@@ -62,7 +62,7 @@ impl BasicIdct {
             let y = nl.output(format!("y{i}"), params.acc_width)?;
             nl.connect((acc, "y"), (y, "in"))?;
         }
-        let io = BlockIo::new(&nl)?;
+        let io = BlockIo::standard(&nl)?;
         Ok(BasicIdct {
             netlist: nl,
             params,
@@ -76,18 +76,7 @@ impl BasicIdct {
     /// # Errors
     /// Propagates driver errors.
     pub fn inverse(&self, coeffs: &[i64; 8]) -> Result<[f64; 8]> {
-        let mut sim = self.io.sim(&self.netlist);
-        for (u, &v) in coeffs.iter().enumerate() {
-            sim.drive(self.io.xs[u], encode_sample(v, self.params.input_bits));
-        }
-        run_single_phase(&mut sim, self.params.input_bits)?;
-        let mut out = [0.0; 8];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self
-                .params
-                .decode_acc(sim.read(self.io.ys[i]), self.params.input_bits);
-        }
-        Ok(out)
+        self.transform(coeffs)
     }
 }
 
@@ -104,8 +93,11 @@ impl DctImpl for BasicIdct {
         &self.params
     }
 
-    fn transform(&self, x: &[i64; 8]) -> Result<[f64; 8]> {
-        self.inverse(x)
+    fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
+        let bits = self.params.input_bits;
+        self.io
+            .single_phase_batch(&self.netlist, &self.params, bits, xs, out);
+        Ok(())
     }
 
     fn cycles_per_block(&self) -> u64 {

@@ -11,8 +11,8 @@ use dsra_core::cluster::{AddShiftCfg, ClusterCfg};
 use dsra_core::error::Result;
 use dsra_core::netlist::{Netlist, NodeId};
 
-use crate::da::{add_controls, da_lane, encode_sample, serializer, DaParams};
-use crate::harness::{run_single_phase, BlockIo, DctImpl};
+use crate::da::{add_controls, da_lane, serializer, DaParams};
+use crate::harness::{BlockIo, DctImpl};
 use crate::reference;
 
 /// Internal butterfly datapath width (sign-extended from the input width).
@@ -146,7 +146,7 @@ impl MixedRom {
             let y = nl.output(format!("y{}", 2 * k + 1), params.acc_width)?;
             nl.connect((acc, "y"), (y, "in"))?;
         }
-        let io = BlockIo::new(&nl)?;
+        let io = BlockIo::standard(&nl)?;
         // Butterfly sums occupy one extra bit: stream two guard cycles.
         let stream_bits = params.input_bits + 2;
         Ok(MixedRom {
@@ -156,21 +156,6 @@ impl MixedRom {
             cycles: u64::from(stream_bits) + 2,
             io,
         })
-    }
-
-    pub(crate) fn transform_named(&self, x: &[i64; 8]) -> Result<[f64; 8]> {
-        let mut sim = self.io.sim(&self.netlist);
-        for (i, &v) in x.iter().enumerate() {
-            sim.drive(self.io.xs[i], encode_sample(v, self.params.input_bits));
-        }
-        run_single_phase(&mut sim, self.stream_bits)?;
-        let mut out = [0.0; 8];
-        for (u, o) in out.iter_mut().enumerate() {
-            *o = self
-                .params
-                .decode_acc(sim.read(self.io.ys[u]), self.stream_bits);
-        }
-        Ok(out)
     }
 }
 
@@ -187,8 +172,10 @@ impl DctImpl for MixedRom {
         &self.params
     }
 
-    fn transform(&self, x: &[i64; 8]) -> Result<[f64; 8]> {
-        self.transform_named(x)
+    fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
+        self.io
+            .single_phase_batch(&self.netlist, &self.params, self.stream_bits, xs, out);
+        Ok(())
     }
 
     fn cycles_per_block(&self) -> u64 {

@@ -10,7 +10,9 @@ use dsra_core::error::Result;
 use crate::harness::DctImpl;
 use crate::reference::N;
 
-/// Runs an 8×8 block through `imp` twice (rows then columns).
+/// Runs an 8×8 block through `imp` twice: the eight rows as one batch,
+/// then the eight columns as another (one lane sweep each on the netlist
+/// mappings).
 ///
 /// Intermediate values are rounded to integers before the column pass,
 /// modelling the transpose-memory word width.
@@ -19,18 +21,12 @@ use crate::reference::N;
 /// Propagates driver errors from the underlying implementation.
 pub fn dct_2d_hw(imp: &dyn DctImpl, block: &[[i64; N]; N]) -> Result<[[f64; N]; N]> {
     let mut rows = [[0.0; N]; N];
-    for (r, row) in block.iter().enumerate() {
-        rows[r] = imp.transform(row)?;
-    }
-    let mut out = [[0.0; N]; N];
-    for c in 0..N {
-        let col: [i64; N] = std::array::from_fn(|r| rows[r][c].round() as i64);
-        let t = imp.transform(&col)?;
-        for (r, v) in t.iter().enumerate() {
-            out[r][c] = *v;
-        }
-    }
-    Ok(out)
+    imp.transform_batch(block, &mut rows)?;
+    let cols: [[i64; N]; N] =
+        std::array::from_fn(|c| std::array::from_fn(|r| rows[r][c].round() as i64));
+    let mut t = [[0.0; N]; N];
+    imp.transform_batch(&cols, &mut t)?;
+    Ok(std::array::from_fn(|r| std::array::from_fn(|c| t[c][r])))
 }
 
 /// Total array cycles for one 8×8 block (16 one-dimensional transforms).

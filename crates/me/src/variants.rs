@@ -15,7 +15,7 @@
 use dsra_core::cluster::{AbsDiffMode, AddOp, ClusterCfg, CompMode};
 use dsra_core::error::Result;
 use dsra_core::netlist::{Netlist, NodeId};
-use dsra_sim::{ExecPlan, InputPort, Simulator};
+use dsra_sim::{ExecPlan, InputPort, OutputPort, Simulator};
 
 use crate::harness::{pack_mv, unpack_mv, MeEngine, MeSearchResult};
 use crate::reference::{candidate_valid, Match, Plane, SearchParams};
@@ -45,12 +45,67 @@ fn comparator_stage(nl: &mut Netlist, x_src: (NodeId, &str)) -> Result<()> {
     Ok(())
 }
 
+/// The accumulator and comparator control pins both engines share,
+/// resolved once at construction.
+#[derive(Debug, Clone, Copy)]
+struct PePins {
+    men: InputPort,
+    mclr: InputPort,
+    cmp_en: InputPort,
+    cmp_clr: InputPort,
+    cmp_idx: InputPort,
+    best_sad: OutputPort,
+    best_idx: OutputPort,
+}
+
+impl PePins {
+    fn resolve(nl: &Netlist) -> Result<Self> {
+        let pin = |name| InputPort::resolve(nl, name);
+        let out = |name| OutputPort::resolve(nl, name);
+        Ok(PePins {
+            men: pin("men")?,
+            mclr: pin("mclr")?,
+            cmp_en: pin("cmp_en")?,
+            cmp_clr: pin("cmp_clr")?,
+            cmp_idx: pin("cmp_idx")?,
+            best_sad: out("best_sad")?,
+            best_idx: out("best_idx")?,
+        })
+    }
+
+    /// A fresh simulator with the comparator reset (one cycle).
+    fn reset<'n>(&self, nl: &'n Netlist, plan: &'n ExecPlan) -> Simulator<'n> {
+        let mut sim = Simulator::with_plan(nl, plan);
+        sim.drive(self.cmp_clr, 1);
+        sim.step();
+        sim.drive(self.cmp_clr, 0);
+        sim
+    }
+
+    /// Feeds the finished candidate's SAD to the comparator (one cycle).
+    fn compare(&self, sim: &mut Simulator<'_>, mv_index: u64) {
+        sim.drive(self.cmp_en, 1);
+        sim.drive(self.cmp_idx, mv_index);
+        sim.step();
+        sim.drive(self.cmp_en, 0);
+    }
+
+    /// Lets the registered comparator settle and reads out the winner.
+    fn finish(&self, sim: &mut Simulator<'_>, range: i32, stats: &mut MeSearchResult) {
+        sim.step();
+        stats.best.mv = unpack_mv(sim.read(self.best_idx), range);
+        stats.best.sad = sim.read(self.best_sad);
+        stats.cycles = sim.cycle();
+    }
+}
+
 /// One row of `N` PEs: streams a candidate's rows, one per cycle.
 #[derive(Debug)]
 pub struct Systolic1d {
     netlist: Netlist,
     n: usize,
     plan: ExecPlan,
+    pins: PePins,
     cur_pins: Vec<InputPort>,
     ref_pins: Vec<InputPort>,
 }
@@ -114,6 +169,7 @@ impl Systolic1d {
             .map(|j| InputPort::resolve(&nl, &format!("ref{j}")))
             .collect::<Result<_>>()?;
         Ok(Systolic1d {
+            pins: PePins::resolve(&nl)?,
             netlist: nl,
             n,
             plan,
@@ -143,36 +199,19 @@ impl MeEngine for Systolic1d {
         assert_eq!(params.block, self.n);
         let n = self.n;
         let p = params.range;
-        let mut sim = Simulator::with_plan(&self.netlist, &self.plan);
-        sim.set("cmp_clr", 1)?;
-        sim.step();
-        sim.set("cmp_clr", 0)?;
-        let mut stats = MeSearchResult {
-            best: Match {
-                mv: (0, 0),
-                sad: 0,
-                candidates: 0,
-            },
-            cycles: 0,
-            ref_fetches: 0,
-            ref_fetches_naive: 0,
-            cur_fetches: 0,
-        };
+        let mut sim = self.pins.reset(&self.netlist, &self.plan);
+        let mut stats = empty_stats();
         for dx in -p..=p {
             for dy in -p..=p {
                 if !candidate_valid(reference, bx, by, dx, dy, n) {
                     continue;
                 }
                 stats.best.candidates += 1;
-                self.run_candidate_rows(&mut sim, cur, reference, bx, by, dx, dy, &mut stats)?;
-                sim.set("cmp_en", 1)?;
-                sim.set("cmp_idx", pack_mv(dx, dy, p))?;
-                sim.step();
-                sim.set("cmp_en", 0)?;
+                self.run_candidate_rows(&mut sim, cur, reference, bx, by, dx, dy, &mut stats);
+                self.pins.compare(&mut sim, pack_mv(dx, dy, p));
             }
         }
-        sim.step();
-        finish(&mut sim, p, &mut stats)?;
+        self.pins.finish(&mut sim, p, &mut stats);
         Ok(stats)
     }
 }
@@ -190,13 +229,13 @@ impl Systolic1d {
         dx: i32,
         dy: i32,
         stats: &mut MeSearchResult,
-    ) -> Result<()> {
+    ) {
         let n = self.n;
-        sim.set("mclr", 1)?;
-        sim.set("men", 0)?;
+        sim.drive(self.pins.mclr, 1);
+        sim.drive(self.pins.men, 0);
         sim.step();
-        sim.set("mclr", 0)?;
-        sim.set("men", 1)?;
+        sim.drive(self.pins.mclr, 0);
+        sim.drive(self.pins.men, 1);
         for t in 0..n {
             for j in 0..n {
                 sim.drive(self.cur_pins[j], u64::from(cur.at(bx + j, by + t)));
@@ -209,18 +248,8 @@ impl Systolic1d {
             stats.ref_fetches_naive += n as u64;
             sim.step();
         }
-        sim.set("men", 0)?;
-        Ok(())
+        sim.drive(self.pins.men, 0);
     }
-}
-
-fn finish(sim: &mut Simulator<'_>, range: i32, stats: &mut MeSearchResult) -> Result<()> {
-    let best_sad = sim.get("best_sad")?;
-    let best_idx = sim.get("best_idx")?;
-    stats.best.mv = unpack_mv(best_idx, range);
-    stats.best.sad = best_sad;
-    stats.cycles = sim.cycle();
-    Ok(())
 }
 
 /// A single-PE engine: one AD, one accumulator, the comparator.
@@ -229,6 +258,9 @@ pub struct Sequential {
     netlist: Netlist,
     n: usize,
     plan: ExecPlan,
+    pins: PePins,
+    cur: InputPort,
+    refp: InputPort,
 }
 
 impl Sequential {
@@ -267,6 +299,9 @@ impl Sequential {
         comparator_stage(&mut nl, (acc, "y"))?;
         let plan = ExecPlan::compile(&nl)?;
         Ok(Sequential {
+            pins: PePins::resolve(&nl)?,
+            cur: InputPort::resolve(&nl, "cur")?,
+            refp: InputPort::resolve(&nl, "ref")?,
             netlist: nl,
             n,
             plan,
@@ -286,33 +321,29 @@ impl Sequential {
         dy: i32,
         range: i32,
         stats: &mut MeSearchResult,
-    ) -> Result<()> {
+    ) {
         let n = self.n;
-        sim.set("mclr", 1)?;
-        sim.set("men", 0)?;
-        sim.set("cmp_en", 0)?;
+        sim.drive(self.pins.mclr, 1);
+        sim.drive(self.pins.men, 0);
+        sim.drive(self.pins.cmp_en, 0);
         sim.step();
-        sim.set("mclr", 0)?;
-        sim.set("men", 1)?;
+        sim.drive(self.pins.mclr, 0);
+        sim.drive(self.pins.men, 1);
         for y in 0..n {
             for x in 0..n {
-                sim.set("cur", u64::from(cur.at(bx + x, by + y)))?;
+                sim.drive(self.cur, u64::from(cur.at(bx + x, by + y)));
                 let rx = (bx as i64 + i64::from(dx)) as usize + x;
                 let ry = (by as i64 + i64::from(dy)) as usize + y;
-                sim.set("ref", u64::from(reference.at(rx, ry)))?;
+                sim.drive(self.refp, u64::from(reference.at(rx, ry)));
                 sim.step();
             }
         }
         stats.cur_fetches += (n * n) as u64;
         stats.ref_fetches += (n * n) as u64;
         stats.ref_fetches_naive += (n * n) as u64;
-        sim.set("men", 0)?;
-        sim.set("cmp_en", 1)?;
-        sim.set("cmp_idx", pack_mv(dx, dy, range))?;
-        sim.step();
-        sim.set("cmp_en", 0)?;
+        sim.drive(self.pins.men, 0);
+        self.pins.compare(sim, pack_mv(dx, dy, range));
         stats.best.candidates += 1;
-        Ok(())
     }
 }
 
@@ -335,21 +366,17 @@ impl MeEngine for Sequential {
     ) -> Result<MeSearchResult> {
         assert_eq!(params.block, self.n);
         let p = params.range;
-        let mut sim = Simulator::with_plan(&self.netlist, &self.plan);
-        sim.set("cmp_clr", 1)?;
-        sim.step();
-        sim.set("cmp_clr", 0)?;
+        let mut sim = self.pins.reset(&self.netlist, &self.plan);
         let mut stats = empty_stats();
         for dx in -p..=p {
             for dy in -p..=p {
                 if !candidate_valid(reference, bx, by, dx, dy, self.n) {
                     continue;
                 }
-                self.run_candidate(&mut sim, cur, reference, bx, by, dx, dy, p, &mut stats)?;
+                self.run_candidate(&mut sim, cur, reference, bx, by, dx, dy, p, &mut stats);
             }
         }
-        sim.step();
-        finish(&mut sim, p, &mut stats)?;
+        self.pins.finish(&mut sim, p, &mut stats);
         Ok(stats)
     }
 }
@@ -395,10 +422,7 @@ pub fn run_schedule(
     let p = params.range;
     let n = params.block;
     assert_eq!(n, engine.n);
-    let mut sim = Simulator::with_plan(&engine.netlist, &engine.plan);
-    sim.set("cmp_clr", 1)?;
-    sim.step();
-    sim.set("cmp_clr", 0)?;
+    let mut sim = engine.pins.reset(&engine.netlist, &engine.plan);
     let mut stats = empty_stats();
     let mut center = (0i32, 0i32);
     let mut evaluated: std::collections::HashSet<(i32, i32)> = std::collections::HashSet::new();
@@ -415,7 +439,7 @@ pub fn run_schedule(
             return Ok(None);
         }
         evaluated.insert((dx, dy));
-        engine.run_candidate(sim, cur, reference, bx, by, dx, dy, p, stats)?;
+        engine.run_candidate(sim, cur, reference, bx, by, dx, dy, p, stats);
         Ok(Some(crate::reference::sad(
             cur, reference, bx, by, dx, dy, n,
         )))
@@ -480,8 +504,7 @@ pub fn run_schedule(
             }
         }
     }
-    sim.step();
-    finish(&mut sim, p, &mut stats)?;
+    engine.pins.finish(&mut sim, p, &mut stats);
     Ok(stats)
 }
 

@@ -9,7 +9,8 @@
 
 use dsra_core::netlist::{NetId, Netlist};
 
-/// Per-net and per-node toggle counters accumulated over a simulation run.
+/// Per-net and per-node toggle counters accumulated over a simulation run
+/// (summed over every lane of a lane-batched simulator).
 #[derive(Debug, Clone, Default)]
 pub struct Activity {
     net_toggles: Vec<u64>,
@@ -38,19 +39,31 @@ impl Activity {
         }
     }
 
-    pub(crate) fn record_net(&mut self, net: usize, prev: u64, cur: u64) {
-        self.net_toggles[net] += u64::from((prev ^ cur).count_ones());
+    /// Credits each net the bits that toggled between `prev` and `cur`,
+    /// summed over the lanes, then advances `prev` to `cur`. `cur` may run
+    /// past the netlist's nets (constant slots); those never toggle.
+    pub(crate) fn record_nets<const W: usize>(&mut self, prev: &mut [[u64; W]], cur: &[[u64; W]]) {
+        for ((toggles, p), c) in self.net_toggles.iter_mut().zip(prev).zip(cur) {
+            let mut bits = 0;
+            for l in 0..W {
+                bits += (p[l] ^ c[l]).count_ones();
+            }
+            *toggles += u64::from(bits);
+            *p = *c;
+        }
     }
 
     pub(crate) fn credit_node(&mut self, node: usize, toggles: u64) {
         self.node_output_toggles[node] += toggles;
     }
 
-    pub(crate) fn end_cycle(&mut self) {
-        self.cycles += 1;
+    pub(crate) fn end_cycle(&mut self, lanes: u64) {
+        self.cycles += lanes;
     }
 
-    /// Total simulated cycles.
+    /// Total simulated cycles, summed over lanes (a `W`-lane simulator
+    /// adds `W` per clock, so its record equals the sum of `W` single-lane
+    /// runs).
     pub fn cycles(&self) -> u64 {
         self.cycles
     }

@@ -8,17 +8,34 @@
 //!
 //! The netlist graph is walked **once**, at [`ExecPlan::compile`] /
 //! [`Simulator::new`] time, and lowered into a flat plan: every node becomes
-//! one enum-dispatched op with its input ports resolved to net
-//! indices (or baked-in defaults), its output ports resolved to the nets
-//! they drive, and its memory contents pre-masked. The per-cycle loops then
-//! touch only dense `Vec`s — no port-name lookups, no adjacency chasing and
-//! **zero heap allocations per simulated cycle** (the old engine allocated a
-//! fresh `Vec` per node per cycle in `gather`/`eval_node`).
+//! one enum-dispatched op with its input ports resolved to net slots (an
+//! unconnected port reads a constant slot holding its default), its output
+//! ports resolved to the nets they drive, its sequential state resolved to
+//! a run of state slots, and its memory contents pre-masked. The settle
+//! sweep is stored as `(node, op)` pairs in execution order. The per-cycle
+//! loops then touch only dense `Vec`s — no port-name lookups, no adjacency
+//! chasing and **zero heap allocations per simulated cycle**.
 //!
-//! Drivers that rebuild a `Simulator` per block or per search (the DCT
-//! `transform` harnesses, the ME engines) compile the plan once at
-//! construction and share it via [`Simulator::with_plan`], so the graph walk
-//! is paid per *kernel*, not per invocation.
+//! ## Lanes
+//!
+//! A simulator evaluates `W` independent copies of the design at once
+//! (`Simulator<'n, P, W>`, `W = 1` by default). Every net value, external
+//! pin and state slot holds a `[u64; W]` — one word per lane — and one plan
+//! sweep matches each op once, then loops over the lanes. Designs whose
+//! control schedule is the same for every data set (the bit-serial DA
+//! DCTs: only the sample pins differ between blocks) therefore pay the op
+//! dispatch once per `W` blocks. Lanes never interact: pins driven with
+//! [`Simulator::drive`] are broadcast to every lane (the shared control
+//! schedule), [`Simulator::drive_lane`] / [`Simulator::read_lane`] address
+//! one lane's data, stuck-at faults apply to every lane, and [`Activity`]
+//! sums toggles (and lane-cycles) over the lanes, so a `W`-lane record
+//! equals the sum of `W` single-lane runs.
+//!
+//! Drivers that rebuild a `Simulator` per batch or per search (the DCT
+//! `transform_batch` drivers, the ME engines) compile the plan once at
+//! construction and share it via [`Simulator::with_plan`] /
+//! [`Simulator::with_plan_lanes`], so the graph walk is paid per *kernel*,
+//! not per invocation.
 
 use dsra_core::cluster::{AbsDiffMode, AddOp, AddShiftCfg, ClusterCfg, CompMode};
 use dsra_core::error::{CoreError, Result};
@@ -28,64 +45,52 @@ use dsra_core::netlist::{Netlist, NodeId, NodeKind, PortDir, PortRef};
 use crate::activity::Activity;
 use crate::prof::{NoopProf, OpClass, OpMix, ProfSink};
 
-/// Sentinel for "no net" in the compiled plan (unconnected optional port or
-/// undriven output).
+/// Sentinel for "no net" in the compiled plan: an undriven output port (its
+/// writes are dropped) or an unconnected top-level output (reads as 0).
 const NO_NET: u32 = u32::MAX;
 
-/// Sequential state of one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum NodeState {
-    None,
-    /// RegMux output register.
-    Reg {
-        q: u64,
-    },
-    /// AddAcc accumulator.
-    Acc {
-        acc: u64,
-    },
-    /// Bit-serial adder/subtracter carry.
-    Carry {
-        c: u8,
-    },
-    /// Parallel-to-serial shift register.
-    SerialReg {
-        reg: u64,
-        pos: u8,
-    },
-    /// DA shift-accumulator.
-    ShiftAcc {
-        acc: u64,
-    },
-    /// Streaming comparator.
-    Comp {
-        best: u64,
-        best_idx: u64,
-        valid: bool,
-    },
-}
-
-/// One resolved input port: either a net to read or a baked-in default.
+/// One resolved input port: the net slot it reads. Unconnected ports with
+/// a baked-in default read a constant slot past the netlist's nets.
 #[derive(Debug, Clone, Copy)]
-struct InSlot {
-    net: u32,
-    default: u64,
-}
+struct InSlot(u32);
 
 impl InSlot {
-    #[inline]
-    fn read(self, nets: &[u64]) -> u64 {
-        if self.net == NO_NET {
-            self.default
-        } else {
-            nets[self.net as usize]
-        }
+    /// The port's value in every lane.
+    #[inline(always)]
+    fn read<const W: usize>(self, nets: &[[u64; W]]) -> &[u64; W] {
+        &nets[self.0 as usize]
     }
+}
+
+/// Applies `f` lane by lane.
+#[inline(always)]
+fn map1<const W: usize>(a: &[u64; W], f: impl Fn(u64) -> u64) -> [u64; W] {
+    std::array::from_fn(|l| f(a[l]))
+}
+
+/// Applies `f` lane by lane to two operands.
+#[inline(always)]
+fn map2<const W: usize>(a: &[u64; W], b: &[u64; W], f: impl Fn(u64, u64) -> u64) -> [u64; W] {
+    std::array::from_fn(|l| f(a[l], b[l]))
+}
+
+/// Stores a node's next state (its `K` consecutive slots) and returns the
+/// number of lanes in which any slot changed — the node's output toggles
+/// for the activity record.
+#[inline(always)]
+fn commit<const W: usize, const K: usize>(slots: &mut [[u64; W]], next: [[u64; W]; K]) -> u64 {
+    let mut changed = 0;
+    for l in 0..W {
+        changed += u64::from((0..K).any(|k| slots[k][l] != next[k][l]));
+    }
+    slots[..K].copy_from_slice(&next);
+    changed
 }
 
 /// A node lowered to a dispatchable operation with resolved ports. The
 /// variant split mirrors [`NodeKind::comb_output`]: `*Out` variants publish
 /// Moore state in phase A, the rest settle combinationally in phase B.
+/// `st` is the first of the node's state slots.
 #[derive(Debug, Clone, Copy)]
 enum EvalOp {
     /// Output node: pure sink, nothing to evaluate.
@@ -115,8 +120,8 @@ enum EvalOp {
         sel: InSlot,
         out: u32,
     },
-    /// Registered RegMux: publishes the register.
-    RegOut { width: u8, out: u32 },
+    /// Registered RegMux: publishes the register (slot `q`).
+    RegOut { width: u8, out: u32, st: u32 },
     AbsDiff {
         a: InSlot,
         b: InSlot,
@@ -132,8 +137,8 @@ enum EvalOp {
         sub: bool,
         out: u32,
     },
-    /// Accumulating AddAcc: publishes the accumulator.
-    AccOut { width: u8, out: u32 },
+    /// Accumulating AddAcc: publishes the accumulator (slot `acc`).
+    AccOut { width: u8, out: u32, st: u32 },
     /// Two-value min/max comparator.
     CmpMinMax {
         a: InSlot,
@@ -142,22 +147,30 @@ enum EvalOp {
         out_y: u32,
         out_which: u32,
     },
-    /// Streaming comparator: publishes best/best_idx state.
-    CmpStreamOut { out_best: u32, out_idx: u32 },
-    /// Bit-serial adder/subtracter sum bit (carry is state).
+    /// Streaming comparator: publishes slots `best`, `best_idx`.
+    CmpStreamOut {
+        out_best: u32,
+        out_idx: u32,
+        st: u32,
+    },
+    /// Bit-serial adder/subtracter sum bit (slot: carry).
     SerialAdd {
         a: InSlot,
         b: InSlot,
         sub: bool,
         out: u32,
+        st: u32,
     },
-    /// Parallel-to-serial register: publishes the current bit.
-    SerialRegOut { width: u8, out: u32 },
-    /// Shift-accumulator: publishes the accumulator and its serial bit.
+    /// Parallel-to-serial register (slots `reg`, `pos`): publishes the
+    /// current bit.
+    SerialRegOut { width: u8, out: u32, st: u32 },
+    /// Shift-accumulator (slot `acc`): publishes the accumulator and its
+    /// serial bit.
     ShiftAccOut {
         acc_width: u8,
         out_y: u32,
         out_qs: u32,
+        st: u32,
     },
     /// Asynchronous-read memory; contents pre-masked in the plan's pool.
     Memory {
@@ -168,7 +181,8 @@ enum EvalOp {
     },
 }
 
-/// Clock-edge update of one sequential node, with resolved control ports.
+/// Clock-edge update of one sequential node, with resolved control ports
+/// and its first state slot.
 #[derive(Debug, Clone, Copy)]
 enum TickOp {
     Reg {
@@ -176,6 +190,7 @@ enum TickOp {
         b: InSlot,
         sel: InSlot,
         en: InSlot,
+        st: u32,
     },
     Acc {
         a: InSlot,
@@ -184,6 +199,7 @@ enum TickOp {
         clr: InSlot,
         width: u8,
         sub: bool,
+        st: u32,
     },
     Comp {
         x: InSlot,
@@ -191,17 +207,20 @@ enum TickOp {
         en: InSlot,
         clr: InSlot,
         min: bool,
+        st: u32,
     },
     Carry {
         a: InSlot,
         b: InSlot,
         clr: InSlot,
         sub: bool,
+        st: u32,
     },
     SerialReg {
         d: InSlot,
         load: InSlot,
         en: InSlot,
+        st: u32,
     },
     ShiftAcc {
         d: InSlot,
@@ -211,35 +230,37 @@ enum TickOp {
         sh: InSlot,
         acc_width: u8,
         data_width: u8,
+        st: u32,
     },
 }
 
 /// The flat, allocation-free execution plan a checked netlist compiles to.
 ///
 /// Compiling is `O(nodes + ports + nets)` and immutable thereafter, so one
-/// plan can back any number of [`Simulator`]s over the same netlist (see
-/// [`Simulator::with_plan`]) — kernels that simulate many blocks pay the
-/// graph walk once.
+/// plan can back any number of [`Simulator`]s over the same netlist, of any
+/// lane count (see [`Simulator::with_plan`]) — kernels that simulate many
+/// blocks pay the graph walk once.
 #[derive(Debug)]
 pub struct ExecPlan {
     nodes: usize,
     nets: usize,
-    /// Per-node lowered op (indexed by node id).
-    ops: Vec<EvalOp>,
-    /// Phase A: source nodes (inputs, constants, Moore outputs of
-    /// sequential clusters), ascending node id — identical order to the
-    /// graph walk it replaces.
-    phase_a: Vec<u32>,
-    /// Phase B: combinational nodes in levelized order.
-    phase_b: Vec<u32>,
+    /// The settle sweep, `(node, op)` in execution order: phase A (source
+    /// nodes — inputs, constants, Moore outputs of sequential clusters —
+    /// in ascending node id), then phase B (combinational nodes in
+    /// levelized order).
+    sweep: Vec<(u32, EvalOp)>,
     /// Sequential nodes with their clock-edge ops, ascending node id.
     ticks: Vec<(u32, TickOp)>,
     /// CSR pool of concat parts: (slot, part width, shift).
     concat_parts: Vec<(InSlot, u8, u32)>,
     /// Pre-masked memory contents.
     mems: Vec<Vec<u64>>,
-    /// Power-on state per node.
-    initial_states: Vec<NodeState>,
+    /// Power-on value of every state slot (sequential nodes own
+    /// consecutive runs of slots, in node order).
+    initial_state: Vec<u64>,
+    /// Distinct defaults of unconnected input ports; `consts[k]` is the
+    /// constant net slot `nets + k`.
+    consts: Vec<u64>,
 }
 
 impl ExecPlan {
@@ -254,49 +275,65 @@ impl ExecPlan {
         let mut plan = ExecPlan {
             nodes: netlist.nodes().len(),
             nets: netlist.nets().len(),
-            ops: Vec::with_capacity(netlist.nodes().len()),
-            phase_a: Vec::new(),
-            phase_b: Vec::new(),
+            sweep: Vec::new(),
             ticks: Vec::new(),
             concat_parts: Vec::new(),
             mems: Vec::new(),
-            initial_states: netlist
-                .nodes()
-                .iter()
-                .map(|n| initial_state(&n.kind))
-                .collect(),
+            initial_state: Vec::new(),
+            consts: Vec::new(),
         };
+        // Unconnected input ports read a constant slot holding their
+        // default, so every port read is one indexed load.
+        for (idx, node) in netlist.nodes().iter().enumerate() {
+            for (pi, port) in node.ports.iter().enumerate() {
+                let pref = PortRef {
+                    node: NodeId(idx as u32),
+                    port: pi as u16,
+                };
+                let default = port.default.unwrap_or(0);
+                if port.dir == PortDir::In
+                    && netlist.net_of(pref).is_none()
+                    && !plan.consts.contains(&default)
+                {
+                    plan.consts.push(default);
+                }
+            }
+        }
+        let mut ops = Vec::with_capacity(netlist.nodes().len());
         for (idx, node) in netlist.nodes().iter().enumerate() {
             let id = NodeId(idx as u32);
-            let op = plan.lower(netlist, id);
+            let st = plan.initial_state.len() as u32;
+            plan.initial_state
+                .extend_from_slice(initial_state(&node.kind));
+            let op = plan.lower(netlist, id, st);
             if !matches!(op, EvalOp::Sink) && !node.kind.comb_output() {
-                plan.phase_a.push(idx as u32);
+                plan.sweep.push((idx as u32, op));
             }
             if node.kind.sequential() {
-                let tick = lower_tick(netlist, id);
+                let tick = lower_tick(netlist, id, st, &plan.consts);
                 plan.ticks.push((idx as u32, tick));
             }
-            plan.ops.push(op);
+            ops.push(op);
         }
         for id in order {
             if netlist.node(id).kind.comb_output() {
-                plan.phase_b.push(id.0);
+                plan.sweep.push((id.0, ops[id.0 as usize]));
             }
         }
         Ok(plan)
     }
 
-    /// The plan's static per-cycle op mix: how many ops of each class one
-    /// [`Simulator::step`] executes. Every settle evaluates the same
-    /// `phase_a`/`phase_b` nodes and every tick updates the same
-    /// sequential nodes, so this is exact — a live
-    /// [`crate::CountingProf`] over `n` cycles reports precisely
+    /// The plan's static per-sweep op mix: how many ops of each class one
+    /// [`Simulator::step`] executes (once per sweep, whatever the lane
+    /// count). Every settle runs the same sweep and every tick updates
+    /// the same sequential nodes, so this is exact —
+    /// a live [`crate::CountingProf`] over `n` cycles reports precisely
     /// `n ×` these counts. Attribution layers use it to split busy
     /// cycles across op classes without per-cycle counting.
     pub fn op_mix(&self) -> OpMix {
         let mut mix = OpMix::new();
-        for &idx in self.phase_a.iter().chain(&self.phase_b) {
-            if let Some(class) = op_class(&self.ops[idx as usize]) {
+        for (_, op) in &self.sweep {
+            if let Some(class) = op_class(op) {
                 mix.add(class, 1);
             }
         }
@@ -306,10 +343,12 @@ impl ExecPlan {
         mix
     }
 
-    /// Lowers one node, resolving every port it reads or drives.
-    fn lower(&mut self, netlist: &Netlist, id: NodeId) -> EvalOp {
+    /// Lowers one node, resolving every port it reads or drives; `st` is
+    /// the node's first state slot.
+    fn lower(&mut self, netlist: &Netlist, id: NodeId, st: u32) -> EvalOp {
         let node = netlist.node(id);
-        let slot = |name: &str| in_slot(netlist, id, name);
+        let consts = &self.consts;
+        let slot = |name: &str| in_slot(netlist, id, name, consts);
         let out = |name: &str| out_net(netlist, id, name);
         match &node.kind {
             NodeKind::Input { width } => EvalOp::Input {
@@ -355,6 +394,7 @@ impl ExecPlan {
                         EvalOp::RegOut {
                             width: *width,
                             out: out("y"),
+                            st,
                         }
                     } else {
                         EvalOp::Mux {
@@ -381,6 +421,7 @@ impl ExecPlan {
                         EvalOp::AccOut {
                             width: *width,
                             out: out("y"),
+                            st,
                         }
                     } else {
                         EvalOp::AddSub {
@@ -403,6 +444,7 @@ impl ExecPlan {
                     CompMode::StreamMin | CompMode::StreamMax => EvalOp::CmpStreamOut {
                         out_best: out("best"),
                         out_idx: out("best_idx"),
+                        st,
                     },
                 },
                 ClusterCfg::AddShift(as_cfg) => match as_cfg {
@@ -414,6 +456,7 @@ impl ExecPlan {
                                 b: slot("b"),
                                 sub,
                                 out: out("y"),
+                                st,
                             }
                         } else {
                             EvalOp::AddSub {
@@ -428,11 +471,13 @@ impl ExecPlan {
                     AddShiftCfg::SerialReg { width } => EvalOp::SerialRegOut {
                         width: *width,
                         out: out("q"),
+                        st,
                     },
                     AddShiftCfg::ShiftAcc { acc_width, .. } => EvalOp::ShiftAccOut {
                         acc_width: *acc_width,
                         out_y: out("y"),
                         out_qs: out("qs"),
+                        st,
                     },
                 },
                 ClusterCfg::Memory {
@@ -455,21 +500,22 @@ impl ExecPlan {
     }
 }
 
-/// Resolves an input port to the net it reads (or its baked default).
-fn in_slot(netlist: &Netlist, id: NodeId, name: &str) -> InSlot {
+/// Resolves an input port to the net it reads, or to the constant slot
+/// holding its baked default (`consts[k]` lives in slot `nets + k`).
+fn in_slot(netlist: &Netlist, id: NodeId, name: &str, consts: &[u64]) -> InSlot {
     let node = netlist.node(id);
     let pi = node.port_index(name).expect("port exists");
-    let pref = PortRef { node: id, port: pi };
     debug_assert_eq!(node.ports[pi as usize].dir, PortDir::In);
-    match netlist.net_of(pref) {
-        Some(net) => InSlot {
-            net: net.0,
-            default: 0,
-        },
-        None => InSlot {
-            net: NO_NET,
-            default: node.ports[pi as usize].default.unwrap_or(0),
-        },
+    match netlist.net_of(PortRef { node: id, port: pi }) {
+        Some(net) => InSlot(net.0),
+        None => {
+            let d = node.ports[pi as usize].default.unwrap_or(0);
+            let k = consts
+                .iter()
+                .position(|&c| c == d)
+                .expect("default collected");
+            InSlot((netlist.nets().len() + k) as u32)
+        }
     }
 }
 
@@ -485,8 +531,8 @@ fn out_net(netlist: &Netlist, id: NodeId, name: &str) -> u32 {
     }
 }
 
-fn lower_tick(netlist: &Netlist, id: NodeId) -> TickOp {
-    let slot = |name: &str| in_slot(netlist, id, name);
+fn lower_tick(netlist: &Netlist, id: NodeId, st: u32, consts: &[u64]) -> TickOp {
+    let slot = |name: &str| in_slot(netlist, id, name, consts);
     let NodeKind::Cluster(cfg) = &netlist.node(id).kind else {
         unreachable!("only clusters are sequential");
     };
@@ -496,6 +542,7 @@ fn lower_tick(netlist: &Netlist, id: NodeId) -> TickOp {
             b: slot("b"),
             sel: slot("sel"),
             en: slot("en"),
+            st,
         },
         ClusterCfg::AddAcc { width, op, .. } => TickOp::Acc {
             a: slot("a"),
@@ -504,6 +551,7 @@ fn lower_tick(netlist: &Netlist, id: NodeId) -> TickOp {
             clr: slot("clr"),
             width: *width,
             sub: matches!(op, AddOp::Sub),
+            st,
         },
         ClusterCfg::Comparator { mode, .. } => TickOp::Comp {
             x: slot("x"),
@@ -511,6 +559,7 @@ fn lower_tick(netlist: &Netlist, id: NodeId) -> TickOp {
             en: slot("en"),
             clr: slot("clr"),
             min: matches!(mode, CompMode::StreamMin),
+            st,
         },
         ClusterCfg::AddShift(as_cfg) => match as_cfg {
             AddShiftCfg::Add { .. } | AddShiftCfg::Sub { .. } => TickOp::Carry {
@@ -518,11 +567,13 @@ fn lower_tick(netlist: &Netlist, id: NodeId) -> TickOp {
                 b: slot("b"),
                 clr: slot("clr"),
                 sub: matches!(as_cfg, AddShiftCfg::Sub { .. }),
+                st,
             },
             AddShiftCfg::SerialReg { .. } => TickOp::SerialReg {
                 d: slot("d"),
                 load: slot("load"),
                 en: slot("en"),
+                st,
             },
             AddShiftCfg::ShiftAcc {
                 acc_width,
@@ -535,6 +586,7 @@ fn lower_tick(netlist: &Netlist, id: NodeId) -> TickOp {
                 sh: slot("sh"),
                 acc_width: *acc_width,
                 data_width: *data_width,
+                st,
             },
         },
         _ => unreachable!("state/config mismatch"),
@@ -583,6 +635,16 @@ fn tick_class(op: &TickOp) -> OpClass {
 enum PlanSource<'n> {
     Owned(Box<ExecPlan>),
     Shared(&'n ExecPlan),
+}
+
+impl PlanSource<'_> {
+    #[inline]
+    fn get(&self) -> &ExecPlan {
+        match self {
+            PlanSource::Owned(p) => p,
+            PlanSource::Shared(p) => p,
+        }
+    }
 }
 
 /// A resolved top-level input, for allocation-free driving on hot paths
@@ -643,7 +705,8 @@ impl OutputPort {
     }
 }
 
-/// Cycle-accurate simulator for a checked netlist.
+/// Cycle-accurate simulator for a checked netlist, evaluating `W`
+/// independent lanes per sweep (see the [module docs](self)).
 ///
 /// ```
 /// use dsra_core::prelude::*;
@@ -667,28 +730,32 @@ impl OutputPort {
 /// sim.set("b", 55)?;
 /// sim.step();
 /// assert_eq!(sim.get("y")?, 145);
+///
+/// // Four lanes: `b` is broadcast, `a` differs per lane.
+/// let plan = dsra_sim::ExecPlan::compile(&nl)?;
+/// let mut lanes = Simulator::<_, 4>::with_plan_lanes(&nl, &plan);
+/// let (pa, py) = (lanes.input_port("a")?, lanes.output_port("y")?);
+/// lanes.set("b", 55)?;
+/// for l in 0..4 {
+///     lanes.drive_lane(pa, l, 50 * l as u64);
+/// }
+/// lanes.step();
+/// assert_eq!(lanes.read_lane(py, 0), 55);
+/// assert_eq!(lanes.read_lane(py, 3), 95);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct Simulator<'n, P: ProfSink = NoopProf> {
+pub struct Simulator<'n, P: ProfSink = NoopProf, const W: usize = 1> {
     netlist: &'n Netlist,
     plan: PlanSource<'n>,
-    /// Current value per net.
-    net_values: Vec<u64>,
+    lanes: Lanes<W>,
     /// Previous-cycle value per net (for toggle counting).
-    prev_values: Vec<u64>,
-    states: Vec<NodeState>,
-    external: Vec<u64>,
+    prev_values: Vec<[u64; W]>,
     activity: Activity,
     cycle: u64,
     waveform: Option<crate::trace::Waveform>,
     faults: Vec<StuckFault>,
-    /// Per-net or/and fault masks, indexed by net id. Empty while no faults
-    /// are injected; rebuilt incrementally by `inject_fault` and dropped by
-    /// `clear_faults`, so the faulted write path is one indexed load instead
-    /// of a scan over the whole fault list.
-    fault_masks: Vec<FaultMask>,
     /// Op-level profiling sink. [`NoopProf`] (the default) has
     /// `ENABLED = false`, so every record call below const-folds away
     /// and the hot loop is the unprofiled one.
@@ -740,11 +807,52 @@ impl<'n> Simulator<'n> {
     }
 }
 
-impl<'n, P: ProfSink> Simulator<'n, P> {
+impl<P: ProfSink> Simulator<'_, P> {
+    /// Reads a resolved output port after the last `step`.
+    #[inline]
+    pub fn read(&self, port: OutputPort) -> u64 {
+        self.read_lane(port, 0)
+    }
+
+    /// Reads a resolved output port as a signed value.
+    #[inline]
+    pub fn read_signed(&self, port: OutputPort) -> i64 {
+        to_signed(self.read(port), port.width)
+    }
+
+    /// Reads a top-level output (raw bus word) after the last `step`.
+    ///
+    /// # Errors
+    /// [`CoreError::UnknownNode`] if no output has this name.
+    pub fn get(&self, output: &str) -> Result<u64> {
+        Ok(self.read(self.output_port(output)?))
+    }
+
+    /// Reads a top-level output as a signed value.
+    ///
+    /// # Errors
+    /// Same as [`Simulator::get`].
+    pub fn get_signed(&self, output: &str) -> Result<i64> {
+        Ok(self.read_signed(self.output_port(output)?))
+    }
+}
+
+impl<'n, const W: usize> Simulator<'n, NoopProf, W> {
+    /// [`Simulator::with_plan`] for `W` lanes:
+    /// `Simulator::<_, 8>::with_plan_lanes(netlist, &plan)`.
+    ///
+    /// # Panics
+    /// Same as [`Simulator::with_plan`].
+    pub fn with_plan_lanes(netlist: &'n Netlist, plan: &'n ExecPlan) -> Self {
+        Self::with_plan_profiled(netlist, plan, NoopProf)
+    }
+}
+
+impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
     /// [`Simulator::new`] with an explicit profiling sink (a
     /// [`crate::CountingProf`] records per-op/per-class execution
-    /// counts; results are byte-identical either way — the sink only
-    /// observes).
+    /// counts, once per sweep whatever the lane count; results are
+    /// byte-identical either way — the sink only observes).
     ///
     /// # Errors
     /// Same as [`Simulator::new`].
@@ -770,22 +878,25 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
     }
 
     fn build(netlist: &'n Netlist, plan: PlanSource<'n>, prof: P) -> Self {
-        let states = match &plan {
-            PlanSource::Owned(p) => p.initial_states.clone(),
-            PlanSource::Shared(p) => p.initial_states.clone(),
+        let p = plan.get();
+        let nets = netlist.nets().len();
+        let lanes = Lanes {
+            nets: std::iter::repeat_n([0; W], nets)
+                .chain(p.consts.iter().map(|&c| [c; W]))
+                .collect(),
+            states: p.initial_state.iter().map(|&v| [v; W]).collect(),
+            external: vec![[0; W]; netlist.nodes().len()],
+            fault_masks: Vec::new(),
         };
         Simulator {
             netlist,
             plan,
-            net_values: vec![0; netlist.nets().len()],
-            prev_values: vec![0; netlist.nets().len()],
-            states,
-            external: vec![0; netlist.nodes().len()],
-            activity: Activity::new(netlist.nets().len(), netlist.nodes().len()),
+            lanes,
+            prev_values: vec![[0; W]; nets],
+            activity: Activity::new(nets, netlist.nodes().len()),
             cycle: 0,
             waveform: None,
             faults: Vec::new(),
-            fault_masks: Vec::new(),
             prof,
         }
     }
@@ -793,14 +904,6 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
     /// The profiling sink's accumulated state.
     pub fn prof(&self) -> &P {
         &self.prof
-    }
-
-    #[inline]
-    fn plan(&self) -> &ExecPlan {
-        match &self.plan {
-            PlanSource::Owned(p) => p,
-            PlanSource::Shared(p) => p,
-        }
     }
 
     /// Resolves a top-level input by name for repeated allocation-free
@@ -813,7 +916,7 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
     }
 
     /// Resolves a top-level output by name for repeated allocation-free
-    /// reading via [`Simulator::read`].
+    /// reading via [`Simulator::read`] / [`Simulator::read_lane`].
     ///
     /// # Errors
     /// [`CoreError::UnknownNode`] if no output has this name.
@@ -821,35 +924,44 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
         OutputPort::resolve(self.netlist, output)
     }
 
-    /// Drives a resolved input port (raw bus word, masked to its width).
+    /// Drives a resolved input port in every lane (raw bus word, masked to
+    /// its width).
     #[inline]
     pub fn drive(&mut self, port: InputPort, raw: u64) {
-        self.external[port.ext as usize] = mask(raw, port.width);
+        self.lanes.external[port.ext as usize] = [mask(raw, port.width); W];
     }
 
-    /// Drives a resolved input port with a signed value.
+    /// Drives a resolved input port in every lane with a signed value.
     #[inline]
     pub fn drive_signed(&mut self, port: InputPort, value: i64) {
-        self.external[port.ext as usize] = from_signed(value, port.width);
+        self.lanes.external[port.ext as usize] = [from_signed(value, port.width); W];
     }
 
-    /// Reads a resolved output port after the last `step`.
+    /// Drives a resolved input port in one lane (raw bus word, masked to
+    /// its width).
+    ///
+    /// # Panics
+    /// Panics if `lane >= W`.
     #[inline]
-    pub fn read(&self, port: OutputPort) -> u64 {
+    pub fn drive_lane(&mut self, port: InputPort, lane: usize, raw: u64) {
+        self.lanes.external[port.ext as usize][lane] = mask(raw, port.width);
+    }
+
+    /// Reads one lane of a resolved output port after the last `step`.
+    ///
+    /// # Panics
+    /// Panics if `lane >= W`.
+    #[inline]
+    pub fn read_lane(&self, port: OutputPort, lane: usize) -> u64 {
         if port.net == NO_NET {
             0
         } else {
-            self.net_values[port.net as usize]
+            self.lanes.nets[port.net as usize][lane]
         }
     }
 
-    /// Reads a resolved output port as a signed value.
-    #[inline]
-    pub fn read_signed(&self, port: OutputPort) -> i64 {
-        to_signed(self.read(port), port.width)
-    }
-
-    /// Drives a top-level input (raw bus word, masked to the input width).
+    /// Drives a top-level input in every lane (raw bus word, masked to the
+    /// input width).
     ///
     /// # Errors
     /// [`CoreError::UnknownNode`] if no input has this name.
@@ -859,7 +971,7 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
         Ok(())
     }
 
-    /// Drives a top-level input with a signed value.
+    /// Drives a top-level input in every lane with a signed value.
     ///
     /// # Errors
     /// Same as [`Simulator::set`].
@@ -869,43 +981,26 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
         Ok(())
     }
 
-    /// Reads a top-level output (raw bus word) after the last `step`.
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownNode`] if no output has this name.
-    pub fn get(&self, output: &str) -> Result<u64> {
-        Ok(self.read(self.output_port(output)?))
-    }
-
-    /// Reads a top-level output as a signed value.
-    ///
-    /// # Errors
-    /// Same as [`Simulator::get`].
-    pub fn get_signed(&self, output: &str) -> Result<i64> {
-        Ok(self.read_signed(self.output_port(output)?))
-    }
-
-    /// Executes one clock cycle: combinational settle, activity recording,
-    /// sequential tick.
+    /// Executes one clock cycle in every lane: combinational settle,
+    /// activity recording, sequential tick.
     pub fn step(&mut self) {
         self.settle();
-        for i in 0..self.net_values.len() {
-            self.activity
-                .record_net(i, self.prev_values[i], self.net_values[i]);
-        }
-        self.prev_values.copy_from_slice(&self.net_values);
+        self.activity
+            .record_nets(&mut self.prev_values, &self.lanes.nets);
+        let real = &self.lanes.nets[..self.prev_values.len()];
         if let Some(w) = &mut self.waveform {
-            w.capture(&self.net_values);
+            w.capture(real.iter().map(|v| v[0]));
         }
         self.tick();
-        self.activity.end_cycle();
+        self.activity.end_cycle(W as u64);
         if P::ENABLED {
             self.prof.record_cycle();
         }
         self.cycle += 1;
     }
 
-    /// Starts recording a waveform (one snapshot per cycle from now on).
+    /// Starts recording a waveform of lane 0 (one snapshot per cycle from
+    /// now on).
     pub fn record_waveform(&mut self) {
         self.waveform = Some(crate::trace::Waveform::new(self.netlist));
     }
@@ -915,17 +1010,19 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
         self.waveform.as_ref()
     }
 
-    /// Injects a stuck-at fault on one bit of a net. The fault applies from
-    /// the next evaluation onward; several faults may be active at once and
-    /// later injections on the same bit win, exactly as if the fault list
-    /// were replayed in order. While no faults are injected (the common
-    /// case) the write path skips fault handling entirely; with faults
-    /// present each write costs one indexed mask load, not a list scan.
+    /// Injects a stuck-at fault on one bit of a net, in every lane. The
+    /// fault applies from the next evaluation onward; several faults may be
+    /// active at once and later injections on the same bit win, exactly as
+    /// if the fault list were replayed in order. While no faults are
+    /// injected (the common case) the write path skips fault handling
+    /// entirely; with faults present each write costs one indexed mask
+    /// load, not a list scan.
     pub fn inject_fault(&mut self, fault: StuckFault) {
-        if self.fault_masks.is_empty() {
-            self.fault_masks = vec![FaultMask::CLEAN; self.net_values.len()];
+        let masks = &mut self.lanes.fault_masks;
+        if masks.is_empty() {
+            *masks = vec![FaultMask::CLEAN; self.prev_values.len()];
         }
-        if let Some(m) = self.fault_masks.get_mut(fault.net.0 as usize) {
+        if let Some(m) = masks.get_mut(fault.net.0 as usize) {
             let bit = 1u64 << fault.bit;
             if fault.stuck_high {
                 m.or |= bit;
@@ -941,7 +1038,7 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
     /// Removes all injected faults.
     pub fn clear_faults(&mut self) {
         self.faults.clear();
-        self.fault_masks.clear();
+        self.lanes.fault_masks.clear();
     }
 
     /// Runs `n` cycles.
@@ -951,12 +1048,12 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
         }
     }
 
-    /// Cycles executed so far.
+    /// Clock cycles (plan sweeps) executed so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// Accumulated switching activity.
+    /// Accumulated switching activity, summed over the lanes.
     pub fn activity(&self) -> &Activity {
         &self.activity
     }
@@ -964,21 +1061,6 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
     /// The netlist being simulated.
     pub fn netlist(&self) -> &Netlist {
         self.netlist
-    }
-
-    /// Writes one settled output value, applying stuck-at faults only when
-    /// any are injected (one indexed mask load, no fault-list scan).
-    #[inline]
-    fn write(&mut self, out: u32, value: u64) {
-        if out == NO_NET {
-            return;
-        }
-        let mut v = value;
-        if !self.fault_masks.is_empty() {
-            let m = self.fault_masks[out as usize];
-            v = (v | m.or) & m.and;
-        }
-        self.net_values[out as usize] = v;
     }
 
     /// Combinational propagation without advancing the clock (useful in
@@ -989,39 +1071,86 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
     /// state). Phase B then evaluates combinational nodes in levelized
     /// order, so a single pass settles the whole design.
     pub fn settle(&mut self) {
-        for i in 0..self.plan().phase_a.len() {
-            let n = self.plan().phase_a[i];
-            self.eval(n as usize);
-        }
-        for i in 0..self.plan().phase_b.len() {
-            let n = self.plan().phase_b[i];
-            self.eval(n as usize);
+        let plan = self.plan.get();
+        for &(idx, op) in &plan.sweep {
+            if P::ENABLED {
+                if let Some(class) = op_class(&op) {
+                    self.prof.record_op(idx, class);
+                }
+            }
+            self.lanes.eval(plan, op);
         }
     }
 
-    /// Evaluates one node's outputs for the current cycle and writes them.
-    #[inline]
-    fn eval(&mut self, idx: usize) {
-        let op = self.plan().ops[idx];
-        if P::ENABLED {
-            if let Some(class) = op_class(&op) {
-                self.prof.record_op(idx as u32, class);
+    /// Clock edge: update every sequential node from the settled net
+    /// values, in every lane.
+    fn tick(&mut self) {
+        for &(idx, op) in &self.plan.get().ticks {
+            if P::ENABLED {
+                self.prof.record_op(idx, tick_class(&op));
+            }
+            let changed = self.lanes.tick(op);
+            if changed > 0 {
+                self.activity.credit_node(idx as usize, changed);
             }
         }
+    }
+}
+
+/// The per-lane machine state one sweep reads and writes.
+#[derive(Debug)]
+struct Lanes<const W: usize> {
+    /// Current value per net slot (the netlist's nets, then the constant
+    /// slots of unconnected-port defaults), one word per lane.
+    nets: Vec<[u64; W]>,
+    /// Sequential state, one word per lane per state slot.
+    states: Vec<[u64; W]>,
+    /// Externally driven word per input node, one per lane.
+    external: Vec<[u64; W]>,
+    /// Per-net or/and fault masks, indexed by net id. Empty while no faults
+    /// are injected; rebuilt incrementally by `inject_fault` and dropped by
+    /// `clear_faults`, so the faulted write path is one indexed load instead
+    /// of a scan over the whole fault list.
+    fault_masks: Vec<FaultMask>,
+}
+
+impl<const W: usize> Lanes<W> {
+    /// Writes one settled output value in every lane, applying stuck-at
+    /// faults only when any are injected (one indexed mask load, no
+    /// fault-list scan).
+    #[inline]
+    fn write(&mut self, out: u32, mut value: [u64; W]) {
+        if out == NO_NET {
+            return;
+        }
+        if !self.fault_masks.is_empty() {
+            let m = self.fault_masks[out as usize];
+            for v in &mut value {
+                *v = (*v | m.or) & m.and;
+            }
+        }
+        self.nets[out as usize] = value;
+    }
+
+    /// Evaluates one node's outputs for the current cycle, in every lane,
+    /// and writes them.
+    #[inline]
+    fn eval(&mut self, plan: &ExecPlan, op: EvalOp) {
+        let nets = &self.nets;
+        let states = &self.states;
         match op {
             EvalOp::Sink => {}
             EvalOp::Input { ext, width, out } => {
-                let v = mask(self.external[ext as usize], width);
+                let v = map1(&self.external[ext as usize], |x| mask(x, width));
                 self.write(out, v);
             }
-            EvalOp::Const { value, out } => self.write(out, value),
+            EvalOp::Const { value, out } => self.write(out, [value; W]),
             EvalOp::Concat { start, len, out } => {
-                let mut v = 0u64;
-                {
-                    let plan = self.plan();
-                    for &(slot, w, sh) in &plan.concat_parts[start as usize..(start + len) as usize]
-                    {
-                        v |= mask(slot.read(&self.net_values), w) << sh;
+                let mut v = [0u64; W];
+                for &(slot, w, sh) in &plan.concat_parts[start as usize..(start + len) as usize] {
+                    let part = slot.read(nets);
+                    for l in 0..W {
+                        v[l] |= mask(part[l], w) << sh;
                     }
                 }
                 self.write(out, v);
@@ -1032,7 +1161,7 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
                 width,
                 out,
             } => {
-                let v = mask(a.read(&self.net_values) >> offset, width);
+                let v = map1(a.read(nets), |x| mask(x >> offset, width));
                 self.write(out, v);
             }
             EvalOp::SignExtend {
@@ -1041,22 +1170,17 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
                 width,
                 out,
             } => {
-                let v = from_signed(to_signed(a.read(&self.net_values), in_width), width);
+                let v = map1(a.read(nets), |x| from_signed(to_signed(x, in_width), width));
                 self.write(out, v);
             }
             EvalOp::Mux { a, b, sel, out } => {
-                let v = if sel.read(&self.net_values) & 1 == 1 {
-                    b.read(&self.net_values)
-                } else {
-                    a.read(&self.net_values)
-                };
+                let (a, b, sel) = (a.read(nets), b.read(nets), sel.read(nets));
+                let v = std::array::from_fn(|l| if sel[l] & 1 == 1 { b[l] } else { a[l] });
                 self.write(out, v);
             }
-            EvalOp::RegOut { width, out } => {
-                let NodeState::Reg { q } = self.states[idx] else {
-                    unreachable!()
-                };
-                self.write(out, mask(q, width));
+            EvalOp::RegOut { width, out, st } => {
+                let v = map1(&states[st as usize], |q| mask(q, width));
+                self.write(out, v);
             }
             EvalOp::AbsDiff {
                 a,
@@ -1065,13 +1189,12 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
                 mode,
                 out,
             } => {
-                let a = a.read(&self.net_values);
-                let b = b.read(&self.net_values);
+                let (a, b) = (a.read(nets), b.read(nets));
                 let v = match mode {
-                    AbsDiffMode::Add => mask(a.wrapping_add(b), width),
-                    AbsDiffMode::Sub => mask(a.wrapping_sub(b), width),
+                    AbsDiffMode::Add => map2(a, b, |a, b| mask(a.wrapping_add(b), width)),
+                    AbsDiffMode::Sub => map2(a, b, |a, b| mask(a.wrapping_sub(b), width)),
                     // Pixels are unsigned: |a - b| = max - min.
-                    AbsDiffMode::AbsDiff => mask(a.max(b) - a.min(b), width),
+                    AbsDiffMode::AbsDiff => map2(a, b, |a, b| mask(a.max(b) - a.min(b), width)),
                 };
                 self.write(out, v);
             }
@@ -1082,20 +1205,17 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
                 sub,
                 out,
             } => {
-                let a = a.read(&self.net_values);
-                let b = b.read(&self.net_values);
+                let (a, b) = (a.read(nets), b.read(nets));
                 let v = if sub {
-                    mask(a.wrapping_sub(b), width)
+                    map2(a, b, |a, b| mask(a.wrapping_sub(b), width))
                 } else {
-                    mask(a.wrapping_add(b), width)
+                    map2(a, b, |a, b| mask(a.wrapping_add(b), width))
                 };
                 self.write(out, v);
             }
-            EvalOp::AccOut { width, out } => {
-                let NodeState::Acc { acc } = self.states[idx] else {
-                    unreachable!()
-                };
-                self.write(out, mask(acc, width));
+            EvalOp::AccOut { width, out, st } => {
+                let v = map1(&states[st as usize], |acc| mask(acc, width));
+                self.write(out, v);
             }
             EvalOp::CmpMinMax {
                 a,
@@ -1104,50 +1224,50 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
                 out_y,
                 out_which,
             } => {
-                let a = a.read(&self.net_values);
-                let b = b.read(&self.net_values);
+                let (a, b) = (a.read(nets), b.read(nets));
                 // SAD metrics are unsigned.
                 let (y, which) = if max {
-                    (a.max(b), u64::from(a < b))
+                    (map2(a, b, u64::max), map2(a, b, |a, b| u64::from(a < b)))
                 } else {
-                    (a.min(b), u64::from(a > b))
+                    (map2(a, b, u64::min), map2(a, b, |a, b| u64::from(a > b)))
                 };
                 self.write(out_y, y);
                 self.write(out_which, which);
             }
-            EvalOp::CmpStreamOut { out_best, out_idx } => {
-                let NodeState::Comp { best, best_idx, .. } = self.states[idx] else {
-                    unreachable!()
-                };
+            EvalOp::CmpStreamOut {
+                out_best,
+                out_idx,
+                st,
+            } => {
+                let (best, best_idx) = (states[st as usize], states[st as usize + 1]);
                 self.write(out_best, best);
                 self.write(out_idx, best_idx);
             }
-            EvalOp::SerialAdd { a, b, sub, out } => {
-                let a = a.read(&self.net_values) & 1;
-                let b0 = b.read(&self.net_values) & 1;
-                let b = if sub { b0 ^ 1 } else { b0 };
-                let NodeState::Carry { c } = self.states[idx] else {
-                    unreachable!()
-                };
-                self.write(out, a ^ b ^ u64::from(c));
+            EvalOp::SerialAdd { a, b, sub, out, st } => {
+                let (a, b, c) = (a.read(nets), b.read(nets), states[st as usize]);
+                let inv = u64::from(sub);
+                let v = std::array::from_fn(|l| (a[l] & 1) ^ ((b[l] & 1) ^ inv) ^ c[l]);
+                self.write(out, v);
             }
-            EvalOp::SerialRegOut { width, out } => {
-                let NodeState::SerialReg { reg, pos } = self.states[idx] else {
-                    unreachable!()
-                };
-                let bit_idx = pos.min(width - 1);
-                self.write(out, (reg >> bit_idx) & 1);
+            EvalOp::SerialRegOut { width, out, st } => {
+                let (reg, pos) = (&states[st as usize], &states[st as usize + 1]);
+                let top = u64::from(width - 1);
+                let v = map2(reg, pos, |reg, pos| (reg >> pos.min(top)) & 1);
+                self.write(out, v);
             }
             EvalOp::ShiftAccOut {
                 acc_width,
                 out_y,
                 out_qs,
+                st,
             } => {
-                let NodeState::ShiftAcc { acc } = self.states[idx] else {
-                    unreachable!()
-                };
-                self.write(out_y, mask(acc, acc_width));
-                self.write(out_qs, acc & 1);
+                let acc = &states[st as usize];
+                let (y, qs) = (
+                    map1(acc, |acc| mask(acc, acc_width)),
+                    map1(acc, |acc| acc & 1),
+                );
+                self.write(out_y, y);
+                self.write(out_qs, qs);
             }
             EvalOp::Memory {
                 addr,
@@ -1155,210 +1275,184 @@ impl<'n, P: ProfSink> Simulator<'n, P> {
                 words,
                 out,
             } => {
-                let a = (addr.read(&self.net_values) as usize) % usize::from(words);
-                let v = self.plan().mems[mem as usize][a];
+                let a = addr.read(nets);
+                let contents = &plan.mems[mem as usize];
+                let v = map1(a, |a| contents[(a as usize) % usize::from(words)]);
                 self.write(out, v);
             }
         }
     }
 
-    /// Clock edge: update every sequential node from the settled net values.
-    fn tick(&mut self) {
-        for i in 0..self.plan().ticks.len() {
-            let (idx, op) = self.plan().ticks[i];
-            let idx = idx as usize;
-            if P::ENABLED {
-                self.prof.record_op(idx as u32, tick_class(&op));
+    /// Clock-edge update of one sequential node in every lane; returns
+    /// the number of lanes whose state changed.
+    #[inline]
+    fn tick(&mut self, op: TickOp) -> u64 {
+        let nets = &self.nets;
+        let s = &mut self.states;
+        match op {
+            TickOp::Reg { a, b, sel, en, st } => {
+                let (a, b, sel, en) = (a.read(nets), b.read(nets), sel.read(nets), en.read(nets));
+                let q = s[st as usize];
+                let next = std::array::from_fn(|l| match (en[l] & 1, sel[l] & 1) {
+                    (0, _) => q[l],
+                    (_, 0) => a[l],
+                    _ => b[l],
+                });
+                commit(&mut s[st as usize..], [next])
             }
-            let nets = &self.net_values;
-            let new_state = match (op, &self.states[idx]) {
-                (TickOp::Reg { a, b, sel, en }, NodeState::Reg { q }) => {
-                    if en.read(nets) & 1 == 1 {
-                        let d = if sel.read(nets) & 1 == 1 {
-                            b.read(nets)
-                        } else {
-                            a.read(nets)
-                        };
-                        NodeState::Reg { q: d }
-                    } else {
-                        NodeState::Reg { q: *q }
-                    }
-                }
-                (
-                    TickOp::Acc {
-                        a,
-                        b,
-                        en,
-                        clr,
-                        width,
-                        sub,
-                    },
-                    NodeState::Acc { acc },
-                ) => {
-                    if clr.read(nets) & 1 == 1 {
-                        NodeState::Acc { acc: 0 }
-                    } else if en.read(nets) & 1 == 1 {
-                        let a = a.read(nets);
-                        let b = b.read(nets);
+            TickOp::Acc {
+                a,
+                b,
+                en,
+                clr,
+                width,
+                sub,
+                st,
+            } => {
+                let (a, b, en, clr) = (a.read(nets), b.read(nets), en.read(nets), clr.read(nets));
+                let acc = s[st as usize];
+                let next = std::array::from_fn(|l| {
+                    if clr[l] & 1 == 1 {
+                        0
+                    } else if en[l] & 1 == 1 {
                         let term = if sub {
-                            a.wrapping_sub(b)
+                            a[l].wrapping_sub(b[l])
                         } else {
-                            a.wrapping_add(b)
+                            a[l].wrapping_add(b[l])
                         };
-                        NodeState::Acc {
-                            acc: mask(acc.wrapping_add(term), width),
-                        }
+                        mask(acc[l].wrapping_add(term), width)
                     } else {
-                        NodeState::Acc { acc: *acc }
+                        acc[l]
                     }
-                }
-                (
-                    TickOp::Comp {
-                        x,
-                        idx: idx_slot,
-                        en,
-                        clr,
-                        min,
-                    },
-                    NodeState::Comp {
-                        best,
-                        best_idx,
-                        valid,
-                    },
-                ) => {
-                    if clr.read(nets) & 1 == 1 {
-                        NodeState::Comp {
-                            best: 0,
-                            best_idx: 0,
-                            valid: false,
-                        }
-                    } else if en.read(nets) & 1 == 1 {
-                        let x = x.read(nets);
-                        let idx_in = idx_slot.read(nets);
-                        let better = !valid || if min { x < *best } else { x > *best };
+                });
+                commit(&mut s[st as usize..], [next])
+            }
+            TickOp::Comp {
+                x,
+                idx: idx_slot,
+                en,
+                clr,
+                min,
+                st,
+            } => {
+                let (x, idx_in, en, clr) = (
+                    x.read(nets),
+                    idx_slot.read(nets),
+                    en.read(nets),
+                    clr.read(nets),
+                );
+                let st = st as usize;
+                let (mut best, mut best_idx, mut valid) = (s[st], s[st + 1], s[st + 2]);
+                for l in 0..W {
+                    if clr[l] & 1 == 1 {
+                        (best[l], best_idx[l], valid[l]) = (0, 0, 0);
+                    } else if en[l] & 1 == 1 {
+                        let better =
+                            valid[l] == 0 || if min { x[l] < best[l] } else { x[l] > best[l] };
                         if better {
-                            NodeState::Comp {
-                                best: x,
-                                best_idx: idx_in,
-                                valid: true,
-                            }
-                        } else {
-                            NodeState::Comp {
-                                best: *best,
-                                best_idx: *best_idx,
-                                valid: true,
-                            }
+                            (best[l], best_idx[l]) = (x[l], idx_in[l]);
                         }
-                    } else {
-                        NodeState::Comp {
-                            best: *best,
-                            best_idx: *best_idx,
-                            valid: *valid,
-                        }
+                        valid[l] = 1;
                     }
                 }
-                (TickOp::Carry { a, b, clr, sub }, NodeState::Carry { c }) => {
-                    if clr.read(nets) & 1 == 1 {
-                        NodeState::Carry { c: u8::from(sub) }
+                commit(&mut s[st..], [best, best_idx, valid])
+            }
+            TickOp::Carry { a, b, clr, sub, st } => {
+                let (a, b, clr) = (a.read(nets), b.read(nets), clr.read(nets));
+                let c = s[st as usize];
+                let inv = u64::from(sub);
+                let next = std::array::from_fn(|l| {
+                    if clr[l] & 1 == 1 {
+                        inv
                     } else {
-                        let a = a.read(nets) & 1;
-                        let b0 = b.read(nets) & 1;
-                        let b = if sub { b0 ^ 1 } else { b0 };
-                        let cin = u64::from(*c);
-                        let cout = (a & b) | (a & cin) | (b & cin);
-                        NodeState::Carry { c: cout as u8 }
+                        let (a, b, cin) = (a[l] & 1, (b[l] & 1) ^ inv, c[l]);
+                        (a & b) | (a & cin) | (b & cin)
+                    }
+                });
+                commit(&mut s[st as usize..], [next])
+            }
+            TickOp::SerialReg { d, load, en, st } => {
+                let (d, load, en) = (d.read(nets), load.read(nets), en.read(nets));
+                let st = st as usize;
+                let (mut reg, mut pos) = (s[st], s[st + 1]);
+                for l in 0..W {
+                    if load[l] & 1 == 1 {
+                        (reg[l], pos[l]) = (d[l], 0);
+                    } else if en[l] & 1 == 1 {
+                        pos[l] = (pos[l] + 1).min(u64::from(u8::MAX));
                     }
                 }
-                (TickOp::SerialReg { d, load, en }, NodeState::SerialReg { reg, pos }) => {
-                    if load.read(nets) & 1 == 1 {
-                        NodeState::SerialReg {
-                            reg: d.read(nets),
-                            pos: 0,
-                        }
-                    } else if en.read(nets) & 1 == 1 {
-                        NodeState::SerialReg {
-                            reg: *reg,
-                            pos: pos.saturating_add(1),
-                        }
-                    } else {
-                        NodeState::SerialReg {
-                            reg: *reg,
-                            pos: *pos,
-                        }
-                    }
-                }
-                (
-                    TickOp::ShiftAcc {
-                        d,
-                        en,
-                        clr,
-                        sub,
-                        sh,
-                        acc_width,
-                        data_width,
-                    },
-                    NodeState::ShiftAcc { acc },
-                ) => {
-                    if clr.read(nets) & 1 == 1 {
-                        NodeState::ShiftAcc { acc: 0 }
-                    } else if en.read(nets) & 1 == 1 {
-                        let align = u32::from(acc_width - data_width);
-                        let sa = to_signed(*acc, acc_width);
-                        let sd = to_signed(d.read(nets), data_width);
-                        let term = sd << align;
-                        let sum = if sub.read(nets) & 1 == 1 {
+                commit(&mut s[st..], [reg, pos])
+            }
+            TickOp::ShiftAcc {
+                d,
+                en,
+                clr,
+                sub,
+                sh,
+                acc_width,
+                data_width,
+                st,
+            } => {
+                let (d, en, clr, sub, sh) = (
+                    d.read(nets),
+                    en.read(nets),
+                    clr.read(nets),
+                    sub.read(nets),
+                    sh.read(nets),
+                );
+                let acc = s[st as usize];
+                let align = u32::from(acc_width - data_width);
+                let next = std::array::from_fn(|l| {
+                    if clr[l] & 1 == 1 {
+                        0
+                    } else if en[l] & 1 == 1 {
+                        let sa = to_signed(acc[l], acc_width);
+                        let term = to_signed(d[l], data_width) << align;
+                        let sum = if sub[l] & 1 == 1 {
                             sa - term
                         } else {
                             sa + term
                         };
-                        NodeState::ShiftAcc {
-                            acc: from_signed(sum >> 1, acc_width),
-                        }
-                    } else if sh.read(nets) & 1 == 1 {
-                        let sa = to_signed(*acc, acc_width);
-                        NodeState::ShiftAcc {
-                            acc: from_signed(sa >> 1, acc_width),
-                        }
+                        from_signed(sum >> 1, acc_width)
+                    } else if sh[l] & 1 == 1 {
+                        from_signed(to_signed(acc[l], acc_width) >> 1, acc_width)
                     } else {
-                        NodeState::ShiftAcc { acc: *acc }
+                        acc[l]
                     }
-                }
-                _ => unreachable!("state/config mismatch"),
-            };
-            if new_state != self.states[idx] {
-                self.activity.credit_node(idx, 1);
+                });
+                commit(&mut s[st as usize..], [next])
             }
-            self.states[idx] = new_state;
         }
     }
 }
 
-fn initial_state(kind: &NodeKind) -> NodeState {
+/// Power-on values of a node's state slots (empty for stateless nodes).
+/// Slot layouts: register `[q]`, accumulator `[acc]`, streaming comparator
+/// `[best, best_idx, valid]`, serial adder `[carry]`, serial register
+/// `[reg, pos]`, shift-accumulator `[acc]`.
+fn initial_state(kind: &NodeKind) -> &'static [u64] {
     match kind {
         NodeKind::Cluster(cfg) => match cfg {
             ClusterCfg::RegMux {
                 registered: true, ..
-            } => NodeState::Reg { q: 0 },
-            ClusterCfg::AddAcc {
+            }
+            | ClusterCfg::AddAcc {
                 accumulate: true, ..
-            } => NodeState::Acc { acc: 0 },
+            } => &[0],
             ClusterCfg::Comparator {
                 mode: CompMode::StreamMin | CompMode::StreamMax,
                 ..
-            } => NodeState::Comp {
-                best: 0,
-                best_idx: 0,
-                valid: false,
-            },
+            } => &[0, 0, 0],
             ClusterCfg::AddShift(cfg) => match cfg {
-                AddShiftCfg::Add { serial: true, .. } => NodeState::Carry { c: 0 },
-                AddShiftCfg::Sub { serial: true, .. } => NodeState::Carry { c: 1 },
-                AddShiftCfg::SerialReg { .. } => NodeState::SerialReg { reg: 0, pos: 0 },
-                AddShiftCfg::ShiftAcc { .. } => NodeState::ShiftAcc { acc: 0 },
-                _ => NodeState::None,
+                AddShiftCfg::Add { serial: true, .. } => &[0],
+                AddShiftCfg::Sub { serial: true, .. } => &[1],
+                AddShiftCfg::SerialReg { .. } => &[0, 0],
+                AddShiftCfg::ShiftAcc { .. } => &[0],
+                _ => &[],
             },
-            _ => NodeState::None,
+            _ => &[],
         },
-        _ => NodeState::None,
+        _ => &[],
     }
 }

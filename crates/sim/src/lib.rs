@@ -20,7 +20,10 @@
 //! ROMs) and every simulated cycle runs over dense arrays. Drivers that
 //! build many simulators over one netlist share the plan via
 //! [`Simulator::with_plan`] and drive pins through resolved handles
-//! ([`Simulator::input_port`] / [`Simulator::drive`]).
+//! ([`Simulator::input_port`] / [`Simulator::drive`]). A simulator may
+//! carry `W` independent lanes ([`Simulator::with_plan_lanes`]): one sweep
+//! clocks `W` copies of the design that share their control schedule,
+//! the way the DCT drivers run eight blocks at once.
 //!
 //! See [`Simulator`] for a usage example.
 

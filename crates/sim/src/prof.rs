@@ -10,9 +10,10 @@
 //!
 //! ## The static op mix
 //!
-//! The flat plan executes the same ops every cycle: every `phase_a` /
-//! `phase_b` node evaluates once and every sequential node ticks once per
-//! [`crate::Simulator::step`]. Per-cycle op-class counts are therefore a
+//! The flat plan executes the same ops every cycle: every node of the
+//! settle sweep evaluates once and every sequential node ticks once per
+//! [`crate::Simulator::step`] (once per sweep, however many lanes the
+//! simulator carries). Per-cycle op-class counts are therefore a
 //! *static* property of the plan — [`crate::ExecPlan::op_mix`] returns
 //! them without simulating, and a live [`CountingProf`] must agree
 //! exactly: `counters == op_mix × cycles`. Attribution layers

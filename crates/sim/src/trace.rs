@@ -27,8 +27,8 @@ impl Waveform {
         }
     }
 
-    pub(crate) fn capture(&mut self, values: &[u64]) {
-        self.rows.push(values.to_vec());
+    pub(crate) fn capture(&mut self, values: impl Iterator<Item = u64>) {
+        self.rows.push(values.collect());
     }
 
     /// Number of recorded cycles.

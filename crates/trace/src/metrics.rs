@@ -36,10 +36,11 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `delta` to the named counter, creating it at 0 first.
+    /// Adds `delta` to the named counter, creating it at 0 first
+    /// (saturating at `u64::MAX`).
     pub fn count(&mut self, name: &str, delta: u64) {
         match self.counters.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v += delta,
+            Some((_, v)) => *v = v.saturating_add(delta),
             None => self.counters.push((name.to_owned(), delta)),
         }
     }

@@ -2,10 +2,12 @@
 //!
 //! Implements the subset of the criterion 0.5 API this workspace uses
 //! (see `shims/README.md`): benchmark groups, `bench_function` /
-//! `bench_with_input`, `Bencher::iter`, `BenchmarkId`, `black_box` and the
-//! `criterion_group!` / `criterion_main!` macros. Each benchmark is timed
-//! with `std::time::Instant` over a handful of iterations and reported as
-//! a one-line mean — no statistics, HTML reports, or baselines.
+//! `bench_with_input`, `throughput`), `Bencher::iter`, `BenchmarkId`,
+//! `Throughput::Elements`, `black_box` and the `criterion_group!` /
+//! `criterion_main!` macros. Each benchmark is timed with
+//! `std::time::Instant` over a handful of iterations and reported as a
+//! one-line mean (plus ns per element when a throughput is set) — no
+//! statistics, HTML reports, or baselines.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -40,6 +42,13 @@ impl Display for BenchmarkId {
     }
 }
 
+/// Work done by one iteration, for per-element reporting.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Iterations process this many elements each.
+    Elements(u64),
+}
+
 /// Timing driver handed to each benchmark closure.
 #[derive(Debug)]
 pub struct Bencher {
@@ -63,6 +72,7 @@ impl Bencher {
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -73,6 +83,13 @@ impl BenchmarkGroup<'_> {
 
     /// Accepted for API compatibility; the shim's iteration count is fixed.
     pub fn measurement_time(&mut self, _dur: Duration) -> &mut Self {
+        self
+    }
+
+    /// Sets the work per iteration of the benchmarks that follow in this
+    /// group; their report line adds the mean time per element.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
 
@@ -87,8 +104,17 @@ impl BenchmarkGroup<'_> {
             mean: Duration::ZERO,
         };
         f(&mut b);
+        let per_element = match self.throughput {
+            Some(Throughput::Elements(n)) if n > 0 => {
+                format!(
+                    " ({:.1} ns per element)",
+                    b.mean.as_nanos() as f64 / n as f64
+                )
+            }
+            _ => String::new(),
+        };
         println!(
-            "{}/{}: mean {:?} over {} iters",
+            "{}/{}: mean {:?} over {} iters{per_element}",
             self.name, id, b.mean, b.iters
         );
         self
@@ -126,6 +152,7 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             name: name.into(),
+            throughput: None,
         }
     }
 
