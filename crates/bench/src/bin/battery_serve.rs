@@ -16,9 +16,9 @@
 //! same definition `tests/battery_serve.rs` gates in tier-1.
 
 use dsra_bench::{
-    banner, discharge_runtime, install_profile_arg, install_trace_arg, json_flag, parse_f64,
-    parse_u64, write_chrome_trace, write_json_summary, write_metrics_arg, write_profile_arg,
-    DischargeOutcome, JsonValue,
+    bad_value, banner, discharge_runtime, install_profile_arg, install_trace_arg, json_flag,
+    parse_f64, parse_u64, write_chrome_trace, write_json_summary, write_metrics_arg,
+    write_profile_arg, DischargeOutcome, JsonValue,
 };
 use dsra_runtime::{
     DefaultPolicy, EnergyAwarePolicy, NaivePolicy, PowerConfig, RuntimeConfig, SchedulePolicy,
@@ -27,13 +27,13 @@ use dsra_runtime::{
 use dsra_video::JobMixConfig;
 
 fn parse_u32(name: &str, default: u32) -> u32 {
-    u32::try_from(parse_u64(name, u64::from(default)))
-        .unwrap_or_else(|_| panic!("value for {name} exceeds u32"))
+    let v = parse_u64(name, u64::from(default));
+    u32::try_from(v).unwrap_or_else(|_| bad_value(name, &v.to_string()))
 }
 
 fn parse_u8(name: &str, default: u8) -> u8 {
-    u8::try_from(parse_u64(name, u64::from(default)))
-        .unwrap_or_else(|_| panic!("value for {name} exceeds u8"))
+    let v = parse_u64(name, u64::from(default));
+    u8::try_from(v).unwrap_or_else(|_| bad_value(name, &v.to_string()))
 }
 
 fn main() {

@@ -14,7 +14,7 @@
 //! plans — which is exactly what the `outcome digest` line pins.
 
 use dsra_bench::{
-    arg_value, banner, install_profile_arg, install_trace_arg, json_flag, parse_u64,
+    arg_value, bad_value, banner, install_profile_arg, install_trace_arg, json_flag, parse_u64,
     write_chrome_trace, write_metrics_arg, write_profile_arg, JsonValue,
 };
 use dsra_runtime::{BackendKind, RuntimeConfig, SocRuntime};
@@ -32,7 +32,7 @@ fn main() {
     let backend = match arg_value("--backend") {
         None => BackendKind::default(),
         Some(name) => BackendKind::from_name(&name)
-            .unwrap_or_else(|| panic!("--backend must be one of array|golden|check, got `{name}`")),
+            .unwrap_or_else(|| bad_value("--backend (array | golden | check)", &name)),
     };
     banner(
         "E11",

@@ -24,9 +24,9 @@
 //! which is exactly what each policy's `outcome digest` line pins.
 
 use dsra_bench::{
-    arg_value, banner, install_profile_arg, json_flag, latency_histogram, monitor_metrics,
-    parse_u64, shed_wait_histogram, stream_metrics, write_chrome_trace, write_json_summary,
-    write_metrics_arg, write_profile_arg, JsonValue,
+    arg_value, bad_value, banner, install_profile_arg, json_flag, latency_histogram,
+    monitor_metrics, parse_u64, shed_wait_histogram, stream_metrics, write_chrome_trace,
+    write_json_summary, write_metrics_arg, write_profile_arg, JsonValue,
 };
 use dsra_monitor::{render_dashboard, MonitorHandle};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
@@ -66,7 +66,7 @@ fn main() {
     let mut policies: Vec<AdmitPolicy> = match policy_arg.as_str() {
         "both" => vec![AdmitPolicy::FifoUnbounded, AdmitPolicy::EdfShed],
         name => vec![AdmitPolicy::from_name(name)
-            .unwrap_or_else(|| panic!("unknown --policy {name} (fifo | edf | monitor | both)"))],
+            .unwrap_or_else(|| bad_value("--policy (fifo | edf | monitor | both)", name))],
     };
     if monitored && !policies.contains(&AdmitPolicy::MonitorShed) {
         policies.push(AdmitPolicy::MonitorShed);

@@ -30,14 +30,19 @@ fn main() {
     });
     let top_k = parse_u64("--top", 8) as usize;
     banner("trace_report", "job-lifecycle trace breakdowns");
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let doc = parse_json(&src).unwrap_or_else(|e| panic!("{path} is not strict JSON: {e}"));
+    let fail = |what: String| -> ! {
+        eprintln!("{what}");
+        std::process::exit(2)
+    };
+    let src =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    let doc = parse_json(&src).unwrap_or_else(|e| fail(format!("{path} is not strict JSON: {e}")));
     let analysis =
-        analyze_chrome_trace(&doc).unwrap_or_else(|e| panic!("{path} is not a trace: {e}"));
+        analyze_chrome_trace(&doc).unwrap_or_else(|e| fail(format!("{path} is not a trace: {e}")));
     print!("{}", analysis.render(top_k));
     if std::env::args().any(|a| a == "--slo") {
-        let events =
-            events_from_chrome(&doc).unwrap_or_else(|e| panic!("{path} is not a trace: {e}"));
+        let events = events_from_chrome(&doc)
+            .unwrap_or_else(|e| fail(format!("{path} is not a trace: {e}")));
         let cfg = slo_config_from_meta(&analysis.meta);
         let monitor = Monitor::replay(cfg, events.iter());
         println!("== error-budget timeline ==");

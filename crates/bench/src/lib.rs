@@ -179,12 +179,18 @@ pub fn arg_value(name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Rejects a command-line value: prints `bad value for <name>: <value>`
+/// to stderr and exits with status 2. Experiment binaries fail loudly on
+/// bad arguments rather than silently measuring something else, and
+/// never with a panic.
+pub fn bad_value(name: &str, value: &str) -> ! {
+    eprintln!("bad value for {name}: {value}");
+    std::process::exit(2)
+}
+
 /// Parses `--name <u64>` (decimal or `0x…` hex), falling back to
-/// `default` when the flag is absent.
-///
-/// # Panics
-/// Panics on an unparseable value — experiment binaries fail loudly on
-/// bad arguments rather than silently measuring something else.
+/// `default` when the flag is absent; an unparseable value goes to
+/// [`bad_value`].
 pub fn parse_u64(name: &str, default: u64) -> u64 {
     arg_value(name)
         .map(|v| {
@@ -194,22 +200,16 @@ pub fn parse_u64(name: &str, default: u64) -> u64 {
             } else {
                 v.parse()
             };
-            parsed.unwrap_or_else(|_| panic!("bad value for {name}: {v}"))
+            parsed.unwrap_or_else(|_| bad_value(name, v))
         })
         .unwrap_or(default)
 }
 
-/// Parses `--name <f64>`, falling back to `default` when absent.
-///
-/// # Panics
-/// Panics on an unparseable value (see [`parse_u64`]).
+/// Parses `--name <f64>`, falling back to `default` when absent; an
+/// unparseable value goes to [`bad_value`].
 pub fn parse_f64(name: &str, default: f64) -> f64 {
     arg_value(name)
-        .map(|v| {
-            v.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("bad value for {name}: {v}"))
-        })
+        .map(|v| v.trim().parse().unwrap_or_else(|_| bad_value(name, &v)))
         .unwrap_or(default)
 }
 

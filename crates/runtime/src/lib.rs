@@ -5,7 +5,7 @@
 //! (DCT blocks, motion searches, encode GOPs from `dsra-video`) across a
 //! pool of simulated ME and DA arrays, using worker threads.
 //!
-//! Three pieces (DESIGN.md §6):
+//! Four pieces (DESIGN.md §6):
 //!
 //! * a **content-addressed bitstream cache** ([`cache::BitstreamCache`]):
 //!   compiled `(placement, routing, bitstream)` artifacts keyed by
@@ -16,14 +16,23 @@
 //!   `diff_bits()` reconfiguration cost plus queueing delay, with a
 //!   [`scheduler::SchedulePolicy`] hook honouring the platform's run-time
 //!   `Condition` (battery / deadline / quality);
+//! * a **per-array ledger**, the one accounting path of both serving
+//!   modes: it charges each array's configuration writes, execution and
+//!   idle leakage, and emits the array's trace intervals and job
+//!   schedule/complete events. Batch [`SocRuntime::serve`] plans every
+//!   job up front, runs each array's payloads on its own worker thread,
+//!   then walks each plan through its ledger; streaming
+//!   ([`SocRuntime::stream_serve_job`] and the gate/wake/quarantine
+//!   hooks) drives the same ledgers one event at a time;
 //! * a **metrics layer** ([`report::RuntimeReport`]): jobs per mega-cycle,
 //!   cache hit rate, total reconfiguration bits and per-array utilisation,
 //!   consumed by the E11 `soc_serve` binary and its Criterion group.
 //!
 //! Determinism is load-bearing: scheduling decisions are made sequentially
-//! before any worker thread starts, and every payload is a pure function of
-//! its job spec, so the report — including its `digest()` — is
-//! byte-identical across runs regardless of thread interleaving.
+//! before any worker thread starts, every payload is a pure function of
+//! its job spec, and workers only compute — the ledgers run on the serving
+//! thread — so the report, including its `digest()`, is byte-identical
+//! across runs regardless of thread interleaving.
 //!
 //! ## Quick tour
 //!
@@ -55,8 +64,8 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-mod exec;
 pub mod kernel;
+mod ledger;
 pub mod report;
 pub mod scheduler;
 
@@ -66,16 +75,18 @@ use std::sync::Arc;
 use dsra_core::error::{CoreError, Result};
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::netlist::{Fingerprint, Netlist};
+use dsra_core::report::ExecOutcome;
 use dsra_dct::DaParams;
 use dsra_platform::{profile_impl, standard_da_fabric, Condition, ImplProfile, SocConfig};
-use dsra_power::{Battery, EnergyAccount, OperatingPoint};
-use dsra_tech::{EnergySplit, TechModel};
-use dsra_trace::{ArrayPhase, EnergyBreakdown, HealthSnapshot, NoopSink, TraceEvent, TraceSink};
+use dsra_power::{Battery, OperatingPoint};
+use dsra_tech::TechModel;
+use dsra_trace::{HealthSnapshot, NoopSink, TraceEvent, TraceSink};
 use dsra_video::{JobPayload, JobSpec};
 
 pub use cache::{BitstreamCache, CacheStats, CompiledKernel};
 pub use dsra_backend::{Backend, BackendKind};
 pub use kernel::{ArrayKind, DctMapping, KernelId};
+use ledger::ArrayLedger;
 pub use report::{
     ArrayReport, BatterySample, BatteryTrajectory, EnergyReport, JobOutcome, RuntimeReport,
 };
@@ -162,19 +173,14 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// One planned job: everything a worker needs to execute it.
+/// One planned job: what a worker executes and the ledger then charges.
 #[derive(Debug, Clone)]
-pub struct Assignment {
-    /// The job.
-    pub job: JobSpec,
-    /// Run-time condition derived from the job's service class.
-    pub condition: Condition,
+struct Assignment {
+    job: JobSpec,
     /// Compiled kernel serving it (shared cache entry).
-    pub kernel: Arc<CompiledKernel>,
+    kernel: Arc<CompiledKernel>,
     /// Where the scheduler placed it and at what reconfiguration cost.
-    pub slot: PlannedSlot,
-    /// Estimated payload cycles used for load balancing.
-    pub est_exec_cycles: u64,
+    slot: PlannedSlot,
 }
 
 /// A kernel recipe's memoised identity: content address plus the netlist
@@ -187,20 +193,18 @@ struct KernelSeed {
 
 /// State of the incremental (arrival-ordered) streaming mode: a live
 /// scheduler whose per-array clocks survive between jobs, plus per-array
-/// gating flags and energy accounts. Owned by the runtime between
+/// ledgers and gating flags. Owned by the runtime between
 /// [`SocRuntime::stream_begin`] and [`SocRuntime::stream_end`].
 struct StreamState {
     sched: DiffAwareScheduler,
+    /// Per-array accounting; each ledger's cursor is the array's settled
+    /// busy-until clock.
+    ledgers: Vec<ArrayLedger>,
     gated: Vec<bool>,
     /// Arrays pulled from placement by the fault-recovery layer
     /// (`dsra-chaos`): still powered, bitstream evicted, excluded from
     /// `stream_serve_job` until restored.
     quarantined: Vec<bool>,
-    accounts: Vec<EnergyAccount>,
-    jobs: Vec<usize>,
-    reconfig_events: Vec<usize>,
-    reconfig_bits: Vec<u64>,
-    exec_cycles: Vec<u64>,
     gate_events: usize,
     wakes: usize,
     /// Cache counters at session open, for the session-delta trace
@@ -535,18 +539,7 @@ impl SocRuntime {
             self.diff_memo = stream.sched.into_memo();
         }
         if self.sink.enabled() {
-            self.sink.emit(TraceEvent::Meta {
-                key: "mode",
-                value: "batch".into(),
-            });
-            self.sink.emit(TraceEvent::Meta {
-                key: "backend",
-                value: self.config.backend.name().into(),
-            });
-            self.sink.emit(TraceEvent::Meta {
-                key: "policy",
-                value: self.policy.name().into(),
-            });
+            self.emit_session_meta("batch");
         }
         let stats_before = self.cache.stats();
         let diff_before = self.diff_memo.stats();
@@ -574,8 +567,8 @@ impl SocRuntime {
             self.config.soc,
             std::mem::take(&mut self.diff_memo),
         );
-        let arrays = self.config.da_arrays + self.config.me_arrays;
-        let mut plans: Vec<Vec<Assignment>> = vec![Vec::new(); arrays];
+        let mut ledgers = ArrayLedger::pool(sched.arrays(), &self.config.power);
+        let mut plans: Vec<Vec<Assignment>> = vec![Vec::new(); ledgers.len()];
         for job in order {
             let condition = self.policy.condition(job.class, &power);
             let (kernel, est) = self.kernel_for(job, condition)?;
@@ -595,10 +588,8 @@ impl SocRuntime {
             );
             plans[slot.array].push(Assignment {
                 job: *job,
-                condition,
                 kernel,
                 slot,
-                est_exec_cycles: est,
             });
         }
 
@@ -606,17 +597,22 @@ impl SocRuntime {
         let planning_ms = plan_start.elapsed().as_secs_f64() * 1e3;
 
         // Phase 2 — parallel execution, one worker thread per array, each
-        // reusing its runtime-owned engines across serve calls.
+        // running its plan's payloads on its runtime-owned engine (reused
+        // across serve calls). Workers only compute; the plan already
+        // holds every reconfiguration cost.
         let exec_start = std::time::Instant::now();
-        let soc = self.config.soc;
         let params = self.config.da_params;
-        let results: Vec<Result<Vec<exec::JobExec>>> = std::thread::scope(|s| {
+        let results: Vec<Result<Vec<ExecOutcome>>> = std::thread::scope(|s| {
             let handles: Vec<_> = plans
                 .iter()
                 .zip(self.engines.iter_mut())
                 .map(|(plan, backend)| {
                     let backend = backend.as_mut();
-                    s.spawn(move || exec::run_worker(soc, params, plan, backend))
+                    s.spawn(move || {
+                        plan.iter()
+                            .map(|a| backend.execute(params, &a.job, &a.kernel.name))
+                            .collect()
+                    })
                 })
                 .collect();
             handles
@@ -628,23 +624,47 @@ impl SocRuntime {
             planning_ms,
             exec_ms: exec_start.elapsed().as_secs_f64() * 1e3,
         };
+        let results = results.into_iter().collect::<Result<Vec<_>>>()?;
 
-        // Phase 3 — deterministic merge, energy integration, battery
-        // drain.
-        let mut execs = Vec::with_capacity(arrays);
-        for r in results {
-            execs.push(r?);
+        // Phase 3 — walk each array's plan through its ledger, then the
+        // report totals and the battery drain.
+        let gate_idle = self.policy.power_gate_idle();
+        let sink = self.sink.as_mut();
+        let mut outcomes = Vec::with_capacity(jobs.len());
+        for ((ledger, plan), results) in ledgers.iter_mut().zip(&plans).zip(&results) {
+            for (a, out) in plan.iter().zip(results) {
+                if sink.enabled() {
+                    sink.emit(TraceEvent::JobEnqueue {
+                        t: a.job.arrival_cycle,
+                        job: a.job.id,
+                        tenant: 0,
+                        class: a.job.class.tag(),
+                        kind: a.job.payload.tag(),
+                        deadline: 0,
+                    });
+                }
+                // An array that never held a plane leaks nothing
+                // attributable, gated or not.
+                let gated = ledger.leak.is_some() && gate_idle;
+                let (start, _) = ledger.start_job(&a.job, &a.kernel, gated, sink);
+                let energy_j = ledger.finish_job(a.job.id, &a.kernel, &a.slot, out, false, sink);
+                outcomes.push(JobOutcome {
+                    id: a.job.id,
+                    kind: a.job.payload.tag(),
+                    array: ledger.id,
+                    kernel: a.kernel.name.clone(),
+                    reconfig_bits: a.slot.reconfig_bits,
+                    exec_cycles: out.exec_cycles,
+                    arrival_cycle: a.job.arrival_cycle,
+                    start_cycle: start,
+                    end_cycle: ledger.free_at,
+                    checksum: out.checksum,
+                    energy_j,
+                });
+            }
         }
-        let cache_delta = self.cache.stats().since(stats_before);
-        let report = assemble_report(
-            &self.config,
-            &plans,
-            &execs,
-            cache_delta,
-            self.policy.power_gate_idle(),
-            &self.battery,
-            self.sink.as_mut(),
-        );
+        let cache = self.cache.stats().since(stats_before);
+        let report = self.assemble_report(ledgers, outcomes, jobs, cache);
         self.battery.drain(report.energy.total_j());
         if self.sink.enabled() {
             let d = self.diff_memo.stats().since(diff_before);
@@ -674,45 +694,22 @@ impl SocRuntime {
             self.diff_memo = stream.sched.into_memo();
         }
         if self.sink.enabled() {
-            self.sink.emit(TraceEvent::Meta {
-                key: "mode",
-                value: "stream".into(),
-            });
-            self.sink.emit(TraceEvent::Meta {
-                key: "backend",
-                value: self.config.backend.name().into(),
-            });
-            self.sink.emit(TraceEvent::Meta {
-                key: "policy",
-                value: self.policy.name().into(),
-            });
+            self.emit_session_meta("stream");
         }
         let cache_before = self.cache.stats();
         let diff_before = self.diff_memo.stats();
-        let arrays = self.config.da_arrays + self.config.me_arrays;
+        let sched = DiffAwareScheduler::with_memo(
+            self.config.da_arrays,
+            self.config.me_arrays,
+            self.config.soc,
+            std::mem::take(&mut self.diff_memo),
+        );
+        let arrays = sched.arrays().len();
         self.stream = Some(StreamState {
-            sched: DiffAwareScheduler::with_memo(
-                self.config.da_arrays,
-                self.config.me_arrays,
-                self.config.soc,
-                std::mem::take(&mut self.diff_memo),
-            ),
+            ledgers: ArrayLedger::pool(sched.arrays(), &self.config.power),
+            sched,
             gated: vec![false; arrays],
             quarantined: vec![false; arrays],
-            accounts: (0..arrays)
-                .map(|i| {
-                    let kind = if i < self.config.da_arrays {
-                        ArrayKind::Da
-                    } else {
-                        ArrayKind::Me
-                    };
-                    EnergyAccount::new(format!("{}{}", kind.tag(), i))
-                })
-                .collect(),
-            jobs: vec![0; arrays],
-            reconfig_events: vec![0; arrays],
-            reconfig_bits: vec![0; arrays],
-            exec_cycles: vec![0; arrays],
             gate_events: 0,
             wakes: 0,
             cache_before,
@@ -752,38 +749,21 @@ impl SocRuntime {
     /// if no session is open, the array is out of range, or it is
     /// already quarantined.
     pub fn stream_quarantine(&mut self, array: usize, now_cycle: u64) -> bool {
-        let point = self.config.power.dvfs;
         let Some(stream) = self.stream.as_mut() else {
             return false;
         };
         if array >= stream.quarantined.len() || stream.quarantined[array] {
             return false;
         }
-        let state = &stream.sched.arrays()[array];
-        let free_at = state.free_at;
-        if !stream.gated[array] && now_cycle > free_at {
-            let leak = state
-                .loaded
-                .as_ref()
-                .map_or(0.0, |kernel| kernel.split.leak_power);
-            let account = &mut stream.accounts[array];
-            let before = account.total_j();
-            account.charge_idle(now_cycle - free_at, leak, &point, false);
-            let idle_j = account.total_j() - before;
+        let ledger = &mut stream.ledgers[array];
+        if !stream.gated[array] {
+            let idle_j = ledger.idle_until(now_cycle, false, self.sink.as_mut());
             self.battery.drain(idle_j);
-            if self.sink.enabled() {
-                self.sink.emit(TraceEvent::ArrayInterval {
-                    array: array as u32,
-                    phase: ArrayPhase::Idle,
-                    start: free_at,
-                    end: now_cycle,
-                    job: None,
-                    kernel: None,
-                });
-            }
         }
-        let stream = self.stream.as_mut().expect("checked above");
-        stream.sched.settle(array, free_at.max(now_cycle));
+        // A gated array's dark span up to here is not tallied.
+        ledger.free_at = ledger.free_at.max(now_cycle);
+        ledger.leak = None;
+        stream.sched.settle(array, ledger.free_at);
         stream.sched.evict(array);
         stream.quarantined[array] = true;
         true
@@ -798,20 +778,18 @@ impl SocRuntime {
     /// Returns `false` if no session is open or the array was not
     /// quarantined.
     pub fn stream_restore(&mut self, array: usize, now_cycle: u64) -> bool {
-        let point = self.config.power.dvfs;
         let Some(stream) = self.stream.as_mut() else {
             return false;
         };
         if array >= stream.quarantined.len() || !stream.quarantined[array] {
             return false;
         }
-        let free_at = stream.sched.arrays()[array].free_at;
-        if now_cycle > free_at {
-            // Zero-leak idle (the plane was evicted at quarantine): no
-            // joules move, but the idle-cycle tally stays complete.
-            stream.accounts[array].charge_idle(now_cycle - free_at, 0.0, &point, false);
-        }
-        stream.sched.settle(array, free_at.max(now_cycle));
+        // Zero-leak idle (the plane was evicted at quarantine): no joules
+        // move, but the idle-cycle tally stays complete. The quarantined
+        // span is not drawn on the timeline.
+        let ledger = &mut stream.ledgers[array];
+        ledger.idle_until(now_cycle, false, &mut NoopSink);
+        stream.sched.settle(array, ledger.free_at);
         stream.quarantined[array] = false;
         true
     }
@@ -824,39 +802,21 @@ impl SocRuntime {
     /// nothing) if no session is open, the array is still busy beyond
     /// `now_cycle`, or it is already gated.
     pub fn stream_gate(&mut self, array: usize, now_cycle: u64) -> bool {
-        let point = self.config.power.dvfs;
         let Some(stream) = self.stream.as_mut() else {
             return false;
         };
-        let state = &stream.sched.arrays()[array];
-        if stream.gated[array] || state.free_at > now_cycle {
+        let ledger = &mut stream.ledgers[array];
+        if stream.gated[array] || ledger.free_at > now_cycle {
             return false;
         }
-        let leak = state
-            .loaded
-            .as_ref()
-            .map_or(0.0, |kernel| kernel.split.leak_power);
-        let free_at = state.free_at;
-        let account = &mut stream.accounts[array];
-        let before = account.total_j();
-        account.charge_idle(now_cycle - free_at, leak, &point, false);
-        let idle_j = account.total_j() - before;
+        // The powered-idle span the gate decision just closes out.
+        let idle_j = ledger.idle_until(now_cycle, false, self.sink.as_mut());
+        ledger.leak = None;
         stream.sched.settle(array, now_cycle);
         stream.sched.evict(array);
         stream.gated[array] = true;
         stream.gate_events += 1;
         self.battery.drain(idle_j);
-        if self.sink.enabled() && now_cycle > free_at {
-            // The powered-idle span the gate decision just closed out.
-            self.sink.emit(TraceEvent::ArrayInterval {
-                array: array as u32,
-                phase: ArrayPhase::Idle,
-                start: free_at,
-                end: now_cycle,
-                job: None,
-                kernel: None,
-            });
-        }
         true
     }
 
@@ -867,34 +827,17 @@ impl SocRuntime {
     /// job pays the full rewrite). Returns `false` if no session is open
     /// or the array was not gated.
     pub fn stream_wake(&mut self, array: usize, now_cycle: u64) -> bool {
-        let point = self.config.power.dvfs;
         let Some(stream) = self.stream.as_mut() else {
             return false;
         };
         if !stream.gated[array] {
             return false;
         }
-        let free_at = stream.sched.arrays()[array].free_at;
-        stream.accounts[array].charge_idle(
-            now_cycle.saturating_sub(free_at),
-            0.0, // a gated array holds no plane to leak
-            &point,
-            true,
-        );
-        stream.sched.settle(array, free_at.max(now_cycle));
+        let ledger = &mut stream.ledgers[array];
+        ledger.idle_until(now_cycle, true, self.sink.as_mut());
+        stream.sched.settle(array, ledger.free_at);
         stream.gated[array] = false;
         stream.wakes += 1;
-        if self.sink.enabled() && now_cycle > free_at {
-            // The dark span between the gate and this wake decision.
-            self.sink.emit(TraceEvent::ArrayInterval {
-                array: array as u32,
-                phase: ArrayPhase::Gated,
-                start: free_at,
-                end: now_cycle,
-                job: None,
-                kernel: None,
-            });
-        }
         true
     }
 
@@ -938,17 +881,22 @@ impl SocRuntime {
         };
         let condition = self.policy.condition(job.class, &power);
         let (kernel, est) = self.kernel_for(job, condition)?;
-        let point = self.config.power.dvfs;
-        let e_bit = self.config.power.reconfig_energy_per_bit;
-        let params = self.config.da_params;
-        let tracing = self.sink.enabled();
         let stream = self.stream.as_mut().expect("checked above");
-        if !stream
-            .sched
-            .arrays()
-            .iter()
-            .any(|a| a.kind == kernel.array_kind)
-        {
+        let StreamState {
+            sched,
+            ledgers,
+            gated,
+            quarantined,
+            wakes,
+            ..
+        } = stream;
+        let candidates = || {
+            sched
+                .arrays()
+                .iter()
+                .filter(|a| a.kind == kernel.array_kind)
+        };
+        if candidates().next().is_none() {
             return Err(CoreError::Mismatch(format!(
                 "job {} needs a {} array but the pool has none",
                 job.id,
@@ -957,151 +905,51 @@ impl SocRuntime {
         }
         // Quarantined arrays never take new work; the recovery layer's
         // retry exclusion only holds while another candidate remains.
-        if !stream
-            .sched
-            .arrays()
-            .iter()
-            .any(|a| a.kind == kernel.array_kind && !stream.quarantined[a.id])
-        {
+        if candidates().all(|a| quarantined[a.id]) {
             return Err(CoreError::Mismatch(format!(
                 "job {} needs a {} array but every one is quarantined",
                 job.id,
                 kernel.array_kind.tag()
             )));
         }
-        let exclude = exclude.filter(|&x| {
-            stream
-                .sched
-                .arrays()
-                .iter()
-                .any(|a| a.kind == kernel.array_kind && !stream.quarantined[a.id] && a.id != x)
-        });
-        let banned = |i: usize| stream.quarantined[i] || Some(i) == exclude;
+        let exclude = exclude.filter(|&x| candidates().any(|a| !quarantined[a.id] && a.id != x));
+        let banned = |i: usize| quarantined[i] || Some(i) == exclude;
         // Gated arrays stay out of placement — except when the whole
         // candidate pool is gated, which force-wakes the winner (the
         // elastic controller's backlog threshold normally wakes arrays
         // before this fallback fires).
-        let all_gated = stream
-            .sched
-            .arrays()
-            .iter()
-            .filter(|a| a.kind == kernel.array_kind && !banned(a.id))
-            .all(|a| stream.gated[a.id]);
-        let before: Vec<(u64, f64, bool, bool)> = stream
-            .sched
-            .arrays()
-            .iter()
-            .map(|a| {
-                (
-                    a.free_at,
-                    a.loaded
-                        .as_ref()
-                        .map_or(0.0, |kernel| kernel.split.leak_power),
-                    stream.gated[a.id],
-                    banned(a.id),
-                )
-            })
-            .collect();
-        let slot = stream.sched.assign_filtered(
+        let all_gated = candidates().filter(|a| !banned(a.id)).all(|a| gated[a.id]);
+        let slot = sched.assign_filtered(
             &kernel,
             job.arrival_cycle,
             est,
             self.policy.as_ref(),
             &power,
-            |i| !before[i].3 && (all_gated || !before[i].2),
+            |i| !banned(i) && (all_gated || !gated[i]),
         );
         let array = slot.array;
-        let (prev_free, prev_leak, was_gated, _) = before[array];
+        let was_gated = gated[array];
         if was_gated {
-            stream.gated[array] = false;
-            stream.wakes += 1;
+            gated[array] = false;
+            *wakes += 1;
         }
         // Idle gap before this job: a powered plane leaks, a gated one
         // only tallies the cycles it sat dark.
-        let start = prev_free.max(job.arrival_cycle);
-        let account = &mut stream.accounts[array];
-        let gap_before = account.total_j();
-        account.charge_idle(start - prev_free, prev_leak, &point, was_gated);
-        let gap_j = account.total_j() - gap_before;
-        if tracing {
-            if start > prev_free {
-                self.sink.emit(TraceEvent::ArrayInterval {
-                    array: array as u32,
-                    phase: if was_gated {
-                        ArrayPhase::Gated
-                    } else {
-                        ArrayPhase::Idle
-                    },
-                    start: prev_free,
-                    end: start,
-                    job: None,
-                    kernel: None,
-                });
-            }
-            self.sink.emit(TraceEvent::JobSchedule {
-                t: start,
-                job: job.id,
-                array: array as u32,
-                kernel: kernel.name.clone(),
-                fingerprint: kernel.fingerprint.to_hex(),
-            });
-        }
-        let outcome = self.engines[array].execute(params, job, &kernel.name)?;
-        let (exec_cycles, checksum) = (outcome.exec_cycles, outcome.checksum);
-        let end = start + slot.reconfig_cycles + exec_cycles;
-        stream.sched.settle(array, end);
-        // The job's attributable energy, mirroring the batch accounting:
-        // its configuration write, the new plane's leakage while the bus
-        // writes it, and its execution window.
-        let job_before = account.total_j();
-        let totals_before = account.totals();
-        account.charge_reconfig(slot.reconfig_bits, e_bit, &point);
-        account.charge_idle(slot.reconfig_cycles, kernel.split.leak_power, &point, false);
-        account.charge_active(exec_cycles, &kernel.split, &point);
-        let energy_j = account.total_j() - job_before;
-        stream.jobs[array] += 1;
-        stream.reconfig_events[array] += usize::from(slot.reconfig_bits > 0);
-        stream.reconfig_bits[array] += slot.reconfig_bits;
-        stream.exec_cycles[array] += exec_cycles;
-        if tracing {
-            if slot.reconfig_cycles > 0 {
-                self.sink.emit(TraceEvent::ArrayInterval {
-                    array: array as u32,
-                    phase: if was_gated {
-                        ArrayPhase::Waking
-                    } else {
-                        ArrayPhase::Reconfig
-                    },
-                    start,
-                    end: start + slot.reconfig_cycles,
-                    job: Some(job.id),
-                    kernel: Some(kernel.name.clone()),
-                });
-            }
-            if exec_cycles > 0 {
-                self.sink.emit(TraceEvent::ArrayInterval {
-                    array: array as u32,
-                    phase: ArrayPhase::Exec,
-                    start: start + slot.reconfig_cycles,
-                    end,
-                    job: Some(job.id),
-                    kernel: Some(kernel.name.clone()),
-                });
-            }
-            let d = account.totals().since(&totals_before);
-            self.sink.emit(TraceEvent::JobComplete {
-                t: end,
-                job: job.id,
-                checksum,
-                energy: EnergyBreakdown {
-                    dynamic_j: d.dynamic_j,
-                    static_j: d.static_j,
-                    reconfig_j: d.reconfig_j,
-                },
-            });
-        }
+        let ledger = &mut ledgers[array];
+        let (start, gap_j) = ledger.start_job(job, &kernel, was_gated, self.sink.as_mut());
+        let outcome = self.engines[array].execute(self.config.da_params, job, &kernel.name)?;
+        let energy_j = ledger.finish_job(
+            job.id,
+            &kernel,
+            &slot,
+            &outcome,
+            was_gated,
+            self.sink.as_mut(),
+        );
+        let end = ledger.free_at;
+        sched.settle(array, end);
         self.battery.drain(gap_j + energy_j);
-        if tracing {
+        if self.sink.enabled() {
             self.sink.emit(TraceEvent::BatteryLevel {
                 t: end,
                 charge_j: self.battery.charge_j(),
@@ -1113,10 +961,10 @@ impl SocRuntime {
             kernel: kernel.name.clone(),
             reconfig_bits: slot.reconfig_bits,
             reconfig_cycles: slot.reconfig_cycles,
-            exec_cycles,
+            exec_cycles: outcome.exec_cycles,
             start_cycle: start,
             end_cycle: end,
-            checksum,
+            checksum: outcome.checksum,
             energy_j,
             woke_array: was_gated,
         })
@@ -1128,57 +976,28 @@ impl SocRuntime {
     /// The session's diff memo flows back into the runtime's lifetime
     /// memo. Returns `None` if no session was open.
     pub fn stream_end(&mut self, now_cycle: u64) -> Option<StreamSummary> {
-        let point = self.config.power.dvfs;
-        let tracing = self.sink.enabled();
         let mut stream = self.stream.take()?;
         let mut tail_j = 0.0;
-        let mut arrays = Vec::with_capacity(stream.accounts.len());
-        for state in stream.sched.arrays() {
-            let i = state.id;
-            let leak = state
-                .loaded
-                .as_ref()
-                .map_or(0.0, |kernel| kernel.split.leak_power);
-            let account = &mut stream.accounts[i];
-            let before = account.total_j();
-            account.charge_idle(
-                now_cycle.saturating_sub(state.free_at),
-                leak,
-                &point,
-                stream.gated[i],
-            );
-            tail_j += account.total_j() - before;
-            if tracing && now_cycle > state.free_at {
-                self.sink.emit(TraceEvent::ArrayInterval {
-                    array: i as u32,
-                    phase: if stream.gated[i] {
-                        ArrayPhase::Gated
-                    } else {
-                        ArrayPhase::Idle
-                    },
-                    start: state.free_at,
-                    end: now_cycle,
-                    job: None,
-                    kernel: None,
-                });
-            }
+        let mut arrays = Vec::with_capacity(stream.ledgers.len());
+        for (l, &gated) in stream.ledgers.iter_mut().zip(&stream.gated) {
+            tail_j += l.idle_until(now_cycle, gated, self.sink.as_mut());
             arrays.push(StreamArrayReport {
-                id: i,
-                kind: state.kind,
-                jobs: stream.jobs[i],
-                reconfig_events: stream.reconfig_events[i],
-                reconfig_bits: stream.reconfig_bits[i],
-                exec_cycles: stream.exec_cycles[i],
-                dynamic_j: account.dynamic_j,
-                static_j: account.static_j,
-                reconfig_j: account.reconfig_j,
-                gated_cycles: account.gated_cycles,
-                idle_cycles: account.idle_cycles,
+                id: l.id,
+                kind: l.kind,
+                jobs: l.jobs,
+                reconfig_events: l.reconfig_events,
+                reconfig_bits: l.reconfig_bits,
+                exec_cycles: l.exec_cycles,
+                dynamic_j: l.account.dynamic_j,
+                static_j: l.account.static_j,
+                reconfig_j: l.account.reconfig_j,
+                gated_cycles: l.account.gated_cycles,
+                idle_cycles: l.account.idle_cycles,
             });
         }
         self.battery.drain(tail_j);
         self.diff_memo = stream.sched.into_memo();
-        if tracing {
+        if self.sink.enabled() {
             let cache = self.cache.stats().since(stream.cache_before);
             let diff = self.diff_memo.stats().since(stream.diff_before);
             for (name, value) in [
@@ -1208,6 +1027,166 @@ impl SocRuntime {
     /// The runtime's pool and platform configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
+    }
+
+    /// Closes a batch serve: every array's tail idle up to the pool-wide
+    /// makespan, the per-array and report totals, and the battery trajectory
+    /// (DESIGN.md §7). The per-job timeline and energy are already in the
+    /// ledgers and `outcomes` (array by array, in plan order).
+    fn assemble_report(
+        &mut self,
+        mut ledgers: Vec<ArrayLedger>,
+        mut outcomes: Vec<JobOutcome>,
+        jobs: &[JobSpec],
+        cache: CacheStats,
+    ) -> RuntimeReport {
+        let gate_idle = self.policy.power_gate_idle();
+        let battery = &self.battery;
+        let sink = self.sink.as_mut();
+        let tracing = sink.enabled();
+        let makespan = ledgers.iter().map(|l| l.free_at).max().unwrap_or(0);
+        // Tail idle: every array leaks (or gates) from its last job to the
+        // makespan. Like the inter-job gaps, this energy belongs to no job —
+        // everything outside the per-job attributions feeds the trajectory's
+        // idle drain.
+        let job_energy_total: f64 = outcomes.iter().map(|o| o.energy_j).sum();
+        for l in &mut ledgers {
+            let gated = l.leak.is_some() && gate_idle;
+            l.idle_until(makespan, gated, sink);
+        }
+        let arrays: Vec<ArrayReport> = ledgers
+            .iter()
+            .map(|l| ArrayReport {
+                id: l.id,
+                kind: l.kind,
+                jobs: l.jobs,
+                exec_cycles: l.exec_cycles,
+                reconfig_cycles: l.reconfig_cycles,
+                reconfig_bits: l.reconfig_bits,
+                reconfig_events: l.reconfig_events,
+                utilization_pct: if makespan == 0 {
+                    0.0
+                } else {
+                    (l.exec_cycles + l.reconfig_cycles) as f64 * 100.0 / makespan as f64
+                },
+                dynamic_j: l.account.dynamic_j,
+                static_j: l.account.static_j,
+                reconfig_j: l.account.reconfig_j,
+                gated_cycles: l.account.gated_cycles,
+            })
+            .collect();
+        let dynamic_j: f64 = arrays.iter().map(|a| a.dynamic_j).sum();
+        let static_j: f64 = arrays.iter().map(|a| a.static_j).sum();
+        let reconfig_j: f64 = arrays.iter().map(|a| a.reconfig_j).sum();
+        let total_j = dynamic_j + static_j + reconfig_j;
+        let idle_drain_j = total_j - job_energy_total;
+        let encoded_frames: u64 = jobs
+            .iter()
+            .map(|j| match j.payload {
+                JobPayload::EncodeGop { frames, .. } => u64::from(frames.saturating_sub(1)),
+                _ => 0,
+            })
+            .sum();
+
+        // Battery trajectory: drain per-job energies in completion order,
+        // then the idle leakage, saturating exactly as the real battery does.
+        let mut by_completion: Vec<(u64, u32, f64)> = outcomes
+            .iter()
+            .map(|o| (o.end_cycle, o.id, o.energy_j))
+            .collect();
+        by_completion.sort_unstable_by_key(|&(end, id, _)| (end, id));
+        let start_j = battery.charge_j();
+        let mut sim = *battery;
+        let mut samples: Vec<BatterySample> = Vec::with_capacity(by_completion.len());
+        for (end_cycle, id, energy_j) in by_completion {
+            sim.drain(energy_j);
+            if tracing {
+                sink.emit(TraceEvent::BatteryLevel {
+                    t: end_cycle,
+                    charge_j: sim.charge_j(),
+                });
+            }
+            samples.push(BatterySample {
+                job: id,
+                charge_j: sim.charge_j(),
+            });
+        }
+        sim.drain(idle_drain_j);
+        if tracing {
+            sink.emit(TraceEvent::BatteryLevel {
+                t: makespan,
+                charge_j: sim.charge_j(),
+            });
+            for (name, value) in [("cache_hits", cache.hits), ("cache_misses", cache.misses)] {
+                sink.emit(TraceEvent::Counter {
+                    t: makespan,
+                    name,
+                    value,
+                });
+            }
+        }
+
+        outcomes.sort_by_key(|o| o.id);
+        let count = |tag: &str| outcomes.iter().filter(|o| o.kind == tag).count();
+        let jobs = outcomes.len();
+        RuntimeReport {
+            backend: self.config.backend.name(),
+            jobs,
+            dct_jobs: count("dct"),
+            me_jobs: count("me"),
+            encode_jobs: count("encode"),
+            makespan_cycles: makespan,
+            jobs_per_megacycle: if makespan == 0 {
+                0.0
+            } else {
+                jobs as f64 * 1e6 / makespan as f64
+            },
+            cache,
+            total_reconfig_bits: arrays.iter().map(|a| a.reconfig_bits).sum(),
+            reconfig_events: arrays.iter().map(|a| a.reconfig_events).sum(),
+            energy: EnergyReport {
+                point: self.config.power.dvfs,
+                dynamic_j,
+                static_j,
+                reconfig_j,
+                gated_cycles: arrays.iter().map(|a| a.gated_cycles).sum(),
+                joules_per_job: if jobs == 0 {
+                    0.0
+                } else {
+                    total_j / jobs as f64
+                },
+                encoded_frames,
+                frames_per_joule: if total_j > 0.0 {
+                    encoded_frames as f64 / total_j
+                } else {
+                    0.0
+                },
+                battery: BatteryTrajectory {
+                    capacity_j: battery.capacity_j(),
+                    start_j,
+                    end_j: sim.charge_j(),
+                    idle_drain_j,
+                    samples,
+                },
+            },
+            arrays,
+            outcomes,
+        }
+    }
+
+    /// Opens a traced session: which mode, backend and policy produced
+    /// the events that follow.
+    fn emit_session_meta(&mut self, mode: &'static str) {
+        for (key, value) in [
+            ("mode", mode),
+            ("backend", self.config.backend.name()),
+            ("policy", self.policy.name()),
+        ] {
+            self.sink.emit(TraceEvent::Meta {
+                key,
+                value: value.into(),
+            });
+        }
     }
 
     /// Resolves the kernel and estimated cycles for one job.
@@ -1300,309 +1279,6 @@ fn me_fabric_for(netlist: &Netlist) -> Fabric {
             return fabric;
         }
         height += 1;
-    }
-}
-
-fn payload_tag(payload: &JobPayload) -> &'static str {
-    match payload {
-        JobPayload::DctBlocks { .. } => "dct",
-        JobPayload::MeSearch { .. } => "me",
-        JobPayload::EncodeGop { .. } => "encode",
-    }
-}
-
-/// Folds per-array plans and execution results into the final report,
-/// integrating per-array energy (DESIGN.md §7) and the battery trajectory.
-/// Also the batch-mode trace emission point: the full per-job timeline is
-/// reconstructed here on the main thread, so lifecycle spans, array
-/// intervals and battery samples all fall out of the walk (workers stay
-/// sink-free).
-fn assemble_report(
-    config: &RuntimeConfig,
-    plans: &[Vec<Assignment>],
-    execs: &[Vec<exec::JobExec>],
-    cache: CacheStats,
-    gate_idle: bool,
-    battery: &Battery,
-    sink: &mut dyn TraceSink,
-) -> RuntimeReport {
-    let tracing = sink.enabled();
-    let point = config.power.dvfs;
-    let e_bit = config.power.reconfig_energy_per_bit;
-    let mut outcomes = Vec::new();
-    let mut arrays = Vec::with_capacity(plans.len());
-    let mut accounts = Vec::with_capacity(plans.len());
-    // The kernel left loaded on each array and when the array drained,
-    // for tail-idle leakage once the makespan is known.
-    let mut residual: Vec<(Option<EnergySplit>, u64)> = Vec::with_capacity(plans.len());
-    let mut encoded_frames = 0u64;
-    let mut makespan = 0u64;
-    for (array_id, (plan, exec)) in plans.iter().zip(execs).enumerate() {
-        debug_assert_eq!(plan.len(), exec.len());
-        let kind = if array_id < config.da_arrays {
-            ArrayKind::Da
-        } else {
-            ArrayKind::Me
-        };
-        let mut account = EnergyAccount::new(format!("{}{}", kind.tag(), array_id));
-        // An unconfigured array leaks nothing attributable until its
-        // first kernel lands; after that, whatever is loaded leaks.
-        let mut loaded: Option<EnergySplit> = None;
-        let mut free_at = 0u64;
-        let mut a = ArrayReport {
-            id: array_id,
-            kind,
-            jobs: plan.len(),
-            exec_cycles: 0,
-            reconfig_cycles: 0,
-            reconfig_bits: 0,
-            reconfig_events: 0,
-            utilization_pct: 0.0,
-            dynamic_j: 0.0,
-            static_j: 0.0,
-            reconfig_j: 0.0,
-            gated_cycles: 0,
-        };
-        for (asg, ex) in plan.iter().zip(exec) {
-            assert_eq!(
-                asg.job.id, ex.job_id,
-                "worker results must stay in plan order"
-            );
-            let reconfig_cycles = ex.reconfig.cycles;
-            let start = free_at.max(asg.job.arrival_cycle);
-            let end = start + reconfig_cycles + ex.exec_cycles;
-            // Idle gap before this job: the previously loaded plane
-            // leaks (or is gated).
-            if let Some(prev) = loaded {
-                account.charge_idle(start - free_at, prev.leak_power, &point, gate_idle);
-            }
-            if tracing {
-                sink.emit(TraceEvent::JobEnqueue {
-                    t: asg.job.arrival_cycle,
-                    job: asg.job.id,
-                    tenant: 0,
-                    class: asg.job.class.tag(),
-                    kind: payload_tag(&asg.job.payload),
-                    deadline: 0,
-                });
-                if start > free_at {
-                    sink.emit(TraceEvent::ArrayInterval {
-                        array: array_id as u32,
-                        phase: if loaded.is_some() && gate_idle {
-                            ArrayPhase::Gated
-                        } else {
-                            ArrayPhase::Idle
-                        },
-                        start: free_at,
-                        end: start,
-                        job: None,
-                        kernel: None,
-                    });
-                }
-                sink.emit(TraceEvent::JobSchedule {
-                    t: start,
-                    job: asg.job.id,
-                    array: array_id as u32,
-                    kernel: asg.kernel.name.clone(),
-                    fingerprint: asg.kernel.fingerprint.to_hex(),
-                });
-                if reconfig_cycles > 0 {
-                    sink.emit(TraceEvent::ArrayInterval {
-                        array: array_id as u32,
-                        phase: ArrayPhase::Reconfig,
-                        start,
-                        end: start + reconfig_cycles,
-                        job: Some(asg.job.id),
-                        kernel: Some(asg.kernel.name.clone()),
-                    });
-                }
-                if ex.exec_cycles > 0 {
-                    sink.emit(TraceEvent::ArrayInterval {
-                        array: array_id as u32,
-                        phase: ArrayPhase::Exec,
-                        start: start + reconfig_cycles,
-                        end,
-                        job: Some(asg.job.id),
-                        kernel: Some(asg.kernel.name.clone()),
-                    });
-                }
-            }
-            let split = asg.kernel.split;
-            // The job's attributable energy: its reconfiguration write,
-            // the leakage of the (new) plane while the bus writes it,
-            // and its execution window, all from one account snapshot.
-            let before = account.total_j();
-            let totals_before = account.totals();
-            account.charge_reconfig(ex.reconfig.bits_written, e_bit, &point);
-            account.charge_idle(reconfig_cycles, split.leak_power, &point, false);
-            account.charge_active(ex.exec_cycles, &split, &point);
-            let energy_j = account.total_j() - before;
-            if tracing {
-                let d = account.totals().since(&totals_before);
-                sink.emit(TraceEvent::JobComplete {
-                    t: end,
-                    job: asg.job.id,
-                    checksum: ex.checksum,
-                    energy: EnergyBreakdown {
-                        dynamic_j: d.dynamic_j,
-                        static_j: d.static_j,
-                        reconfig_j: d.reconfig_j,
-                    },
-                });
-            }
-            loaded = Some(split);
-            free_at = end;
-            a.exec_cycles += ex.exec_cycles;
-            a.reconfig_cycles += reconfig_cycles;
-            a.reconfig_bits += ex.reconfig.bits_written;
-            a.reconfig_events += usize::from(ex.reconfig.bits_written > 0);
-            if let JobPayload::EncodeGop { frames, .. } = asg.job.payload {
-                encoded_frames += u64::from(frames.saturating_sub(1));
-            }
-            outcomes.push(JobOutcome {
-                id: asg.job.id,
-                kind: payload_tag(&asg.job.payload),
-                array: array_id,
-                kernel: asg.kernel.name.clone(),
-                reconfig_bits: ex.reconfig.bits_written,
-                exec_cycles: ex.exec_cycles,
-                arrival_cycle: asg.job.arrival_cycle,
-                start_cycle: start,
-                end_cycle: end,
-                checksum: ex.checksum,
-                energy_j,
-            });
-        }
-        makespan = makespan.max(free_at);
-        residual.push((loaded, free_at));
-        accounts.push(account);
-        arrays.push(a);
-    }
-    // Tail idle: every array leaks (or gates) from its last job to the
-    // pool-wide makespan. Like the inter-job gaps, this energy belongs
-    // to no job — everything outside the per-job attributions feeds the
-    // trajectory's idle drain.
-    let job_energy_total: f64 = outcomes.iter().map(|o| o.energy_j).sum();
-    for (array_id, (account, (loaded, free_at))) in accounts.iter_mut().zip(&residual).enumerate() {
-        if let Some(split) = loaded {
-            account.charge_idle(makespan - free_at, split.leak_power, &point, gate_idle);
-        }
-        if tracing && makespan > *free_at {
-            sink.emit(TraceEvent::ArrayInterval {
-                array: array_id as u32,
-                phase: if loaded.is_some() && gate_idle {
-                    ArrayPhase::Gated
-                } else {
-                    ArrayPhase::Idle
-                },
-                start: *free_at,
-                end: makespan,
-                job: None,
-                kernel: None,
-            });
-        }
-    }
-    for (a, account) in arrays.iter_mut().zip(&accounts) {
-        let busy = a.exec_cycles + a.reconfig_cycles;
-        a.utilization_pct = if makespan == 0 {
-            0.0
-        } else {
-            busy as f64 * 100.0 / makespan as f64
-        };
-        a.dynamic_j = account.dynamic_j;
-        a.static_j = account.static_j;
-        a.reconfig_j = account.reconfig_j;
-        a.gated_cycles = account.gated_cycles;
-    }
-    let dynamic_j: f64 = accounts.iter().map(|c| c.dynamic_j).sum();
-    let static_j: f64 = accounts.iter().map(|c| c.static_j).sum();
-    let reconfig_j: f64 = accounts.iter().map(|c| c.reconfig_j).sum();
-    let total_j = dynamic_j + static_j + reconfig_j;
-    let idle_drain_j = total_j - job_energy_total;
-
-    // Battery trajectory: drain per-job energies in completion order,
-    // then the idle leakage, saturating exactly as the real battery does.
-    let mut by_completion: Vec<(u64, u32, f64)> = outcomes
-        .iter()
-        .map(|o| (o.end_cycle, o.id, o.energy_j))
-        .collect();
-    by_completion.sort_unstable_by_key(|&(end, id, _)| (end, id));
-    let start_j = battery.charge_j();
-    let mut sim = *battery;
-    let mut samples: Vec<BatterySample> = Vec::with_capacity(by_completion.len());
-    for (end_cycle, id, energy_j) in by_completion {
-        sim.drain(energy_j);
-        if tracing {
-            sink.emit(TraceEvent::BatteryLevel {
-                t: end_cycle,
-                charge_j: sim.charge_j(),
-            });
-        }
-        samples.push(BatterySample {
-            job: id,
-            charge_j: sim.charge_j(),
-        });
-    }
-    sim.drain(idle_drain_j);
-    if tracing {
-        sink.emit(TraceEvent::BatteryLevel {
-            t: makespan,
-            charge_j: sim.charge_j(),
-        });
-        for (name, value) in [("cache_hits", cache.hits), ("cache_misses", cache.misses)] {
-            sink.emit(TraceEvent::Counter {
-                t: makespan,
-                name,
-                value,
-            });
-        }
-    }
-
-    outcomes.sort_by_key(|o| o.id);
-    let count = |tag: &str| outcomes.iter().filter(|o| o.kind == tag).count();
-    let jobs = outcomes.len();
-    RuntimeReport {
-        backend: config.backend.name(),
-        jobs,
-        dct_jobs: count("dct"),
-        me_jobs: count("me"),
-        encode_jobs: count("encode"),
-        makespan_cycles: makespan,
-        jobs_per_megacycle: if makespan == 0 {
-            0.0
-        } else {
-            jobs as f64 * 1e6 / makespan as f64
-        },
-        cache,
-        total_reconfig_bits: arrays.iter().map(|a| a.reconfig_bits).sum(),
-        reconfig_events: arrays.iter().map(|a| a.reconfig_events).sum(),
-        energy: EnergyReport {
-            point,
-            dynamic_j,
-            static_j,
-            reconfig_j,
-            gated_cycles: accounts.iter().map(|c| c.gated_cycles).sum(),
-            joules_per_job: if jobs == 0 {
-                0.0
-            } else {
-                total_j / jobs as f64
-            },
-            encoded_frames,
-            frames_per_joule: if total_j > 0.0 {
-                encoded_frames as f64 / total_j
-            } else {
-                0.0
-            },
-            battery: BatteryTrajectory {
-                capacity_j: battery.capacity_j(),
-                start_j,
-                end_j: sim.charge_j(),
-                idle_drain_j,
-                samples,
-            },
-        },
-        arrays,
-        outcomes,
     }
 }
 
@@ -1830,6 +1506,78 @@ mod tests {
         assert_eq!(sa.arrays.iter().map(|x| x.jobs).sum::<usize>(), jobs.len());
         let per_job: f64 = a.iter().map(|o| o.energy_j).sum();
         assert!(sa.total_j() >= per_job, "totals include idle leakage");
+    }
+
+    #[test]
+    fn batch_and_stream_agree_job_for_job_and_joule_for_joule() {
+        // One DA and one ME array: every job has exactly one candidate,
+        // so both planners place it alike. Arrivals spaced wider than any
+        // job's busy span mean no job queues, so the batch planner's
+        // estimates never matter and both modes walk the same timeline
+        // through the same per-array ledgers.
+        let pool = || {
+            SocRuntime::new(RuntimeConfig {
+                da_arrays: 1,
+                me_arrays: 1,
+                mappings: vec![DctMapping::BasicDa, DctMapping::MixedRom],
+                ..Default::default()
+            })
+            .unwrap()
+        };
+        let mut jobs = small_mix(24, 29);
+        let probe = pool().serve(&jobs).unwrap();
+        let span = 1 + probe
+            .outcomes
+            .iter()
+            .map(|o| o.end_cycle - o.start_cycle)
+            .max()
+            .unwrap();
+        for (i, j) in jobs.iter_mut().enumerate() {
+            j.arrival_cycle = i as u64 * span;
+        }
+        let batch = pool().serve(&jobs).unwrap();
+        let mut rt = pool();
+        rt.stream_begin();
+        let streamed: Vec<StreamedJob> = jobs
+            .iter()
+            .map(|j| rt.stream_serve_job(j).unwrap())
+            .collect();
+        let makespan = streamed.iter().map(|s| s.end_cycle).max().unwrap();
+        assert_eq!(makespan, batch.makespan_cycles);
+        let summary = rt.stream_end(makespan).unwrap();
+
+        for (s, o) in streamed.iter().zip(&batch.outcomes) {
+            assert_eq!(s.id, o.id);
+            assert_eq!(o.start_cycle, o.arrival_cycle, "job {} queued", o.id);
+            assert_eq!(
+                (s.array, s.start_cycle, s.end_cycle),
+                (o.array, o.start_cycle, o.end_cycle),
+                "job {} timeline",
+                o.id
+            );
+            assert_eq!(
+                (s.reconfig_bits, s.exec_cycles, s.checksum),
+                (o.reconfig_bits, o.exec_cycles, o.checksum),
+                "job {} work",
+                o.id
+            );
+            assert_eq!(
+                s.energy_j.to_bits(),
+                o.energy_j.to_bits(),
+                "job {} energy",
+                o.id
+            );
+        }
+        assert_eq!(summary.arrays.len(), batch.arrays.len());
+        for (s, b) in summary.arrays.iter().zip(&batch.arrays) {
+            let joules = |d: f64, st: f64, r: f64| [d.to_bits(), st.to_bits(), r.to_bits()];
+            assert_eq!(
+                joules(s.dynamic_j, s.static_j, s.reconfig_j),
+                joules(b.dynamic_j, b.static_j, b.reconfig_j),
+                "array {} energy",
+                s.id
+            );
+        }
     }
 
     #[test]

@@ -367,8 +367,9 @@ pub struct DiffAwareScheduler {
 impl DiffAwareScheduler {
     /// A pool of `da` DA arrays followed by `me` ME arrays, all cold,
     /// pricing switches with the SoC's configuration-path constants (bus
-    /// width and partial-reconfiguration support — the plan must price
-    /// exactly what the per-array `ReconfigManager` will later charge).
+    /// width and partial-reconfiguration support). The runtime charges
+    /// the planned costs as they stand, so they must equal what a
+    /// per-array `ReconfigManager` replaying the plan would charge.
     pub fn new(da: usize, me: usize, soc: SocConfig) -> Self {
         Self::with_memo(da, me, soc, DiffMatrix::new())
     }
@@ -516,19 +517,23 @@ mod tests {
     use dsra_platform::compile_netlist;
 
     fn kernel(mode: AbsDiffMode) -> Arc<CompiledKernel> {
+        kernel_of_width(mode, 8)
+    }
+
+    fn kernel_of_width(mode: AbsDiffMode, width: u8) -> Arc<CompiledKernel> {
         let mut nl = Netlist::new("k");
-        let a = nl.input("a", 8).unwrap();
-        let b = nl.input("b", 8).unwrap();
-        let y = nl.output("y", 8).unwrap();
+        let a = nl.input("a", width).unwrap();
+        let b = nl.input("b", width).unwrap();
+        let y = nl.output("y", width).unwrap();
         let ad = nl
-            .cluster("ad", ClusterCfg::AbsDiff { width: 8, mode })
+            .cluster("ad", ClusterCfg::AbsDiff { width, mode })
             .unwrap();
         nl.connect((a, "out"), (ad, "a")).unwrap();
         nl.connect((b, "out"), (ad, "b")).unwrap();
         nl.connect((ad, "y"), (y, "in")).unwrap();
         let fabric = Fabric::me_array(8, 8, MeshSpec::mixed());
         Arc::new(CompiledKernel {
-            name: format!("{mode:?}"),
+            name: format!("{mode:?}{width}"),
             fingerprint: nl.fingerprint(),
             array_kind: ArrayKind::Me,
             artifact: compile_netlist(&nl, &fabric).unwrap(),
@@ -609,6 +614,61 @@ mod tests {
         assert_eq!(resident.reconfig_bits, 0);
         let switch = sched.assign(&kb, 2 << 20, 0, &DefaultPolicy, &snap());
         assert_eq!(switch.reconfig_bits, kb.total_bits());
+    }
+
+    #[test]
+    fn planned_switch_costs_match_a_reconfig_manager_per_array() {
+        // Batch workers never re-price a switch: the ledger charges the
+        // plan's bits and cycles. So for random kernel sequences, pool
+        // sizes, bus widths and policies, with partial reconfiguration on
+        // and off, every slot must equal what a per-array
+        // `ReconfigManager` replaying the plan charges.
+        use dsra_core::rng::SplitMix64;
+        use dsra_platform::ReconfigManager;
+        let kernels: Vec<Arc<CompiledKernel>> = [8, 12, 16]
+            .into_iter()
+            .flat_map(|w| {
+                [AbsDiffMode::Add, AbsDiffMode::Sub, AbsDiffMode::AbsDiff]
+                    .map(|m| kernel_of_width(m, w))
+            })
+            .collect();
+        let policies: [&dyn SchedulePolicy; 3] =
+            [&DefaultPolicy, &NaivePolicy, &EnergyAwarePolicy::default()];
+        let mut rng = SplitMix64::new(0x5107_C057);
+        for case in 0..48 {
+            let soc = SocConfig {
+                partial_reconfig: case % 2 == 0,
+                cfg_bus_bits_per_cycle: [8, 32, 64][rng.next_below(3) as usize],
+                ..Default::default()
+            };
+            let pool = 1 + rng.next_below(4) as usize;
+            let policy = policies[rng.next_below(3) as usize];
+            let mut sched = DiffAwareScheduler::new(0, pool, soc);
+            let mut managers: Vec<ReconfigManager> = (0..pool)
+                .map(|_| {
+                    let mut m = ReconfigManager::new(soc);
+                    for k in &kernels {
+                        m.register(k.fingerprint.to_hex(), k.artifact.bitstream.clone());
+                    }
+                    m
+                })
+                .collect();
+            let mut arrival = 0;
+            for step in 0..40 {
+                // A small working set per case, so residency hits happen.
+                let k = &kernels[rng.next_below(1 + case % kernels.len() as u64) as usize];
+                arrival += rng.next_below(3_000);
+                let slot = sched.assign(k, arrival, rng.next_below(6_000), policy, &snap());
+                let charged = managers[slot.array]
+                    .switch_to(&k.fingerprint.to_hex())
+                    .unwrap();
+                assert_eq!(
+                    (slot.reconfig_bits, slot.reconfig_cycles),
+                    (charged.bits_written, charged.cycles),
+                    "case {case} step {step}: plan and replay disagree ({soc:?})"
+                );
+            }
+        }
     }
 
     #[test]

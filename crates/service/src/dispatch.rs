@@ -19,7 +19,7 @@ use dsra_core::error::{CoreError, Result};
 use dsra_monitor::{Monitor, MonitorConfig, MonitorHandle, MonitorSink};
 use dsra_runtime::{ArrayKind, SocRuntime, StreamArrayStatus, StreamedJob};
 use dsra_trace::{TraceEvent, TraceSink};
-use dsra_video::{JobPayload, JobSpec};
+use dsra_video::JobSpec;
 
 /// Interposes on the dispatcher's serve step — the extension point the
 /// fault-recovery layer (`dsra-chaos`) plugs into. The default
@@ -174,12 +174,41 @@ pub fn install_monitor_with(
     handle
 }
 
-fn payload_tag(payload: &JobPayload) -> &'static str {
-    match payload {
-        JobPayload::DctBlocks { .. } => "dct",
-        JobPayload::MeSearch { .. } => "me",
-        JobPayload::EncodeGop { .. } => "encode",
+/// The outcome of a request that produced no result at `now_us`: shed
+/// after queueing since its arrival, or (`shed == false`) failed.
+fn unserved(r: &Request, now_us: u64, shed: bool) -> RequestOutcome {
+    RequestOutcome {
+        id: r.id,
+        tenant: r.tenant,
+        kind: r.payload.tag(),
+        arrival_us: r.arrival_us,
+        deadline_us: r.deadline_us,
+        shed,
+        failed: !shed,
+        array: usize::MAX,
+        start_us: now_us,
+        end_us: now_us,
+        latency_us: 0,
+        violated: false,
+        shed_wait_us: if shed { now_us - r.arrival_us } else { 0 },
+        reconfig_bits: 0,
+        checksum: 0,
+        energy_j: 0.0,
     }
+}
+
+/// Sheds `r` at `now_us`: traces the decision and returns its outcome.
+fn shed(runtime: &mut SocRuntime, r: &Request, now_us: u64, cyc: u64) -> RequestOutcome {
+    let outcome = unserved(r, now_us, true);
+    if runtime.trace_sink().enabled() {
+        runtime.trace_sink().emit(TraceEvent::JobShed {
+            t: now_us * cyc,
+            job: r.id,
+            tenant: r.tenant.into(),
+            queued: outcome.shed_wait_us * cyc,
+        });
+    }
+    outcome
 }
 
 /// Generates the trace described by `trace_config` and serves it — the
@@ -341,7 +370,7 @@ pub fn serve_requests_with_hook(
                     job: r.id,
                     tenant: r.tenant.into(),
                     class: r.class.tag(),
-                    kind: payload_tag(&r.payload),
+                    kind: r.payload.tag(),
                     deadline: r.deadline_us * cyc,
                 });
                 sink.emit(TraceEvent::JobAdmit {
@@ -352,33 +381,7 @@ pub fn serve_requests_with_hook(
             next += 1;
             if let Some(gate) = &early {
                 if gate.shed_early(&r, now_us * cyc) {
-                    let wait_us = now_us - r.arrival_us;
-                    if runtime.trace_sink().enabled() {
-                        runtime.trace_sink().emit(TraceEvent::JobShed {
-                            t: now_us * cyc,
-                            job: r.id,
-                            tenant: r.tenant.into(),
-                            queued: wait_us * cyc,
-                        });
-                    }
-                    outcomes[r.id as usize] = Some(RequestOutcome {
-                        id: r.id,
-                        tenant: r.tenant,
-                        kind: payload_tag(&r.payload),
-                        arrival_us: r.arrival_us,
-                        deadline_us: r.deadline_us,
-                        shed: true,
-                        failed: false,
-                        array: usize::MAX,
-                        start_us: now_us,
-                        end_us: now_us,
-                        latency_us: 0,
-                        violated: false,
-                        shed_wait_us: wait_us,
-                        reconfig_bits: 0,
-                        checksum: 0,
-                        energy_j: 0.0,
-                    });
+                    outcomes[r.id as usize] = Some(shed(runtime, &r, now_us, cyc));
                     continue;
                 }
             }
@@ -387,33 +390,7 @@ pub fn serve_requests_with_hook(
 
         // 2 — shedding: queued requests whose budget is already blown.
         for r in queue.shed_blown(now_us) {
-            let wait_us = now_us - r.arrival_us;
-            if runtime.trace_sink().enabled() {
-                runtime.trace_sink().emit(TraceEvent::JobShed {
-                    t: now_us * cyc,
-                    job: r.id,
-                    tenant: r.tenant.into(),
-                    queued: wait_us * cyc,
-                });
-            }
-            outcomes[r.id as usize] = Some(RequestOutcome {
-                id: r.id,
-                tenant: r.tenant,
-                kind: payload_tag(&r.payload),
-                arrival_us: r.arrival_us,
-                deadline_us: r.deadline_us,
-                shed: true,
-                failed: false,
-                array: usize::MAX,
-                start_us: now_us,
-                end_us: now_us,
-                latency_us: 0,
-                violated: false,
-                shed_wait_us: wait_us,
-                reconfig_bits: 0,
-                checksum: 0,
-                energy_j: 0.0,
-            });
+            outcomes[r.id as usize] = Some(shed(runtime, &r, now_us, cyc));
         }
 
         // 3 — elastic pool control: gate long-idle arrays with no queued
@@ -490,7 +467,7 @@ pub fn serve_requests_with_hook(
                     outcomes[r.id as usize] = Some(RequestOutcome {
                         id: r.id,
                         tenant: r.tenant,
-                        kind: payload_tag(&r.payload),
+                        kind: r.payload.tag(),
                         arrival_us: r.arrival_us,
                         deadline_us: r.deadline_us,
                         shed: false,
@@ -509,26 +486,7 @@ pub fn serve_requests_with_hook(
                 // Failed after retries: the hook detected corruption it
                 // could not recover from. The request is neither served
                 // nor shed — its checksum never reaches a tenant.
-                None => {
-                    outcomes[r.id as usize] = Some(RequestOutcome {
-                        id: r.id,
-                        tenant: r.tenant,
-                        kind: payload_tag(&r.payload),
-                        arrival_us: r.arrival_us,
-                        deadline_us: r.deadline_us,
-                        shed: false,
-                        failed: true,
-                        array: usize::MAX,
-                        start_us: now_us,
-                        end_us: now_us,
-                        latency_us: 0,
-                        violated: false,
-                        shed_wait_us: 0,
-                        reconfig_bits: 0,
-                        checksum: 0,
-                        energy_j: 0.0,
-                    });
-                }
+                None => outcomes[r.id as usize] = Some(unserved(&r, now_us, false)),
             }
             continue; // same instant — maybe another pool is free too
         }

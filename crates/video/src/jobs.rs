@@ -52,6 +52,18 @@ pub enum JobPayload {
     },
 }
 
+impl JobPayload {
+    /// Stable lower-case kind tag (`dct` / `me` / `encode`) for trace
+    /// events and reports.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            JobPayload::DctBlocks { .. } => "dct",
+            JobPayload::MeSearch { .. } => "me",
+            JobPayload::EncodeGop { .. } => "encode",
+        }
+    }
+}
+
 /// Service class a job arrives with — the workload-side counterpart of the
 /// platform's run-time `Condition`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
