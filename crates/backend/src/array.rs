@@ -11,19 +11,20 @@ use dsra_video::JobSpec;
 use crate::{run_payload, Backend, DctMapping, PayloadEngines};
 
 /// One array's cycle-accurate execution engines, reused across serve calls:
-/// netlist-backed DCT implementations keyed by mapping name and systolic ME
-/// engines keyed by block edge. Rebuilding these per serve call would pay a
-/// netlist construction plus an execution-plan compile per kernel per chunk
-/// — E12's chunked discharge loop used to pay that hundreds of times over.
+/// netlist-backed DCT implementations keyed by mapping and fixed-point
+/// parameters, and systolic ME engines keyed by block edge. Rebuilding these
+/// per serve call would pay a netlist construction plus an execution-plan
+/// compile per kernel per chunk — E12's chunked discharge loop used to pay
+/// that hundreds of times over.
 #[derive(Default)]
 pub struct ArrayBackend {
-    dct_impls: HashMap<&'static str, Box<dyn DctImpl>>,
+    dct_impls: HashMap<(DctMapping, DaParams), Box<dyn DctImpl>>,
     me_engines: HashMap<u8, Systolic2d>,
 }
 
 impl PayloadEngines for ArrayBackend {
     fn dct(&mut self, params: DaParams, mapping: DctMapping) -> Result<&dyn DctImpl> {
-        let boxed = match self.dct_impls.entry(mapping.name()) {
+        let boxed = match self.dct_impls.entry((mapping, params)) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => e.insert(mapping.build(params)?),
         };

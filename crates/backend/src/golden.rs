@@ -3,14 +3,15 @@
 //!
 //! Every model reproduces its array datapath *bit-for-bit*: samples are
 //! encoded with the same two's-complement widths, ROM words come from the
-//! same [`da_rom_contents`] tables, and the shift-accumulator recurrence
-//! (add the aligned ROM word, subtract on the sign cycle, arithmetic-shift
-//! right) is replayed in plain integer arithmetic. A golden transform is
+//! same [`da_rom_contents`] tables (programmed once per model, as the
+//! arrays' ROMs are at configuration time), and the shift-accumulator
+//! recurrence (add the aligned ROM word, subtract on the sign cycle,
+//! arithmetic-shift right) is replayed in plain integer arithmetic. A golden transform is
 //! therefore byte-equal to the simulated one — not merely close — which is
 //! what lets the differential harness assert checksum equality instead of
 //! tolerances.
 
-use dsra_core::error::Result;
+use dsra_core::error::{CoreError, Result};
 use dsra_core::fixed::{from_signed, mask, to_signed};
 use dsra_core::netlist::Netlist;
 use dsra_dct::da::{da_rom_contents, encode_sample};
@@ -30,26 +31,53 @@ use crate::mapping::DctMapping;
 /// (sign-extended from the input width; mirrors the arrays' stage width).
 const STAGE_WIDTH: u8 = 16;
 
-/// Replays one bit-serial DA lane: `streams[i]` supplies address bit `i`
-/// at serial step `t`, the addressed ROM word (programmed from `coeffs`)
-/// is aligned and accumulated with a subtracting final cycle, and the
-/// accumulator arithmetic-shifts right each step — exactly the
-/// shift-accumulator cluster's update rule.
-fn da_lane(streams: &[u64], coeffs: &[f64], params: &DaParams, bits: u8) -> u64 {
-    let rom = da_rom_contents(coeffs, params.q());
-    let align = u32::from(params.align());
-    let mut acc = 0u64;
-    for t in 0..bits {
-        let mut addr = 0usize;
+/// Longest serial stream a model replays: streams are `u64` words, so one
+/// block's per-step ROM addresses fit a fixed-size array.
+const MAX_SERIAL_BITS: usize = 64;
+
+/// One block's serial ROM addresses: `addrs[t]` gathers bit `t` of every
+/// stream (stream `i` drives address bit `i`), the word the serialisers
+/// present to the ROMs at step `t`. Computed once per block and shared by
+/// every lane that reads the same streams.
+fn serial_addrs<const N: usize>(streams: [u64; N], bits: u8) -> [u8; MAX_SERIAL_BITS] {
+    let mut addrs = [0u8; MAX_SERIAL_BITS];
+    for (t, addr) in addrs[..usize::from(bits)].iter_mut().enumerate() {
         for (i, s) in streams.iter().enumerate() {
-            addr |= (((s >> t) & 1) as usize) << i;
+            *addr |= (((s >> t) & 1) as u8) << i;
         }
-        let word = to_signed(rom[addr], params.rom_width);
+    }
+    addrs
+}
+
+/// Replays `L` bit-serial DA lanes that read the same streams: at serial
+/// step `t` each lane's ROM word at `addrs[t]` is aligned and accumulated
+/// with a subtracting final cycle, and the accumulator arithmetic-shifts
+/// right each step — exactly the shift-accumulator cluster's update rule.
+/// The lanes step together, so each address is fetched once per block.
+fn da_lanes<const L: usize>(
+    roms: &[Vec<u64>; L],
+    addrs: &[u8; MAX_SERIAL_BITS],
+    bits: u8,
+    params: &DaParams,
+) -> [u64; L] {
+    let align = u32::from(params.align());
+    let mut acc = [0u64; L];
+    for t in 0..bits {
+        let addr = usize::from(addrs[usize::from(t)]);
         let sgn: i64 = if t + 1 == bits { -1 } else { 1 };
-        let a = to_signed(acc, params.acc_width) + sgn * (word << align);
-        acc = from_signed(a >> 1, params.acc_width);
+        for (acc, rom) in acc.iter_mut().zip(roms) {
+            let word = to_signed(rom[addr], params.rom_width);
+            let a = to_signed(*acc, params.acc_width) + sgn * (word << align);
+            *acc = from_signed(a >> 1, params.acc_width);
+        }
     }
     acc
+}
+
+/// The ROM a DA lane programmed with `coeffs` holds. Built once per model,
+/// as the array's ROMs are written once at configuration time.
+fn rom<const N: usize>(coeffs: [f64; N], params: &DaParams) -> Vec<u64> {
+    da_rom_contents(&coeffs, params.q())
 }
 
 /// Encodes the input block exactly as the array input pins see it: each
@@ -67,41 +95,43 @@ fn stage(v: i64) -> i64 {
 /// Direct DA (Fig. 4 / Fig. 9): eight serialised inputs address per-output
 /// ROMs. `perm[slot]` is the input index wired to serialiser `slot` — the
 /// identity for the basic DA, Li's exponent reordering for the full SCC.
-fn direct_transform(x: &[i64; 8], params: &DaParams, perm: &[usize; 8]) -> [f64; 8] {
+fn direct_transform(
+    x: &[i64; 8],
+    params: &DaParams,
+    perm: &[usize; 8],
+    roms: &[Vec<u64>; 8],
+) -> [f64; 8] {
     let bits = params.input_bits;
     let xe = encode_block(x, bits);
-    let streams: Vec<u64> = perm.iter().map(|&i| encode_sample(xe[i], bits)).collect();
-    std::array::from_fn(|u| {
-        let coeffs: Vec<f64> = perm.iter().map(|&i| dct_coeff(u, i)).collect();
-        params.decode_acc(da_lane(&streams, &coeffs, params, bits), bits)
-    })
+    let addrs = serial_addrs(perm.map(|i| encode_sample(xe[i], bits)), bits);
+    da_lanes(roms, &addrs, bits, params).map(|raw| params.decode_acc(raw, bits))
 }
 
 /// Even/odd split (Fig. 5 / Fig. 8): 16-bit butterfly sums `a_n` and
 /// differences `b_n` feed 4-input DA lanes over `input_bits + 2` serial
-/// cycles. `odd_coeff(k, n)` selects the odd-part table (plain DCT rows
-/// for the Mixed-ROM, the skew-circular rotation for the SCC).
+/// cycles; `even[k]` yields `X_2k` and `odd[k]` yields `X_2k+1`.
 fn even_odd_transform(
     x: &[i64; 8],
     params: &DaParams,
-    odd_coeff: impl Fn(usize, usize) -> f64,
+    even: &[Vec<u64>; 4],
+    odd: &[Vec<u64>; 4],
 ) -> [f64; 8] {
     let bits = params.input_bits + 2;
     let xe = encode_block(x, params.input_bits);
-    let sa: Vec<u64> = (0..4)
-        .map(|n| from_signed(xe[n] + xe[7 - n], STAGE_WIDTH))
-        .collect();
-    let sb: Vec<u64> = (0..4)
-        .map(|n| from_signed(xe[n] - xe[7 - n], STAGE_WIDTH))
-        .collect();
-    let mut y = [0.0; 8];
-    for k in 0..4 {
-        let even: Vec<f64> = (0..4).map(|n| dct_coeff(2 * k, n)).collect();
-        y[2 * k] = params.decode_acc(da_lane(&sa, &even, params, bits), bits);
-        let odd: Vec<f64> = (0..4).map(|n| odd_coeff(k, n)).collect();
-        y[2 * k + 1] = params.decode_acc(da_lane(&sb, &odd, params, bits), bits);
-    }
-    y
+    let sums = serial_addrs::<4>(
+        std::array::from_fn(|n| from_signed(xe[n] + xe[7 - n], STAGE_WIDTH)),
+        bits,
+    );
+    let diffs = serial_addrs::<4>(
+        std::array::from_fn(|n| from_signed(xe[n] - xe[7 - n], STAGE_WIDTH)),
+        bits,
+    );
+    let even = da_lanes(even, &sums, bits, params);
+    let odd = da_lanes(odd, &diffs, bits, params);
+    std::array::from_fn(|u| {
+        let raw = if u % 2 == 0 { even[u / 2] } else { odd[u / 2] };
+        params.decode_acc(raw, bits)
+    })
 }
 
 /// Phase schedule of the two-phase CORDIC drivers (mirrors the private
@@ -170,145 +200,247 @@ fn cordic_front(x: &[i64; 8], params: &DaParams) -> ([u64; 4], [i64; 4]) {
     (b, u)
 }
 
-/// Phase-1 X rotators + discard + serial butterfly, shared by both CORDIC
-/// odd paths: returns `H_r = A'_{c1} ± A'_{c2}` where `A'` is the
-/// presh-discarded phase-1 accumulator.
-fn cordic_odd_h(
-    b: &[u64; 4],
-    x_pairs: ((usize, usize), (usize, usize)),
-    x_blocks: &[[[f64; 2]; 2]; 2],
-    butterfly: &[[f64; 4]; 4],
-    params: &DaParams,
-    sched: &Sched,
-) -> [i64; 4] {
-    let mut p = [0u64; 4];
-    for (bi, pair) in [x_pairs.0, x_pairs.1].into_iter().enumerate() {
-        let streams = [b[pair.0], b[pair.1]];
-        p[pair.0] = da_lane(&streams, &x_blocks[bi][0], params, sched.b1);
-        p[pair.1] = da_lane(&streams, &x_blocks[bi][1], params, sched.b1);
-    }
-    let ap: [i64; 4] =
-        std::array::from_fn(|r| to_signed(p[r], params.acc_width) >> u32::from(sched.presh));
-    std::array::from_fn(|r| {
-        let (c1, c2, sign) = row_ops(&butterfly[r]);
-        if sign {
-            ap[c1] - ap[c2]
-        } else {
-            ap[c1] + ap[c2]
-        }
-    })
+/// Phase 1 of both CORDIC odd paths: two X rotators, each a pair of 2-input
+/// DA lanes over one pair of `b` streams, and the ±1 butterfly over their
+/// presh-discarded accumulators.
+struct XRotators {
+    /// The `b` indices rotator `i` reads; its two lanes produce the
+    /// accumulators of the same indices.
+    pairs: [(usize, usize); 2],
+    /// `roms[i][lane]`, programmed from the rotator blocks.
+    roms: [[Vec<u64>; 2]; 2],
+    /// Butterfly rows as `(c1, c2, subtract)`.
+    butterfly: [(usize, usize, bool); 4],
 }
 
-fn cordic1_transform(x: &[i64; 8], params: &DaParams, fact: &Sandwich, sched: &Sched) -> [f64; 8] {
-    let (b, u) = cordic_front(x, params);
-    let su: [u64; 4] = std::array::from_fn(|i| from_signed(u[i], STAGE_WIDTH));
-    let a = alpha(1);
-    let a0 = alpha(0);
-    let c4 = (std::f64::consts::PI / 4.0).cos();
-    let c2 = (std::f64::consts::PI / 8.0).cos();
-    let s2 = (std::f64::consts::PI / 8.0).sin();
-    let mut y = [0.0; 8];
-    let even = |streams: [u64; 2], row: [f64; 2]| {
-        params.decode_acc(da_lane(&streams, &row, params, sched.b1), sched.b1)
-    };
-    y[0] = even([su[0], su[1]], [a0, a0]);
-    y[4] = even([su[0], su[1]], [a * c4, -a * c4]);
-    y[2] = even([su[2], su[3]], [a * s2, a * c2]);
-    y[6] = even([su[2], su[3]], [-a * c2, a * s2]);
-
-    let h = cordic_odd_h(
-        &b,
-        fact.x_pairs,
-        &fact.x_blocks,
-        &fact.butterfly,
-        params,
-        sched,
-    );
-    let exp = sched.phase2_exp(params);
-    for (bi, pair) in [fact.y_pairs.0, fact.y_pairs.1].into_iter().enumerate() {
-        // Phase 2: the Y rotators accumulate the serial H streams for b2
-        // cycles (sub on the last); H's two's-complement bits are exactly
-        // what the serial adders emit.
-        let streams = [h[pair.0] as u64, h[pair.1] as u64];
-        for (r, out) in [pair.0, pair.1].into_iter().enumerate() {
-            let raw = da_lane(&streams, &fact.y_blocks[bi][r], params, sched.b2);
-            y[2 * out + 1] = to_signed(raw, params.acc_width) as f64 * 2f64.powi(exp);
+impl XRotators {
+    fn new(
+        pairs: ((usize, usize), (usize, usize)),
+        blocks: &[[[f64; 2]; 2]; 2],
+        butterfly: &[[f64; 4]; 4],
+        params: &DaParams,
+    ) -> Self {
+        XRotators {
+            pairs: [pairs.0, pairs.1],
+            roms: blocks.map(|block| block.map(|row| rom(row, params))),
+            butterfly: std::array::from_fn(|r| row_ops(&butterfly[r])),
         }
     }
-    y
-}
 
-fn cordic2_transform(
-    x: &[i64; 8],
-    params: &DaParams,
-    fact: &ScaledSandwich,
-    sched: &Sched,
-) -> [f64; 8] {
-    let (b, u) = cordic_front(x, params);
-    let a = alpha(1);
-    let a0 = alpha(0);
-    let c4 = (std::f64::consts::PI / 4.0).cos();
-    let c2 = (std::f64::consts::PI / 8.0).cos();
-    let s2 = (std::f64::consts::PI / 8.0).sin();
-    let mut y = [0.0; 8];
-    // X0/X4 leave the array as parallel 16-bit adder outputs; the scale
-    // factors are applied driver-side (standing in for the quantiser).
-    y[0] = stage(u[0] + u[1]) as f64 * a0;
-    y[4] = stage(u[0] - u[1]) as f64 * a * c4;
-    let su2 = from_signed(u[2], STAGE_WIDTH);
-    let su3 = from_signed(u[3], STAGE_WIDTH);
-    y[2] = params.decode_acc(
-        da_lane(&[su2, su3], &[a * s2, a * c2], params, sched.b1),
-        sched.b1,
-    );
-    y[6] = params.decode_acc(
-        da_lane(&[su2, su3], &[-a * c2, a * s2], params, sched.b1),
-        sched.b1,
-    );
-
-    let h = cordic_odd_h(
-        &b,
-        fact.x_pairs,
-        &fact.x_blocks,
-        &fact.butterfly,
-        params,
-        sched,
-    );
-    let (pi, pj) = fact.post_pair;
-    let exp = sched.stream_exp(params);
-    for r in 0..4 {
-        // The serial post network combines the post pair and passes the
-        // rest; the driver samples b2 stream bits, so the decoded value is
-        // the low-b2 window of the integer combination.
-        let comb = if r == pi {
-            h[pi] + h[pj]
-        } else if r == pj {
-            h[pi] - h[pj]
-        } else {
-            h[r]
-        };
-        let stream = mask(comb as u64, sched.b2);
-        y[2 * r + 1] = to_signed(stream, sched.b2) as f64 * 2f64.powi(exp) * fact.scales[r];
+    /// Returns `H_r = A'_{c1} ± A'_{c2}` where `A'` is the presh-discarded
+    /// phase-1 accumulator.
+    fn h(&self, b: &[u64; 4], params: &DaParams, sched: &Sched) -> [i64; 4] {
+        let mut p = [0u64; 4];
+        for (pair, roms) in self.pairs.iter().zip(&self.roms) {
+            let addrs = serial_addrs([b[pair.0], b[pair.1]], sched.b1);
+            [p[pair.0], p[pair.1]] = da_lanes(roms, &addrs, sched.b1, params);
+        }
+        let ap: [i64; 4] =
+            std::array::from_fn(|r| to_signed(p[r], params.acc_width) >> u32::from(sched.presh));
+        self.butterfly.map(|(c1, c2, sub)| {
+            if sub {
+                ap[c1] - ap[c2]
+            } else {
+                ap[c1] + ap[c2]
+            }
+        })
     }
-    y
 }
 
-/// Which software model a [`GoldenDct`] replays.
+/// Fig. 6 two-phase sandwich: even outputs from 2-input DA lanes over the
+/// `u` streams, odd outputs from X rotators, butterfly, then Y rotators
+/// accumulating the serial `H` streams.
+struct Cordic1Model {
+    sched: Sched,
+    /// ROMs of `[X0, X4]` (over `u0`/`u1`) and `[X2, X6]` (over `u2`/`u3`).
+    even: [[Vec<u64>; 2]; 2],
+    x: XRotators,
+    /// The `H` indices Y rotator `i` reads and the odd rows it produces.
+    y_pairs: [(usize, usize); 2],
+    /// `y_roms[i][lane]`, programmed from the Y blocks.
+    y_roms: [[Vec<u64>; 2]; 2],
+    /// `2^phase2_exp`: the weight of a raw Y-rotator accumulator.
+    y_scale: f64,
+}
+
+impl Cordic1Model {
+    fn new(params: &DaParams, fact: &Sandwich, sched: Sched) -> Self {
+        let a = alpha(1);
+        let a0 = alpha(0);
+        let c4 = (std::f64::consts::PI / 4.0).cos();
+        let c2 = (std::f64::consts::PI / 8.0).cos();
+        let s2 = (std::f64::consts::PI / 8.0).sin();
+        Cordic1Model {
+            sched,
+            even: [
+                [rom([a0, a0], params), rom([a * c4, -a * c4], params)],
+                [
+                    rom([a * s2, a * c2], params),
+                    rom([-a * c2, a * s2], params),
+                ],
+            ],
+            x: XRotators::new(fact.x_pairs, &fact.x_blocks, &fact.butterfly, params),
+            y_pairs: [fact.y_pairs.0, fact.y_pairs.1],
+            y_roms: fact.y_blocks.map(|block| block.map(|row| rom(row, params))),
+            y_scale: 2f64.powi(sched.phase2_exp(params)),
+        }
+    }
+
+    fn transform(&self, x: &[i64; 8], params: &DaParams) -> [f64; 8] {
+        let b1 = self.sched.b1;
+        let (b, u) = cordic_front(x, params);
+        let su: [u64; 4] = std::array::from_fn(|i| from_signed(u[i], STAGE_WIDTH));
+        let mut y = [0.0; 8];
+        for (streams, roms, outs) in [
+            ([su[0], su[1]], &self.even[0], [0, 4]),
+            ([su[2], su[3]], &self.even[1], [2, 6]),
+        ] {
+            let raw = da_lanes(roms, &serial_addrs(streams, b1), b1, params);
+            for (out, raw) in outs.into_iter().zip(raw) {
+                y[out] = params.decode_acc(raw, b1);
+            }
+        }
+
+        let h = self.x.h(&b, params, &self.sched);
+        for (pair, roms) in self.y_pairs.iter().zip(&self.y_roms) {
+            // Phase 2: the Y rotators accumulate the serial H streams for b2
+            // cycles (sub on the last); H's two's-complement bits are exactly
+            // what the serial adders emit.
+            let addrs = serial_addrs([h[pair.0] as u64, h[pair.1] as u64], self.sched.b2);
+            let raw = da_lanes(roms, &addrs, self.sched.b2, params);
+            for (out, raw) in [pair.0, pair.1].into_iter().zip(raw) {
+                y[2 * out + 1] = to_signed(raw, params.acc_width) as f64 * self.y_scale;
+            }
+        }
+        y
+    }
+}
+
+/// Fig. 7 scaled factorization: `X0`/`X4` from parallel adders, `X2`/`X6`
+/// from 2-input DA lanes, odd outputs tapped from the serial post network.
+struct Cordic2Model {
+    sched: Sched,
+    /// ROMs of `X2` and `X6` (over `u2`/`u3`).
+    even: [Vec<u64>; 2],
+    x: XRotators,
+    post_pair: (usize, usize),
+    scales: [f64; 4],
+    /// `2^stream_exp`: the weight of a sampled output stream.
+    stream_scale: f64,
+    /// `alpha(0)`, `alpha(1)` and `cos(π/4)`: the driver-side `X0`/`X4`
+    /// scale factors.
+    a0: f64,
+    a: f64,
+    c4: f64,
+}
+
+impl Cordic2Model {
+    fn new(params: &DaParams, fact: &ScaledSandwich, sched: Sched) -> Self {
+        let a = alpha(1);
+        let c4 = (std::f64::consts::PI / 4.0).cos();
+        let c2 = (std::f64::consts::PI / 8.0).cos();
+        let s2 = (std::f64::consts::PI / 8.0).sin();
+        Cordic2Model {
+            sched,
+            even: [
+                rom([a * s2, a * c2], params),
+                rom([-a * c2, a * s2], params),
+            ],
+            x: XRotators::new(fact.x_pairs, &fact.x_blocks, &fact.butterfly, params),
+            post_pair: fact.post_pair,
+            scales: fact.scales,
+            stream_scale: 2f64.powi(sched.stream_exp(params)),
+            a0: alpha(0),
+            a,
+            c4,
+        }
+    }
+
+    fn transform(&self, x: &[i64; 8], params: &DaParams) -> [f64; 8] {
+        let Sched { b1, b2, .. } = self.sched;
+        let (b, u) = cordic_front(x, params);
+        let mut y = [0.0; 8];
+        // X0/X4 leave the array as parallel 16-bit adder outputs; the scale
+        // factors are applied driver-side (standing in for the quantiser).
+        y[0] = stage(u[0] + u[1]) as f64 * self.a0;
+        y[4] = stage(u[0] - u[1]) as f64 * self.a * self.c4;
+        let addrs = serial_addrs(
+            [
+                from_signed(u[2], STAGE_WIDTH),
+                from_signed(u[3], STAGE_WIDTH),
+            ],
+            b1,
+        );
+        let [x2, x6] = da_lanes(&self.even, &addrs, b1, params);
+        y[2] = params.decode_acc(x2, b1);
+        y[6] = params.decode_acc(x6, b1);
+
+        let h = self.x.h(&b, params, &self.sched);
+        let (pi, pj) = self.post_pair;
+        for r in 0..4 {
+            // The serial post network combines the post pair and passes the
+            // rest; the driver samples b2 stream bits, so the decoded value is
+            // the low-b2 window of the integer combination.
+            let comb = if r == pi {
+                h[pi] + h[pj]
+            } else if r == pj {
+                h[pi] - h[pj]
+            } else {
+                h[r]
+            };
+            let stream = mask(comb as u64, b2);
+            y[2 * r + 1] = to_signed(stream, b2) as f64 * self.stream_scale * self.scales[r];
+        }
+        y
+    }
+}
+
+/// Which software model a [`GoldenDct`] replays, with every DA ROM it reads
+/// already programmed.
 enum Model {
-    /// Fig. 4 / Fig. 9 direct DA; `perm[slot]` = input index in that slot.
-    Direct { perm: [usize; 8] },
-    /// Fig. 5 / Fig. 8 even/odd split; `scc` selects the odd-part table.
-    EvenOdd { scc: bool },
+    /// Fig. 4 / Fig. 9 direct DA: `perm[slot]` = input index in that slot,
+    /// `roms[u]` = the ROM of output `u`.
+    Direct {
+        perm: [usize; 8],
+        roms: [Vec<u64>; 8],
+    },
+    /// Fig. 5 / Fig. 8 even/odd split: the odd ROMs hold plain DCT rows
+    /// (Mixed-ROM) or the skew-circular rotation (SCC).
+    EvenOdd {
+        even: [Vec<u64>; 4],
+        odd: [Vec<u64>; 4],
+    },
     /// Fig. 6 two-phase sandwich factorization.
-    Cordic1 { fact: Sandwich, sched: Sched },
+    Cordic1(Cordic1Model),
     /// Fig. 7 scaled factorization with serial output taps.
-    Cordic2 { fact: ScaledSandwich, sched: Sched },
+    Cordic2(Cordic2Model),
+}
+
+impl Model {
+    fn direct(perm: [usize; 8], params: &DaParams) -> Self {
+        let roms = std::array::from_fn(|u| rom(perm.map(|i| dct_coeff(u, i)), params));
+        Model::Direct { perm, roms }
+    }
+
+    fn even_odd(params: &DaParams, odd_coeff: impl Fn(usize, usize) -> f64) -> Self {
+        Model::EvenOdd {
+            even: std::array::from_fn(|k| {
+                rom::<4>(std::array::from_fn(|n| dct_coeff(2 * k, n)), params)
+            }),
+            odd: std::array::from_fn(|k| {
+                rom::<4>(std::array::from_fn(|n| odd_coeff(k, n)), params)
+            }),
+        }
+    }
 }
 
 /// A software golden reference for one DCT mapping, bit-exact against the
 /// simulated array and exposing the same [`DctImpl`] interface (including
 /// `cycles_per_block`, so encode payloads cost identically). The netlist
 /// is an empty placeholder — there is no hardware here.
+///
+/// Every DA ROM is built once, in [`GoldenDct::new`]; a block only
+/// serialises its samples and replays the shift-accumulators.
 pub struct GoldenDct {
     mapping: DctMapping,
     params: DaParams,
@@ -318,12 +450,22 @@ pub struct GoldenDct {
 }
 
 impl GoldenDct {
-    /// Builds the golden model for `mapping`.
+    /// Builds the golden model for `mapping`, programming its DA ROMs.
     ///
     /// # Errors
-    /// Never fails today; `Result` mirrors [`DctMapping::build`] so the two
-    /// construction paths stay interchangeable.
+    /// Fails when `params` need serial streams longer than 64 bits (no
+    /// array can be configured that wide); `Result` also mirrors
+    /// [`DctMapping::build`] so the two construction paths stay
+    /// interchangeable.
     pub fn new(mapping: DctMapping, params: DaParams) -> Result<Self> {
+        if usize::from(params.input_bits) + 2 > MAX_SERIAL_BITS
+            || usize::from(params.acc_width) > MAX_SERIAL_BITS
+        {
+            return Err(CoreError::Mismatch(format!(
+                "golden {}: {params:?} needs serial streams over {MAX_SERIAL_BITS} bits",
+                mapping.name()
+            )));
+        }
         let max_row_norm = |blocks: &[[[f64; 2]; 2]; 2]| {
             blocks
                 .iter()
@@ -333,9 +475,7 @@ impl GoldenDct {
         };
         let (model, cycles) = match mapping {
             DctMapping::BasicDa => (
-                Model::Direct {
-                    perm: std::array::from_fn(|i| i),
-                },
+                Model::direct(std::array::from_fn(|i| i), &params),
                 u64::from(params.input_bits) + 2,
             ),
             DctMapping::SccFull => {
@@ -345,21 +485,27 @@ impl GoldenDct {
                 for i in 0..8 {
                     perm[exponent_of(2 * i + 1)] = i;
                 }
-                (Model::Direct { perm }, u64::from(params.input_bits) + 2)
+                (
+                    Model::direct(perm, &params),
+                    u64::from(params.input_bits) + 2,
+                )
             }
             DctMapping::MixedRom => (
-                Model::EvenOdd { scc: false },
+                Model::even_odd(&params, |k, n| dct_coeff(2 * k + 1, n)),
                 u64::from(params.input_bits) + 4,
             ),
             DctMapping::SccEvenOdd => (
-                Model::EvenOdd { scc: true },
+                Model::even_odd(&params, scc_odd_coeff),
                 u64::from(params.input_bits) + 4,
             ),
             DctMapping::Cordic1 => {
                 let fact = solve_sandwich(&odd_target());
                 let sched = Sched::for_params(&params, max_row_norm(&fact.x_blocks));
                 let cycles = sched.cycles();
-                (Model::Cordic1 { fact, sched }, cycles)
+                (
+                    Model::Cordic1(Cordic1Model::new(&params, &fact, sched)),
+                    cycles,
+                )
             }
             DctMapping::Cordic2 => {
                 let fact = solve_scaled_sandwich(&odd_target());
@@ -367,7 +513,10 @@ impl GoldenDct {
                 // Streams pass two serial levels: one extra guard bit.
                 sched.presh += 1;
                 let cycles = sched.cycles();
-                (Model::Cordic2 { fact, sched }, cycles)
+                (
+                    Model::Cordic2(Cordic2Model::new(&params, &fact, sched)),
+                    cycles,
+                )
             }
         };
         Ok(GoldenDct {
@@ -400,15 +549,13 @@ impl DctImpl for GoldenDct {
 
     fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
         assert_eq!(xs.len(), out.len(), "one output row per block");
+        let params = &self.params;
         for (x, o) in xs.iter().zip(out) {
             *o = match &self.model {
-                Model::Direct { perm } => direct_transform(x, &self.params, perm),
-                Model::EvenOdd { scc: false } => {
-                    even_odd_transform(x, &self.params, |k, n| dct_coeff(2 * k + 1, n))
-                }
-                Model::EvenOdd { scc: true } => even_odd_transform(x, &self.params, scc_odd_coeff),
-                Model::Cordic1 { fact, sched } => cordic1_transform(x, &self.params, fact, sched),
-                Model::Cordic2 { fact, sched } => cordic2_transform(x, &self.params, fact, sched),
+                Model::Direct { perm, roms } => direct_transform(x, params, perm, roms),
+                Model::EvenOdd { even, odd } => even_odd_transform(x, params, even, odd),
+                Model::Cordic1(m) => m.transform(x, params),
+                Model::Cordic2(m) => m.transform(x, params),
             };
         }
         Ok(())
@@ -445,22 +592,24 @@ pub fn golden_me_search(
     for dx in -p..=p {
         let mut dy_base = -p;
         while dy_base <= p {
-            let batch: Vec<(usize, i32)> = (0..MODULES)
-                .map(|m| (m, dy_base + m as i32))
-                .filter(|&(_, dy)| dy <= p && candidate_valid(reference, bx, by, dx, dy, n))
-                .collect();
+            // Module m of this streaming pass evaluates candidate dy_base + m.
+            let valid: [bool; MODULES] = std::array::from_fn(|m| {
+                let dy = dy_base + m as i32;
+                dy <= p && candidate_valid(reference, bx, by, dx, dy, n)
+            });
+            let dy0 = i64::from(dy_base);
             dy_base += MODULES as i32;
-            if batch.is_empty() {
+            let batch = valid.iter().filter(|&&v| v).count();
+            if batch == 0 {
                 continue;
             }
-            ref_fetches_naive += (batch.len() * n * n) as u64;
+            ref_fetches_naive += (batch * n * n) as u64;
             // mclr + streaming window + one drain cycle per candidate.
-            cycles += 1 + (n + MODULES - 1) as u64 + batch.len() as u64;
+            cycles += 1 + (n + MODULES - 1) as u64 + batch as u64;
             cur_fetches += (n * n) as u64;
-            let dy0 = i64::from(batch[0].1) - batch[0].0 as i64;
             for t in 0..(n + MODULES - 1) {
                 let ry = by as i64 + dy0 + t as i64;
-                let row_needed = batch.iter().any(|&(m, _)| t >= m && t < m + n);
+                let row_needed = (0..MODULES).any(|m| valid[m] && t >= m && t < m + n);
                 if row_needed && ry >= 0 && (ry as usize) < reference.height() {
                     ref_fetches += n as u64;
                 }
@@ -475,4 +624,21 @@ pub fn golden_me_search(
         ref_fetches_naive,
         cur_fetches,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn streams_wider_than_a_word_are_rejected() {
+        let params = DaParams {
+            input_bits: 63,
+            ..DaParams::precise()
+        };
+        for mapping in DctMapping::ALL {
+            let err = GoldenDct::new(mapping, params).err().expect("rejected");
+            assert!(err.to_string().contains("over 64 bits"), "{err}");
+        }
+    }
 }

@@ -111,15 +111,16 @@ impl BackendKind {
 }
 
 /// The golden backend: software reference models only — no netlists, no
-/// simulator. Caches one [`GoldenDct`] per mapping.
+/// simulator. Caches one [`GoldenDct`] (and so one set of ROM tables) per
+/// mapping and fixed-point parameters.
 #[derive(Default)]
 pub struct GoldenBackend {
-    dct_impls: std::collections::HashMap<&'static str, GoldenDct>,
+    dct_impls: std::collections::HashMap<(DctMapping, DaParams), GoldenDct>,
 }
 
 impl PayloadEngines for GoldenBackend {
     fn dct(&mut self, params: DaParams, mapping: DctMapping) -> Result<&dyn DctImpl> {
-        Ok(match self.dct_impls.entry(mapping.name()) {
+        Ok(match self.dct_impls.entry((mapping, params)) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(GoldenDct::new(mapping, params)?)

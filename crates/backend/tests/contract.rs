@@ -51,7 +51,11 @@ fn encode_job(id: u32, seed: u64, size: (u16, u16), frames: u8, noise: u8) -> Jo
 
 /// Runs one job through both backends and asserts identical outcomes.
 fn assert_agree(job: &JobSpec, kernel: &str) {
-    let params = DaParams::precise();
+    assert_agree_at(DaParams::precise(), job, kernel);
+}
+
+/// [`assert_agree`] at the given fixed-point widths.
+fn assert_agree_at(params: DaParams, job: &JobSpec, kernel: &str) {
     let array = ArrayBackend::default()
         .execute(params, job, kernel)
         .expect("array backend");
@@ -60,7 +64,7 @@ fn assert_agree(job: &JobSpec, kernel: &str) {
         .expect("golden backend");
     assert_eq!(
         array, golden,
-        "job {} on `{kernel}`: array vs golden outcome diverged",
+        "job {} on `{kernel}` at {params:?}: array vs golden outcome diverged",
         job.id
     );
 }
@@ -115,6 +119,75 @@ fn encode_contract_randomized() {
     for (i, mapping) in DctMapping::ALL.into_iter().enumerate() {
         let job = encode_job(3000 + i as u32, 42 + i as u64, (48, 48), 3, 2);
         assert_agree(&job, mapping.name());
+    }
+}
+
+/// The paper's Fig. 4 widths (8-bit ROM words, 16-bit truncating
+/// accumulators): DCT jobs on both sides of the simulator's 8-block lane
+/// chunking, plus one encode GOP, for every mapping.
+#[test]
+fn paper_widths_contract_all_mappings() {
+    let params = DaParams::paper();
+    for (i, mapping) in DctMapping::ALL.into_iter().enumerate() {
+        for (j, blocks) in [0u16, 1, 7, 8, 9, 17].into_iter().enumerate() {
+            let job = dct_job(
+                7000 + (i * 10 + j) as u32,
+                0x9A9E_0000 + (i * 10 + j) as u64,
+                blocks,
+                200,
+            );
+            assert_agree_at(params, &job, mapping.name());
+        }
+        let job = encode_job(7100 + i as u32, 0x9A9E_1000 + i as u64, (32, 32), 2, 2);
+        assert_agree_at(params, &job, mapping.name());
+    }
+}
+
+/// A backend reused across fixed-point widths must not serve one width's
+/// outcome for another: alternating `precise()` and `paper()` jobs on one
+/// backend must equal fresh backends, job for job. (Engine caches keyed
+/// by mapping alone once returned the first width's engine.)
+#[test]
+fn engine_cache_is_keyed_by_params() {
+    let widths = [DaParams::precise(), DaParams::paper()];
+    for kind in [BackendKind::Array, BackendKind::Golden] {
+        let mut reused = kind.build();
+        for (i, mapping) in DctMapping::ALL.into_iter().enumerate() {
+            let jobs = [
+                dct_job(8000 + i as u32, 0xCAC4E + i as u64, 9, 200),
+                encode_job(8100 + i as u32, 0xCAC4F + i as u64, (32, 32), 2, 2),
+            ];
+            for job in &jobs {
+                let fresh = widths.map(|params| {
+                    kind.build()
+                        .execute(params, job, mapping.name())
+                        .expect("fresh backend")
+                });
+                assert_ne!(
+                    fresh[0],
+                    fresh[1],
+                    "job {} on `{}`: widths must give distinct outcomes for this test to bite",
+                    job.id,
+                    mapping.name()
+                );
+                for round in 0..2 {
+                    for (params, want) in widths.iter().zip(&fresh) {
+                        let got = reused
+                            .execute(*params, job, mapping.name())
+                            .expect("reused backend");
+                        assert_eq!(
+                            got,
+                            *want,
+                            "{} backend, job {} on `{}` at {params:?} (round {round}): \
+                             reused backend served a stale engine",
+                            kind.name(),
+                            job.id,
+                            mapping.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

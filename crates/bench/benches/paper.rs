@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 
+use dsra_backend::{DctMapping, GoldenDct};
 use dsra_bench::{da_activity, me_activity, shifted_planes};
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::place::{place, PlacerOptions};
@@ -28,8 +29,9 @@ fn bench_table1(c: &mut Criterion) {
 }
 
 /// Figs. 4–9 (E2): one 8-point block through each mapping, cycle-accurately,
-/// then a lane batch of eight (one simulator sweep per cycle). Both rows
-/// report ns per block-cycle.
+/// then a lane batch of eight (one simulator sweep per cycle), then the same
+/// batch through the table-driven golden model. Every row reports ns per
+/// block-cycle.
 fn bench_dct_transform(c: &mut Criterion) {
     let mut g = c.benchmark_group("dct_transform");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
@@ -45,6 +47,16 @@ fn bench_dct_transform(c: &mut Criterion) {
         });
         g.throughput(Throughput::Elements(imp.cycles_per_block() * LANES as u64));
         g.bench_with_input(BenchmarkId::new("batch8", &name), imp, |b, imp| {
+            b.iter(|| imp.transform_batch(&batch, &mut out).unwrap())
+        });
+    }
+    for mapping in DctMapping::ALL {
+        let golden = GoldenDct::new(mapping, DaParams::precise()).unwrap();
+        let name = mapping.name().replace(' ', "_");
+        g.throughput(Throughput::Elements(
+            golden.cycles_per_block() * LANES as u64,
+        ));
+        g.bench_with_input(BenchmarkId::new("golden", &name), &golden, |b, imp| {
             b.iter(|| imp.transform_batch(&batch, &mut out).unwrap())
         });
     }
