@@ -161,10 +161,10 @@ fn main() {
             JsonValue::Str(format!("{:#018x}", prof.digest())),
         ),
     ];
-    for a in &prof.arrays {
+    for (array, p) in &prof.arrays {
         metrics.push((
-            format!("array{}_utilization_pct", a.array),
-            JsonValue::Num(a.utilization_pct),
+            format!("array{array}_utilization_pct"),
+            JsonValue::Num(p.utilization_pct()),
         ));
     }
     for (i, k) in prof.kernels.iter().take(top_k).enumerate() {

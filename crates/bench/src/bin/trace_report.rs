@@ -18,10 +18,8 @@
 //! The report is a pure function of the trace document, which is itself
 //! byte-identical per seed — so the breakdown is too.
 
-use dsra_bench::{
-    analyze_chrome_trace, banner, events_from_chrome, parse_json, parse_u64, slo_config_from_meta,
-};
-use dsra_monitor::{render_dashboard, render_timeline, Monitor};
+use dsra_bench::{analyze_chrome_trace, banner, parse_json, parse_u64, slo_replay};
+use dsra_monitor::{render_dashboard, render_timeline};
 
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
@@ -41,10 +39,8 @@ fn main() {
         analyze_chrome_trace(&doc).unwrap_or_else(|e| fail(format!("{path} is not a trace: {e}")));
     print!("{}", analysis.render(top_k));
     if std::env::args().any(|a| a == "--slo") {
-        let events = events_from_chrome(&doc)
-            .unwrap_or_else(|e| fail(format!("{path} is not a trace: {e}")));
-        let cfg = slo_config_from_meta(&analysis.meta);
-        let monitor = Monitor::replay(cfg, events.iter());
+        let monitor =
+            slo_replay(&doc).unwrap_or_else(|e| fail(format!("{path} cannot be replayed: {e}")));
         println!("== error-budget timeline ==");
         print!("{}", render_timeline(monitor.timeline()));
         print!(

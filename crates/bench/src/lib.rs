@@ -47,7 +47,7 @@ pub use profpost::{
 };
 pub use stream::{latency_histogram, monitor_metrics, shed_wait_histogram, stream_metrics};
 pub use tracepost::{
-    analyze_chrome_trace, events_from_chrome, install_trace_arg, slo_config_from_meta,
+    analyze_chrome_trace, events_from_chrome, install_trace_arg, slo_config_from_meta, slo_replay,
     write_chrome_trace, TraceAnalysis,
 };
 

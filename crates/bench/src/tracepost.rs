@@ -2,18 +2,25 @@
 //! `--trace`: joins the per-array and per-tenant tracks back into the
 //! operator-facing breakdowns (`trace_report`).
 //!
-//! The analyzer consumes exactly what [`dsra_trace::chrome_trace`]
-//! emits — `"X"` phase spans on array tracks (pid 0), `"queued"`/`"shed"`
-//! spans and `"admit"`/`"complete"` instants on tenant/array tracks,
-//! `"C"` counter samples — and is deterministic: same document, same
-//! [`TraceAnalysis`], same rendered report.
+//! One reader, [`events_from_chrome`], turns exactly what
+//! [`dsra_trace::chrome_trace`] emits — `"X"` phase spans on array
+//! tracks (pid 0), `"queued"`/`"shed"` spans and `"admit"`/`"complete"`
+//! instants on tenant/array tracks, `"C"` counter samples — back into
+//! [`TraceEvent`]s. Everything after it is a fold over events:
+//! [`TraceAnalysis::fold`] for the report and [`slo_replay`] for the
+//! monitor, so a live [`EventLog`] and its exported document give the
+//! same answers. Deterministic: same document, same [`TraceAnalysis`],
+//! same rendered report.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-use dsra_monitor::MonitorConfig;
+use dsra_monitor::{event_end_cycle, Monitor, MonitorConfig};
+use dsra_profile::KernelEnergy;
 use dsra_runtime::SocRuntime;
 use dsra_trace::{
-    chrome_trace, ArrayPhase, EnergyBreakdown, EventLog, MetricsRegistry, TraceEvent,
+    chrome_trace, job_spans, ArrayPhase, EnergyBreakdown, EventLog, MetricsRegistry,
+    PhaseBreakdown, TraceEvent,
 };
 
 use crate::json::Json;
@@ -43,46 +50,6 @@ pub fn write_chrome_trace(runtime: &mut SocRuntime, path: &str) {
     println!("wrote {path}");
 }
 
-/// Virtual cycles one array spent in each phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseCycles {
-    /// Powered but idle.
-    pub idle: u64,
-    /// Power-gated (not leaking, configuration lost).
-    pub gated: u64,
-    /// Partial (diff) reconfiguration.
-    pub reconfig: u64,
-    /// Full rewrite after a forced wake.
-    pub waking: u64,
-    /// Executing a job.
-    pub exec: u64,
-}
-
-impl PhaseCycles {
-    /// Total cycles across all phases.
-    pub fn total(&self) -> u64 {
-        self.idle + self.gated + self.reconfig + self.waking + self.exec
-    }
-
-    /// Reconfiguration stall (diff reconfig + wake rewrites).
-    pub fn stall(&self) -> u64 {
-        self.reconfig + self.waking
-    }
-}
-
-/// One array's timeline summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayTimeline {
-    /// Array id (trace track id).
-    pub array: u32,
-    /// Cycles per phase.
-    pub phases: PhaseCycles,
-    /// Exec cycles as a fraction of the array's covered span (percent).
-    pub utilization_pct: f64,
-    /// Gated cycles as a fraction of the covered span (percent).
-    pub gated_pct: f64,
-}
-
 /// One tenant's queue-delay breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantQueue {
@@ -103,21 +70,6 @@ pub struct TenantQueue {
     pub p99_shed_wait_cycles: u64,
 }
 
-/// One kernel configuration's serve statistics (keyed by bitstream
-/// fingerprint — two specializations of the same logical kernel count
-/// separately).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelStat {
-    /// Bitstream fingerprint (hex).
-    pub fingerprint: String,
-    /// Kernel display name.
-    pub kernel: String,
-    /// Jobs completed with this configuration.
-    pub completions: u64,
-    /// Joules attributed to those jobs (dynamic + static + reconfig).
-    pub energy_j: f64,
-}
-
 /// Reconfiguration stall attributed to one kernel (by name): cycles the
 /// pool spent rewriting configurations to run it.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,17 +82,19 @@ pub struct ReconfigStall {
     pub events: u64,
 }
 
-/// Everything `trace_report` derives from one trace document.
+/// Everything `trace_report` derives from one event stream.
 #[derive(Debug, Clone)]
 pub struct TraceAnalysis {
-    /// Session metadata (`otherData`), in document order.
+    /// Session metadata, first value per key, in stream order.
     pub meta: Vec<(String, String)>,
-    /// Per-array timelines, array-id order.
-    pub arrays: Vec<ArrayTimeline>,
+    /// Per-array phase accounts, array-id order.
+    pub arrays: BTreeMap<u32, PhaseBreakdown>,
     /// Per-tenant queue breakdowns, tenant-id order.
     pub tenants: Vec<TenantQueue>,
-    /// Kernel serve stats, hottest (most completions) first.
-    pub kernels: Vec<KernelStat>,
+    /// Completed jobs and their energy per bitstream fingerprint (two
+    /// specializations of one logical kernel count separately), hottest
+    /// (most completions) first.
+    pub kernels: Vec<(String, KernelEnergy)>,
     /// Reconfig stall attribution, largest first.
     pub stalls: Vec<ReconfigStall>,
     /// Jobs with a `complete` instant.
@@ -149,8 +103,8 @@ pub struct TraceAnalysis {
     pub full_lifecycle: u64,
     /// Shed requests.
     pub sheds: u64,
-    /// Final value of every counter track plus the battery trajectory
-    /// endpoints, folded into the shared metrics registry.
+    /// Counter samples (per-session totals, summed), chaos event counts,
+    /// the last battery charge and the queue-delay histogram.
     pub metrics: MetricsRegistry,
 }
 
@@ -168,209 +122,168 @@ fn exact_p99(sorted: &[u64]) -> u64 {
     sorted[rank - 1]
 }
 
-/// Analyzes a parsed `--trace` document.
+/// Analyzes a parsed `--trace` document: [`events_from_chrome`] folded
+/// by [`TraceAnalysis::fold`], with the metadata read from `otherData`.
 ///
 /// # Errors
-/// Fails when the document lacks the `traceEvents` array or an event is
-/// structurally malformed (missing `name`/`ph`/`pid`/`tid`/`args`).
+/// Fails where [`events_from_chrome`] does.
 pub fn analyze_chrome_trace(doc: &Json) -> Result<TraceAnalysis, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .ok_or("document has no traceEvents array")?;
-    let meta: Vec<(String, String)> = match doc.get("otherData") {
+    let mut analysis = TraceAnalysis::fold(&events_from_chrome(doc)?);
+    analysis.meta = chrome_meta(doc);
+    Ok(analysis)
+}
+
+/// The document's session metadata (`otherData`), in document order.
+fn chrome_meta(doc: &Json) -> Vec<(String, String)> {
+    match doc.get("otherData") {
         Some(Json::Obj(fields)) => fields
             .iter()
             .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_owned())))
             .collect(),
         _ => Vec::new(),
-    };
-
-    let mut arrays: BTreeMap<u32, PhaseCycles> = BTreeMap::new();
-    let mut array_span: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut queues: BTreeMap<u32, (Vec<u64>, Vec<u64>)> = BTreeMap::new(); // delays, shed waits
-    let mut kernels: BTreeMap<String, KernelStat> = BTreeMap::new();
-    let mut stalls: BTreeMap<String, ReconfigStall> = BTreeMap::new();
-    let mut completes = 0u64;
-    let mut complete_jobs: Vec<u64> = Vec::new();
-    let mut queued_jobs: Vec<u64> = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-
-    for (i, ev) in events.iter().enumerate() {
-        let name = ev
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i} has no name"))?;
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i} has no ph"))?;
-        let tid = arg_u64(ev, "tid").ok_or_else(|| format!("event {i} has no tid"))? as u32;
-        let args = ev
-            .get("args")
-            .ok_or_else(|| format!("event {i} has no args"))?;
-        match (ph, name) {
-            ("X", "idle" | "gated" | "reconfig" | "waking" | "exec") => {
-                let dur = arg_u64(ev, "dur").ok_or_else(|| format!("span {i} has no dur"))?;
-                let ts = arg_u64(ev, "ts").ok_or_else(|| format!("span {i} has no ts"))?;
-                let span_end = ts
-                    .checked_add(dur)
-                    .ok_or_else(|| format!("span {i} ends past the last cycle"))?;
-                let p = arrays.entry(tid).or_default();
-                let total = match name {
-                    "idle" => &mut p.idle,
-                    "gated" => &mut p.gated,
-                    "reconfig" => &mut p.reconfig,
-                    "waking" => &mut p.waking,
-                    _ => &mut p.exec,
-                };
-                *total = total.saturating_add(dur);
-                let end = array_span.entry(tid).or_default();
-                *end = (*end).max(span_end);
-                if matches!(name, "reconfig" | "waking") {
-                    let kernel = args
-                        .get("kernel")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_owned();
-                    let s = stalls.entry(kernel.clone()).or_insert(ReconfigStall {
-                        kernel,
-                        stall_cycles: 0,
-                        events: 0,
-                    });
-                    s.stall_cycles = s.stall_cycles.saturating_add(dur);
-                    s.events += 1;
-                }
-            }
-            ("X", "queued") => {
-                let dur = arg_u64(ev, "dur").unwrap_or(0);
-                let q = queues.entry(tid).or_default();
-                q.0.push(dur);
-                if let Some(job) = arg_u64(args, "job") {
-                    queued_jobs.push(job);
-                }
-            }
-            ("X", "shed") => {
-                let dur = arg_u64(ev, "dur").unwrap_or(0);
-                queues.entry(tid).or_default().1.push(dur);
-            }
-            ("i", "complete") => {
-                completes += 1;
-                if let Some(job) = arg_u64(args, "job") {
-                    complete_jobs.push(job);
-                }
-                let fp = args
-                    .get("fingerprint")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_owned();
-                let k = kernels.entry(fp.clone()).or_insert(KernelStat {
-                    fingerprint: fp,
-                    kernel: args
-                        .get("kernel")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_owned(),
-                    completions: 0,
-                    energy_j: 0.0,
-                });
-                k.completions += 1;
-                for part in ["dynamic_j", "static_j", "reconfig_j"] {
-                    k.energy_j += args.get(part).and_then(Json::as_f64).unwrap_or(0.0);
-                }
-            }
-            ("i", "fault") => metrics.count("chaos_faults", 1),
-            ("i", "divergence") => metrics.count("chaos_divergences", 1),
-            ("i", "retry") => metrics.count("chaos_retries", 1),
-            ("i", "quarantine") => metrics.count("chaos_quarantines", 1),
-            ("i", "restore") => metrics.count("chaos_restores", 1),
-            ("C", "battery_j") => {
-                if let Some(j) = args.get("charge_j").and_then(Json::as_f64) {
-                    metrics.set_gauge("battery_final_j", j);
-                }
-            }
-            ("C", _) => {
-                // Each session emits one final sample per counter track
-                // (its per-session total); summing gives whole-log totals.
-                metrics.count(name, arg_u64(args, "value").unwrap_or(0));
-            }
-            _ => {}
-        }
     }
-
-    // Coverage: completed jobs that also carry a queued span.
-    queued_jobs.sort_unstable();
-    let full_lifecycle = complete_jobs
-        .iter()
-        .filter(|j| queued_jobs.binary_search(j).is_ok())
-        .count() as u64;
-
-    let arrays: Vec<ArrayTimeline> = arrays
-        .into_iter()
-        .map(|(array, phases)| {
-            let span = array_span.get(&array).copied().unwrap_or(0).max(1) as f64;
-            ArrayTimeline {
-                array,
-                phases,
-                utilization_pct: phases.exec as f64 * 100.0 / span,
-                gated_pct: phases.gated as f64 * 100.0 / span,
-            }
-        })
-        .collect();
-
-    let tenants: Vec<TenantQueue> = queues
-        .into_iter()
-        .map(|(tenant, (mut delays, mut waits))| {
-            delays.sort_unstable();
-            waits.sort_unstable();
-            TenantQueue {
-                tenant,
-                dispatched: delays.len() as u64,
-                queue_cycles: delays.iter().fold(0, |a, &d| a.saturating_add(d)),
-                max_queue_cycles: delays.last().copied().unwrap_or(0),
-                p99_queue_cycles: exact_p99(&delays),
-                sheds: waits.len() as u64,
-                p99_shed_wait_cycles: exact_p99(&waits),
-            }
-        })
-        .collect();
-    let sheds = tenants.iter().map(|t| t.sheds).sum();
-
-    let mut kernels: Vec<KernelStat> = kernels.into_values().collect();
-    kernels.sort_by(|a, b| {
-        b.completions
-            .cmp(&a.completions)
-            .then_with(|| a.fingerprint.cmp(&b.fingerprint))
-    });
-    let mut stalls: Vec<ReconfigStall> = stalls.into_values().collect();
-    stalls.sort_by(|a, b| {
-        b.stall_cycles
-            .cmp(&a.stall_cycles)
-            .then_with(|| a.kernel.cmp(&b.kernel))
-    });
-
-    for t in &tenants {
-        metrics
-            .hist_mut("queue_delay_cycles", 2_500, 2_048)
-            .record(t.queue_cycles.checked_div(t.dispatched).unwrap_or(0));
-    }
-    metrics.count("trace_completes", completes);
-    metrics.count("trace_sheds", sheds);
-
-    Ok(TraceAnalysis {
-        meta,
-        arrays,
-        tenants,
-        kernels,
-        stalls,
-        completes,
-        full_lifecycle,
-        sheds,
-        metrics,
-    })
 }
 
 impl TraceAnalysis {
+    /// Folds an event stream into the report. The stream is either a
+    /// live [`EventLog`] in emission order or [`events_from_chrome`]'s
+    /// document order, and both fold to the same analysis:
+    ///
+    /// * array intervals charge a [`PhaseBreakdown`] per array, the
+    ///   account the online monitor and profiler keep;
+    /// * lifecycle events join per job instance in stream order
+    ///   ([`job_spans`]), the join the Chrome exporter writes spans
+    ///   from, so ids reused across serves never mix;
+    /// * counter samples are per-session totals and are summed.
+    pub fn fold(events: &[TraceEvent]) -> TraceAnalysis {
+        let mut meta: Vec<(String, String)> = Vec::new();
+        let mut arrays: BTreeMap<u32, PhaseBreakdown> = BTreeMap::new();
+        let mut stalls: BTreeMap<String, (u64, u64)> = BTreeMap::new(); // cycles, switches
+        let mut metrics = MetricsRegistry::new();
+        for ev in events {
+            match ev {
+                TraceEvent::Meta { key, value } if !meta.iter().any(|(k, _)| k == key) => {
+                    meta.push(((*key).to_owned(), value.clone()));
+                }
+                // The exporter drops empty intervals, so they open no
+                // array entry and count as no switch.
+                TraceEvent::ArrayInterval {
+                    array,
+                    phase,
+                    start,
+                    end,
+                    kernel,
+                    ..
+                } if end > start => {
+                    arrays
+                        .entry(*array)
+                        .or_default()
+                        .charge(*phase, *start, *end);
+                    if matches!(phase, ArrayPhase::Reconfig | ArrayPhase::Waking) {
+                        let kernel = kernel.as_deref().unwrap_or("?").to_owned();
+                        let (cycles, switches) = stalls.entry(kernel).or_default();
+                        *cycles = cycles.saturating_add(end - start);
+                        *switches += 1;
+                    }
+                }
+                TraceEvent::FaultInjected { .. } => metrics.count("chaos_faults", 1),
+                TraceEvent::DivergenceDetected { .. } => metrics.count("chaos_divergences", 1),
+                TraceEvent::JobRetry { .. } => metrics.count("chaos_retries", 1),
+                TraceEvent::ArrayQuarantine { .. } => metrics.count("chaos_quarantines", 1),
+                TraceEvent::ArrayRestore { .. } => metrics.count("chaos_restores", 1),
+                TraceEvent::BatteryLevel { charge_j, .. } => {
+                    metrics.set_gauge("battery_final_j", *charge_j);
+                }
+                TraceEvent::Counter { name, value, .. } => metrics.count(name, *value),
+                _ => {}
+            }
+        }
+
+        // Lifecycle, under the exporter's own conditions: a queued span
+        // needs an enqueue and a schedule, a complete instant needs a
+        // completion on a scheduled array.
+        let mut queues: BTreeMap<u32, (Vec<u64>, Vec<u64>)> = BTreeMap::new(); // delays, shed waits
+        let mut kernels: BTreeMap<String, KernelEnergy> = BTreeMap::new();
+        let (mut completes, mut full_lifecycle) = (0u64, 0u64);
+        for s in job_spans(events) {
+            let queued = s.enqueue.zip(s.schedule);
+            if let Some((enqueue, schedule)) = queued {
+                queues
+                    .entry(s.tenant)
+                    .or_default()
+                    .0
+                    .push(schedule.saturating_sub(enqueue));
+            }
+            if let Some((_, wait)) = s.shed {
+                queues.entry(s.tenant).or_default().1.push(wait);
+            }
+            if s.complete.is_some() && s.array.is_some() {
+                completes += 1;
+                full_lifecycle += u64::from(queued.is_some());
+                let energy = s.energy.unwrap_or_default();
+                let k = kernels
+                    .entry(s.fingerprint.unwrap_or_else(|| "?".into()))
+                    .or_default();
+                k.kernel = s.kernel.unwrap_or_else(|| "?".into());
+                k.completions += 1;
+                k.dynamic_j += energy.dynamic_j;
+                k.static_j += energy.static_j;
+                k.reconfig_j += energy.reconfig_j;
+            }
+        }
+
+        let tenants: Vec<TenantQueue> = queues
+            .into_iter()
+            .map(|(tenant, (mut delays, mut waits))| {
+                delays.sort_unstable();
+                waits.sort_unstable();
+                TenantQueue {
+                    tenant,
+                    dispatched: delays.len() as u64,
+                    queue_cycles: delays.iter().fold(0, |a, &d| a.saturating_add(d)),
+                    max_queue_cycles: delays.last().copied().unwrap_or(0),
+                    p99_queue_cycles: exact_p99(&delays),
+                    sheds: waits.len() as u64,
+                    p99_shed_wait_cycles: exact_p99(&waits),
+                }
+            })
+            .collect();
+        let sheds = tenants.iter().map(|t| t.sheds).sum();
+
+        let mut kernels: Vec<(String, KernelEnergy)> = kernels.into_iter().collect();
+        // Stable sorts: ties keep fingerprint / kernel-name order.
+        kernels.sort_by_key(|(_, k)| Reverse(k.completions));
+        let mut stalls: Vec<ReconfigStall> = stalls
+            .into_iter()
+            .map(|(kernel, (stall_cycles, events))| ReconfigStall {
+                kernel,
+                stall_cycles,
+                events,
+            })
+            .collect();
+        stalls.sort_by_key(|s| Reverse(s.stall_cycles));
+
+        for t in &tenants {
+            metrics
+                .hist_mut("queue_delay_cycles", 2_500, 2_048)
+                .record(t.queue_cycles.checked_div(t.dispatched).unwrap_or(0));
+        }
+        metrics.count("trace_completes", completes);
+        metrics.count("trace_sheds", sheds);
+
+        TraceAnalysis {
+            meta,
+            arrays,
+            tenants,
+            kernels,
+            stalls,
+            completes,
+            full_lifecycle,
+            sheds,
+            metrics,
+        }
+    }
+
     /// Completed jobs with a full lifecycle span chain, as a percentage
     /// of all completed jobs (the ≥95 % coverage gate).
     pub fn coverage_pct(&self) -> f64 {
@@ -382,17 +295,23 @@ impl TraceAnalysis {
 
     /// Total queue-wait cycles across all tenants.
     pub fn total_queue_cycles(&self) -> u64 {
-        self.tenants.iter().map(|t| t.queue_cycles).sum()
+        self.tenants
+            .iter()
+            .fold(0, |a, t| a.saturating_add(t.queue_cycles))
     }
 
     /// Total reconfiguration stall (reconfig + wake rewrites), cycles.
     pub fn total_stall_cycles(&self) -> u64 {
-        self.stalls.iter().map(|s| s.stall_cycles).sum()
+        self.stalls
+            .iter()
+            .fold(0, |a, s| a.saturating_add(s.stall_cycles))
     }
 
     /// Total exec cycles across the pool.
     pub fn total_exec_cycles(&self) -> u64 {
-        self.arrays.iter().map(|a| a.phases.exec).sum()
+        self.arrays
+            .values()
+            .fold(0, |a, p| a.saturating_add(p.exec))
     }
 
     /// The operator report: queue-delay breakdown, per-array timelines,
@@ -416,17 +335,17 @@ impl TraceAnalysis {
             self.total_stall_cycles()
         ));
         s.push_str("array  util%  gated%       idle      gated   reconfig     waking       exec\n");
-        for a in &self.arrays {
+        for (array, p) in &self.arrays {
             s.push_str(&format!(
                 "{:>5}  {:>5.1}  {:>6.1} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-                a.array,
-                a.utilization_pct,
-                a.gated_pct,
-                a.phases.idle,
-                a.phases.gated,
-                a.phases.reconfig,
-                a.phases.waking,
-                a.phases.exec
+                array,
+                p.utilization_pct(),
+                p.gated_pct(),
+                p.idle,
+                p.gated,
+                p.reconfig,
+                p.waking,
+                p.exec
             ));
         }
         s.push_str("tenant  dispatched  queue-cyc  p99-queue  max-queue  sheds  p99-shed-wait\n");
@@ -450,10 +369,13 @@ impl TraceAnalysis {
             ));
         }
         s.push_str(&format!("top-{top_k} hot kernels by fingerprint:\n"));
-        for k in self.kernels.iter().take(top_k) {
+        for (fingerprint, k) in self.kernels.iter().take(top_k) {
             s.push_str(&format!(
                 "  {}  {:<24} {:>6} jobs  {:>10.3} J\n",
-                k.fingerprint, k.kernel, k.completions, k.energy_j
+                fingerprint,
+                k.kernel,
+                k.completions,
+                k.total_j()
             ));
         }
         s.push_str(&self.metrics.render());
@@ -503,16 +425,21 @@ fn static_fault_kind(s: &str) -> &'static str {
     }
 }
 
-/// Reconstructs the monitor-relevant [`TraceEvent`] stream from a parsed
-/// `--trace` document, in virtual-time order (ties broken enqueue-first,
-/// so a replaying [`dsra_monitor::Monitor`] joins arrivals before their
-/// same-cycle completions and never seals a window early).
+/// Reconstructs the [`TraceEvent`] stream from a parsed `--trace`
+/// document, in document order. This is the only reader of
+/// `traceEvents`: `trace_report`'s analysis and its `--slo` replay both
+/// start here.
 ///
 /// The inverse of [`dsra_trace::chrome_trace`] up to what the exporter
-/// keeps: `JobSchedule`/`Meta` events are not rebuilt (the monitor
-/// ignores both), shed arrivals lose their deadline (shed jobs never
-/// complete, so no violation check reads it), and `battery_j` samples
-/// round-trip through the exporter's 6-decimal rendering.
+/// keeps:
+/// * each `complete` instant rebuilds its `JobSchedule` (array = the
+///   track, kernel and fingerprint from the instant's args, stamped at
+///   the end of the span's `queued` record, which directly precedes it;
+///   a job with no `queued` record is stamped at its completion);
+/// * `Meta` events are not rebuilt (`otherData` holds them), shed
+///   arrivals lose their deadline (shed jobs never complete, so no
+///   violation check reads it), and energies and `battery_j` samples
+///   round-trip through the exporter's 6-decimal rendering.
 ///
 /// # Errors
 /// Fails when the document lacks `traceEvents` or an event is missing
@@ -523,7 +450,10 @@ pub fn events_from_chrome(doc: &Json) -> Result<Vec<TraceEvent>, String> {
         .and_then(Json::as_array)
         .ok_or("document has no traceEvents array")?;
     let mut out: Vec<TraceEvent> = Vec::new();
+    // `(job, schedule cycle)` of a `queued` record, for the record after it.
+    let mut queued_end: Option<(u32, u64)> = None;
     for (i, ev) in events.iter().enumerate() {
+        let queued = queued_end.take();
         let name = ev
             .get("name")
             .and_then(Json::as_str)
@@ -566,14 +496,19 @@ pub fn events_from_chrome(doc: &Json) -> Result<Vec<TraceEvent>, String> {
                 });
             }
             ("X", "queued") => {
+                let job = job()?;
                 out.push(TraceEvent::JobEnqueue {
                     t: ts,
-                    job: job()?,
+                    job,
                     tenant: tid,
                     class: static_class(class),
                     kind: static_kind(kind),
                     deadline: arg_u64(args, "deadline").unwrap_or(0),
                 });
+                let schedule = ts
+                    .checked_add(arg_u64(ev, "dur").unwrap_or(0))
+                    .ok_or_else(|| format!("queued {i} ends past the last cycle"))?;
+                queued_end = Some((job, schedule));
             }
             ("X", "shed") => {
                 let queued = arg_u64(ev, "dur").unwrap_or(0);
@@ -617,6 +552,15 @@ pub fn events_from_chrome(doc: &Json) -> Result<Vec<TraceEvent>, String> {
             }),
             ("i", "restore") => out.push(TraceEvent::ArrayRestore { t: ts, array: tid }),
             ("i", "complete") => {
+                let job = job()?;
+                let text = |k: &str| args.get(k).and_then(Json::as_str).unwrap_or("?").to_owned();
+                out.push(TraceEvent::JobSchedule {
+                    t: queued.filter(|&(j, _)| j == job).map_or(ts, |(_, t)| t),
+                    job,
+                    array: tid,
+                    kernel: text("kernel"),
+                    fingerprint: text("fingerprint"),
+                });
                 let checksum = args
                     .get("checksum")
                     .and_then(Json::as_str)
@@ -626,7 +570,7 @@ pub fn events_from_chrome(doc: &Json) -> Result<Vec<TraceEvent>, String> {
                 let part = |k: &str| -> f64 { args.get(k).and_then(Json::as_f64).unwrap_or(0.0) };
                 out.push(TraceEvent::JobComplete {
                     t: ts,
-                    job: job()?,
+                    job,
                     checksum,
                     energy: EnergyBreakdown {
                         dynamic_j: part("dynamic_j"),
@@ -654,12 +598,44 @@ pub fn events_from_chrome(doc: &Json) -> Result<Vec<TraceEvent>, String> {
             _ => {}
         }
     }
+    Ok(out)
+}
+
+/// Most windows a `trace_report --slo` replay seals: about 65 s of
+/// virtual time at the service layer's 250 µs windows. A replay seals,
+/// and with its timeline on records, every window up to the document's
+/// last cycle, so a far-future stamp would otherwise hang it.
+const MAX_SLO_WINDOWS: u64 = 1 << 18;
+
+/// The `trace_report --slo` replay: rebuilds the monitor configuration
+/// from the document's metadata ([`slo_config_from_meta`]), orders the
+/// events by virtual time (ties enqueue-first, so arrivals join before
+/// their same-cycle completions and no window seals early) and replays
+/// them through a fresh [`Monitor`].
+///
+/// # Errors
+/// Fails where [`events_from_chrome`] does, on zero window or bucket
+/// widths, and when the last event needs more than 2^18 windows.
+pub fn slo_replay(doc: &Json) -> Result<Monitor, String> {
+    let mut events = events_from_chrome(doc)?;
+    let cfg = slo_config_from_meta(&chrome_meta(doc));
+    if cfg.window_cycles == 0 || cfg.hist_bucket_cycles == 0 {
+        return Err("monitor window and bucket widths must be positive".into());
+    }
+    let end = events.iter().map(event_end_cycle).max().unwrap_or(0);
+    if end / cfg.window_cycles >= MAX_SLO_WINDOWS {
+        return Err(format!(
+            "the trace reaches cycle {end}, past the {MAX_SLO_WINDOWS} windows of {} cycles \
+             an SLO replay seals",
+            cfg.window_cycles
+        ));
+    }
     let rank = |ev: &TraceEvent| match ev {
         TraceEvent::JobEnqueue { .. } => 0u8,
         _ => 1,
     };
-    out.sort_by_key(|ev| (dsra_monitor::event_end_cycle(ev), rank(ev)));
-    Ok(out)
+    events.sort_by_key(|ev| (event_end_cycle(ev), rank(ev)));
+    Ok(Monitor::replay(cfg, &events))
 }
 
 /// Rebuilds the online monitor's configuration from the geometry
@@ -786,14 +762,16 @@ mod tests {
         assert_eq!(a.sheds, 1);
         assert!((a.coverage_pct() - 100.0).abs() < 1e-12);
         assert_eq!(a.arrays.len(), 1);
-        assert_eq!(a.arrays[0].phases.idle, 100);
-        assert_eq!(a.arrays[0].phases.reconfig, 300);
-        assert_eq!(a.arrays[0].phases.exec, 600);
-        assert!((a.arrays[0].utilization_pct - 60.0).abs() < 1e-9);
+        assert_eq!(a.arrays[&0].idle, 100);
+        assert_eq!(a.arrays[&0].reconfig, 300);
+        assert_eq!(a.arrays[&0].exec, 600);
+        assert!((a.arrays[&0].utilization_pct() - 60.0).abs() < 1e-9);
         assert_eq!(a.total_stall_cycles(), 300);
         assert_eq!(a.stalls[0].kernel, "dct8");
-        assert_eq!(a.kernels[0].completions, 1);
-        assert!((a.kernels[0].energy_j - 1.75).abs() < 1e-12);
+        assert_eq!(a.kernels[0].0, "aa".repeat(16));
+        assert_eq!(a.kernels[0].1.kernel, "dct8");
+        assert_eq!(a.kernels[0].1.completions, 1);
+        assert!((a.kernels[0].1.total_j() - 1.75).abs() < 1e-12);
         // tenant 0 queued 100 cycles; tenant 1 shed after 900.
         assert_eq!(a.tenants[0].queue_cycles, 100);
         assert_eq!(a.tenants[1].sheds, 1);
@@ -815,21 +793,21 @@ mod tests {
     #[test]
     fn chrome_documents_reconstruct_the_monitor_event_stream() {
         let evs = events_from_chrome(&sample_doc()).unwrap();
-        let count = |tag: &str| evs.iter().filter(|e| e.kind_tag() == tag).count();
-        // One queued span + one shed span, each rebuilding its arrival.
-        assert_eq!(count("enqueue"), 2);
-        assert_eq!(count("admit"), 2);
-        assert_eq!(count("shed"), 1);
-        assert_eq!(count("complete"), 1);
-        assert_eq!(count("interval"), 3);
-        assert_eq!(count("battery"), 1);
-        assert_eq!(count("counter"), 1);
-        // Virtual-time order, arrivals first on ties (job 1 enqueues and
-        // admits at cycle 0).
-        let ends: Vec<u64> = evs.iter().map(dsra_monitor::event_end_cycle).collect();
-        assert!(ends.windows(2).all(|w| w[0] <= w[1]), "unsorted: {ends:?}");
-        assert_eq!(evs[0].kind_tag(), "enqueue");
-        // The completed job keeps its deadline and energy attribution.
+        // Array-track records in emission order, then each job's
+        // lifecycle records: job 1 admits, queues, is scheduled and
+        // completes; job 2 admits and is shed (its span rebuilds the
+        // arrival too).
+        let tags: Vec<&str> = evs.iter().map(TraceEvent::kind_tag).collect();
+        assert_eq!(
+            tags,
+            [
+                "interval", "interval", "interval", "counter", "battery", "admit", "enqueue",
+                "schedule", "complete", "admit", "enqueue", "shed"
+            ]
+        );
+        // The completed job keeps its deadline and energy attribution,
+        // and its schedule comes back from the queued span's end and the
+        // complete instant's track and args.
         assert!(evs.iter().any(|e| matches!(
             e,
             TraceEvent::JobEnqueue {
@@ -842,9 +820,38 @@ mod tests {
         )));
         assert!(evs.iter().any(|e| matches!(
             e,
+            TraceEvent::JobSchedule { t: 100, job: 1, array: 0, kernel, fingerprint }
+                if kernel == "dct8" && *fingerprint == "aa".repeat(16)
+        )));
+        assert!(evs.iter().any(|e| matches!(
+            e,
             TraceEvent::JobComplete { job: 1, checksum: 7, energy, .. }
                 if (energy.total_j() - 1.75).abs() < 1e-12
         )));
+    }
+
+    #[test]
+    fn the_slo_replay_orders_events_by_virtual_time() {
+        let doc = sample_doc();
+        let replayed = slo_replay(&doc).unwrap();
+        let mut events = events_from_chrome(&doc).unwrap();
+        let ends: Vec<u64> = events.iter().map(event_end_cycle).collect();
+        assert!(
+            ends.windows(2).any(|w| w[0] > w[1]),
+            "document order is not time order: {ends:?}"
+        );
+        // Arrivals first on ties: job 1 enqueues and admits at cycle 0.
+        events.sort_by_key(|ev| {
+            (
+                event_end_cycle(ev),
+                !matches!(ev, TraceEvent::JobEnqueue { .. }),
+            )
+        });
+        assert_eq!(events[0].kind_tag(), "enqueue");
+        let sorted = Monitor::replay(slo_config_from_meta(&[]), &events);
+        assert_eq!(replayed.final_snapshot(), sorted.final_snapshot());
+        assert_eq!(replayed.final_snapshot().completes, 1);
+        assert_eq!(replayed.drops(), (0, 0));
     }
 
     #[test]

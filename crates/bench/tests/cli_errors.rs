@@ -62,3 +62,25 @@ fn unreadable_trace_exits_2_without_panicking() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn far_future_slo_replay_exits_2_naming_the_cycle() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("far_future_trace.json");
+    std::fs::write(
+        &path,
+        r#"{"traceEvents": [
+            {"name": "exec", "ph": "X", "ts": 0, "dur": 9223372036854775808, "pid": 0, "tid": 0, "args": {}},
+            {"name": "exec", "ph": "X", "ts": 0, "dur": 9223372036854775808, "pid": 0, "tid": 0, "args": {}}
+        ]}"#,
+    )
+    .expect("write trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_report"))
+        .arg(&path)
+        .arg("--slo")
+        .output()
+        .expect("spawn trace_report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cycle 9223372036854775808"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -1,12 +1,14 @@
 //! Input from outside never panics the readers: truncated, mutated and
 //! structurally malformed documents fed to the JSON parser and to the
 //! Chrome-trace readers behind `trace_report` (`events_from_chrome`,
-//! `analyze_chrome_trace`) come back as `Err`, never as a panic.
+//! `analyze_chrome_trace`, the `--slo` replay) come back as `Err`, never
+//! as a panic or a hang.
 
 use std::sync::OnceLock;
 
-use dsra_bench::{analyze_chrome_trace, events_from_chrome, parse_json, Json};
+use dsra_bench::{analyze_chrome_trace, events_from_chrome, parse_json, slo_replay, Json};
 use dsra_core::rng::SplitMix64;
+use dsra_monitor::{Monitor, MonitorConfig};
 use dsra_runtime::{DctMapping, RuntimeConfig, SocRuntime};
 use dsra_trace::{chrome_trace, ArrayPhase, EnergyBreakdown, EventLog, TraceEvent, TraceSink};
 use dsra_video::{generate_job_mix, JobMixConfig};
@@ -275,6 +277,47 @@ fn spans_past_the_last_cycle_are_errors_not_overflows() {
         read_all(&doc);
     }
     assert!(ending > 3, "the fixture carries array phases and a shed");
+}
+
+/// Well-formed documents stamped far in the future, with the last cycle
+/// each reaches: two 2^63-cycle `exec` spans on one array (their sum
+/// overflows `u64`), and one span ending 2048 cycles short of `u64::MAX`.
+const FAR_FUTURE: [(&str, &str); 2] = [
+    (
+        r#"{"traceEvents": [
+            {"name": "exec", "ph": "X", "ts": 0, "dur": 9223372036854775808, "pid": 0, "tid": 0, "args": {}},
+            {"name": "exec", "ph": "X", "ts": 0, "dur": 9223372036854775808, "pid": 0, "tid": 0, "args": {}}
+        ]}"#,
+        "9223372036854775808",
+    ),
+    (
+        r#"{"traceEvents": [
+            {"name": "exec", "ph": "X", "ts": 0, "dur": 18446744073709549568, "pid": 0, "tid": 0, "args": {}}
+        ]}"#,
+        "18446744073709549568",
+    ),
+];
+
+#[test]
+fn far_future_spans_are_analyzed_but_not_replayed() {
+    for (text, end) in FAR_FUTURE {
+        let doc = parse_json(text).expect("strict JSON");
+        let events = events_from_chrome(&doc).expect("well-formed spans");
+        let array = analyze_chrome_trace(&doc)
+            .expect("well-formed spans")
+            .arrays[&0];
+        assert!(array.utilization_pct() <= 100.0, "{array:?}");
+        // The monitor's phase account saturates instead of overflowing...
+        let mut monitor = Monitor::new(MonitorConfig::default());
+        for ev in &events {
+            monitor.observe(ev);
+        }
+        let health = &monitor.snapshot(0).arrays[0];
+        assert!(health.utilization_pct <= 100.0, "{health:?}");
+        // ...and the replay refuses to seal ~2^63 / W windows one by one.
+        let err = slo_replay(&doc).expect_err("far-future replay");
+        assert!(err.contains(end), "{err}");
+    }
 }
 
 /// JSON-significant bytes: mutations built from these reach deep into

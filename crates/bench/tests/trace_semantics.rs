@@ -66,7 +66,7 @@ proptest! {
         // 2 — span nesting: enqueue ≤ admit ≤ schedule, reconfig starts at
         // the schedule instant, exec follows reconfig seamlessly, and the
         // completion stamp is the exec end.
-        let spans = log.job_spans();
+        let spans = dsra_trace::job_spans(log.events());
         for s in &spans {
             let enq = s.enqueue.expect("every request is enqueued");
             let admit = s.admit.expect("open-loop admission always admits");

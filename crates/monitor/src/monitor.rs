@@ -24,8 +24,8 @@
 use crate::alert::{AlertEvent, AlertLog, BudgetPoint};
 use crate::config::MonitorConfig;
 use dsra_trace::{
-    ArrayHealth, ArrayPhase, BatteryHealth, HealthSnapshot, Histogram, LatencyStats, TenantHealth,
-    TraceEvent,
+    ArrayHealth, BatteryHealth, HealthSnapshot, Histogram, LatencyStats, PhaseBreakdown,
+    TenantHealth, TraceEvent,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -101,17 +101,6 @@ impl TenantState {
     }
 }
 
-/// Cumulative per-array phase cycles.
-#[derive(Debug, Clone, Copy, Default)]
-struct ArrayAgg {
-    idle: u64,
-    gated: u64,
-    reconfig: u64,
-    waking: u64,
-    exec: u64,
-    span_end: u64,
-}
-
 /// Cumulative chaos/recovery event counts observed on the stream —
 /// commutative increments, so replay folds them order-insensitively like
 /// every other windowed aggregate.
@@ -158,7 +147,7 @@ pub struct Monitor {
     /// `(abs, histogram)` of the most recent sealed windows, capped at
     /// `alert.slow_windows` — the sliding percentile view.
     lat_recent: VecDeque<(u64, Histogram)>,
-    arrays: BTreeMap<u32, ArrayAgg>,
+    arrays: BTreeMap<u32, PhaseBreakdown>,
     battery: Option<BatteryAgg>,
     counters: BTreeMap<&'static str, u64>,
     chaos: ChaosCounts,
@@ -276,27 +265,17 @@ impl Monitor {
                     }
                 }
             }
+            // Zero-length intervals open no array entry either: the Chrome
+            // exporter drops them, and replay must agree with online.
             TraceEvent::ArrayInterval {
                 array,
                 phase,
                 start,
                 end,
                 ..
-            } => {
-                // Zero-length intervals are skipped entirely (the Chrome
-                // exporter drops them, and replay must agree with online).
-                if end > start {
-                    let a = self.arrays.entry(*array).or_default();
-                    let d = end - start;
-                    match phase {
-                        ArrayPhase::Idle => a.idle += d,
-                        ArrayPhase::Gated => a.gated += d,
-                        ArrayPhase::Reconfig => a.reconfig += d,
-                        ArrayPhase::Waking => a.waking += d,
-                        ArrayPhase::Exec => a.exec += d,
-                    }
-                    a.span_end = a.span_end.max(*end);
-                }
+            } if end > start => {
+                let account = self.arrays.entry(*array).or_default();
+                account.charge(*phase, *start, *end);
             }
             TraceEvent::BatteryLevel { t, charge_j } => {
                 let b = self.battery.get_or_insert(BatteryAgg {
@@ -329,7 +308,9 @@ impl Monitor {
                 self.chaos.restores += 1;
                 self.quarantined.remove(array);
             }
-            TraceEvent::JobSchedule { .. } | TraceEvent::Meta { .. } => {}
+            TraceEvent::ArrayInterval { .. }
+            | TraceEvent::JobSchedule { .. }
+            | TraceEvent::Meta { .. } => {}
         }
     }
 
@@ -457,22 +438,12 @@ impl Monitor {
         let arrays = self
             .arrays
             .iter()
-            .map(|(&array, a)| {
-                let span = a.span_end;
-                let pct = |c: u64| {
-                    if span == 0 {
-                        0.0
-                    } else {
-                        c as f64 * 100.0 / span as f64
-                    }
-                };
-                ArrayHealth {
-                    array,
-                    span_cycles: span,
-                    utilization_pct: pct(a.exec),
-                    gated_pct: pct(a.gated),
-                    stall_pct: pct(a.reconfig + a.waking),
-                }
+            .map(|(&array, p)| ArrayHealth {
+                array,
+                span_cycles: p.span(),
+                utilization_pct: p.utilization_pct(),
+                gated_pct: p.gated_pct(),
+                stall_pct: p.stall_pct(),
             })
             .collect();
         let battery = self.battery.map(|b| {

@@ -32,7 +32,7 @@
 //!     kernel: None,
 //! });
 //! let report = ProfileReport::build(&prof, &[]);
-//! assert_eq!(report.arrays[0].phases.idle, 250);
+//! assert_eq!(report.arrays[&0].idle, 250);
 //! assert_eq!(flamegraph(&prof, &[]).render(), "soc;array0;idle 250\n");
 //! ```
 
@@ -43,9 +43,10 @@ pub mod flame;
 pub mod profiler;
 pub mod report;
 
+/// The shared per-array phase account, defined in `dsra-trace`.
+pub use dsra_trace::PhaseBreakdown;
 pub use flame::{flamegraph, frame_label, Flame};
 pub use profiler::{
-    ArrayAccount, JobRoute, KernelCycles, KernelEnergy, PhaseBreakdown, ProfileSink, Profiler,
-    ProfilerHandle,
+    ArrayAccount, JobRoute, KernelCycles, KernelEnergy, ProfileSink, Profiler, ProfilerHandle,
 };
-pub use report::{utilization_tracks, ArrayUtilization, HotOp, KernelProfile, ProfileReport};
+pub use report::{utilization_tracks, HotOp, KernelProfile, ProfileReport};

@@ -15,7 +15,7 @@
 //! * `JobComplete` adds the job's [`dsra_trace::EnergyBreakdown`] to the same
 //!   fingerprint, so every joule and every busy cycle land on one key.
 
-use dsra_trace::{ArrayPhase, EventLog, HealthSnapshot, TraceEvent, TraceSink};
+use dsra_trace::{ArrayPhase, EventLog, HealthSnapshot, PhaseBreakdown, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -28,39 +28,6 @@ pub struct JobRoute {
     pub kernel: String,
     /// Bitstream fingerprint (32 hex digits) — the attribution key.
     pub fingerprint: String,
-}
-
-/// Virtual cycles one array spent in each [`ArrayPhase`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseBreakdown {
-    /// Powered but idle.
-    pub idle: u64,
-    /// Power-gated.
-    pub gated: u64,
-    /// Partial (diff) reconfiguration.
-    pub reconfig: u64,
-    /// Full rewrite after a forced wake.
-    pub waking: u64,
-    /// Executing a job (the "busy" cycles attribution must cover).
-    pub exec: u64,
-}
-
-impl PhaseBreakdown {
-    /// Total cycles across all phases.
-    pub fn total(&self) -> u64 {
-        self.idle + self.gated + self.reconfig + self.waking + self.exec
-    }
-
-    /// Adds `cycles` to the account for `phase`.
-    pub fn charge(&mut self, phase: ArrayPhase, cycles: u64) {
-        match phase {
-            ArrayPhase::Idle => self.idle += cycles,
-            ArrayPhase::Gated => self.gated += cycles,
-            ArrayPhase::Reconfig => self.reconfig += cycles,
-            ArrayPhase::Waking => self.waking += cycles,
-            ArrayPhase::Exec => self.exec += cycles,
-        }
-    }
 }
 
 /// Cycles one kernel fingerprint consumed on one array.
@@ -76,10 +43,8 @@ pub struct KernelCycles {
 /// raw interval list (for windowed utilization timelines).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArrayAccount {
-    /// Cycles per phase.
+    /// Cycles per phase and the span they cover.
     pub phases: PhaseBreakdown,
-    /// Largest interval end observed (the array's covered span).
-    pub span_end: u64,
     /// Per-fingerprint cycle accounts, sorted by fingerprint.
     pub kernels: BTreeMap<String, KernelCycles>,
     /// Every interval in emission order (`start`, `end`, phase).
@@ -156,8 +121,7 @@ impl Profiler {
                 let cycles = end.saturating_sub(*start);
                 self.end_cycle = self.end_cycle.max(*end);
                 let acct = self.arrays.entry(*array).or_default();
-                acct.phases.charge(*phase, cycles);
-                acct.span_end = acct.span_end.max(*end);
+                acct.phases.charge(*phase, *start, *end);
                 acct.intervals.push((*start, *end, *phase));
                 if matches!(
                     phase,
@@ -402,7 +366,7 @@ mod tests {
         assert_eq!(a.phases.idle, 100);
         assert_eq!(a.phases.reconfig, 300);
         assert_eq!(a.phases.exec, 600);
-        assert_eq!(a.span_end, 1_000);
+        assert_eq!(a.phases.span(), 1_000);
         assert_eq!(
             a.kernels[&fp],
             KernelCycles {

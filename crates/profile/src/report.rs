@@ -9,23 +9,10 @@
 //! accounts for 100 % of pool busy cycles — the `profile_serve`
 //! acceptance gate reads [`ProfileReport::attribution_pct`] directly.
 
-use crate::profiler::{PhaseBreakdown, Profiler};
+use crate::profiler::Profiler;
 use dsra_sim::{OpClass, OpMix};
-use dsra_trace::CounterTrack;
+use dsra_trace::{CounterTrack, PhaseBreakdown};
 use std::collections::BTreeMap;
-
-/// One array's utilization summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayUtilization {
-    /// Array id.
-    pub array: u32,
-    /// Cycles per phase.
-    pub phases: PhaseBreakdown,
-    /// Covered span (largest interval end).
-    pub span: u64,
-    /// Exec cycles as a percentage of the covered span.
-    pub utilization_pct: f64,
-}
 
 /// One kernel fingerprint's cycle and energy account, pool-wide.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +56,8 @@ pub struct HotOp {
 /// The joined attribution report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
-    /// Per-array utilization, array-id order.
-    pub arrays: Vec<ArrayUtilization>,
+    /// Per-array phase accounts, array-id order.
+    pub arrays: BTreeMap<u32, PhaseBreakdown>,
     /// Per-kernel accounts, hottest (most exec cycles) first.
     pub kernels: Vec<KernelProfile>,
     /// Hot-op ranking, largest share first.
@@ -99,15 +86,10 @@ impl ProfileReport {
             .map(|(_, fp, mix)| (fp.as_str(), mix))
             .collect();
 
-        let arrays: Vec<ArrayUtilization> = prof
+        let arrays = prof
             .arrays()
             .iter()
-            .map(|(&array, acct)| ArrayUtilization {
-                array,
-                phases: acct.phases,
-                span: acct.span_end,
-                utilization_pct: acct.phases.exec as f64 * 100.0 / acct.span_end.max(1) as f64,
-            })
+            .map(|(&array, acct)| (array, acct.phases))
             .collect();
 
         // Pool-wide per-fingerprint cycles, then join the energy account.
@@ -193,7 +175,11 @@ impl ProfileReport {
         if self.arrays.is_empty() {
             return 0.0;
         }
-        self.arrays.iter().map(|a| a.utilization_pct).sum::<f64>() / self.arrays.len() as f64
+        self.arrays
+            .values()
+            .map(PhaseBreakdown::utilization_pct)
+            .sum::<f64>()
+            / self.arrays.len() as f64
     }
 
     /// The human-readable attribution table: per-array utilization,
@@ -209,16 +195,16 @@ impl ProfileReport {
             self.total_energy_j
         ));
         s.push_str("array  util%       idle      gated   reconfig     waking       exec\n");
-        for a in &self.arrays {
+        for (array, p) in &self.arrays {
             s.push_str(&format!(
                 "{:>5}  {:>5.1} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-                a.array,
-                a.utilization_pct,
-                a.phases.idle,
-                a.phases.gated,
-                a.phases.reconfig,
-                a.phases.waking,
-                a.phases.exec
+                array,
+                p.utilization_pct(),
+                p.idle,
+                p.gated,
+                p.reconfig,
+                p.waking,
+                p.exec
             ));
         }
         s.push_str("kernel accounts (hottest first):\n");
@@ -266,7 +252,12 @@ pub fn utilization_tracks(prof: &Profiler, window: u64) -> Vec<CounterTrack> {
     let window = window.max(1);
     let mut tracks = Vec::new();
     for (&array, acct) in prof.arrays() {
-        let span = acct.span_end;
+        let span = acct
+            .intervals
+            .iter()
+            .map(|&(_, end, _)| end)
+            .max()
+            .unwrap_or(0);
         let windows = span.div_ceil(window).max(1) as usize;
         // [exec, reconfig, gated, idle] cycles per window.
         let mut buckets = vec![[0u64; 4]; windows];

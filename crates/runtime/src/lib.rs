@@ -1387,7 +1387,7 @@ mod tests {
         assert_eq!(log.meta("backend"), Some("array"));
         // Every job has its whole lifecycle recorded, agreeing with the
         // report's timeline.
-        let spans = log.job_spans();
+        let spans = dsra_trace::job_spans(log.events());
         assert_eq!(spans.len(), jobs.len());
         for s in &spans {
             assert!(s.is_full_lifecycle(), "job {} incomplete", s.job);

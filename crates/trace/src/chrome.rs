@@ -11,7 +11,7 @@
 //! round-trips through the strict `dsra_bench::json` parser.
 
 use crate::event::TraceEvent;
-use crate::sink::EventLog;
+use crate::sink::{job_spans, EventLog};
 use std::collections::BTreeSet;
 
 fn esc(s: &str) -> String {
@@ -111,7 +111,7 @@ pub fn chrome_trace(log: &EventLog) -> String {
             _ => {}
         }
     }
-    let spans = log.job_spans();
+    let spans = job_spans(log.events());
     let tenants: BTreeSet<u32> = spans.iter().map(|s| s.tenant).collect();
     records.push(meta_record(0, 0, "process_name", "arrays"));
     records.push(meta_record(1, 0, "process_name", "tenants"));

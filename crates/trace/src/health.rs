@@ -29,7 +29,8 @@ pub struct LatencyStats {
 pub struct ArrayHealth {
     /// Array id.
     pub array: u32,
-    /// Covered span (largest interval end seen), in cycles.
+    /// Covered span in cycles, summed over sessions
+    /// ([`crate::PhaseBreakdown::span`]).
     pub span_cycles: u64,
     /// Exec cycles as a percentage of the span.
     pub utilization_pct: f64,

@@ -40,6 +40,7 @@ pub mod event;
 pub mod health;
 pub mod hist;
 pub mod metrics;
+pub mod phase;
 pub mod sink;
 
 pub use chrome::{chrome_trace, counter_tracks_doc, CounterTrack};
@@ -47,4 +48,5 @@ pub use event::{ArrayPhase, EnergyBreakdown, TraceEvent};
 pub use health::{ArrayHealth, BatteryHealth, HealthSnapshot, LatencyStats, TenantHealth};
 pub use hist::Histogram;
 pub use metrics::MetricsRegistry;
-pub use sink::{EventLog, JobSpan, NoopSink, TraceSink};
+pub use phase::PhaseBreakdown;
+pub use sink::{job_spans, EventLog, JobSpan, NoopSink, TraceSink};

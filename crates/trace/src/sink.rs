@@ -145,109 +145,6 @@ impl EventLog {
         })
     }
 
-    /// Joins lifecycle events into per-job-instance spans, in emission
-    /// order of their opening event. A repeated `JobEnqueue` for an id
-    /// (multi-serve logs) opens a new instance; non-enqueue events attach
-    /// to the id's most recent instance.
-    pub fn job_spans(&self) -> Vec<JobSpan> {
-        let mut spans: Vec<JobSpan> = Vec::new();
-        let mut open: BTreeMap<u32, usize> = BTreeMap::new();
-        let span_of = |spans: &mut Vec<JobSpan>, open: &mut BTreeMap<u32, usize>, job: u32| {
-            let idx = *open.entry(job).or_insert_with(|| {
-                spans.push(JobSpan {
-                    job,
-                    ..JobSpan::default()
-                });
-                spans.len() - 1
-            });
-            idx
-        };
-        for ev in &self.events {
-            match ev {
-                TraceEvent::JobEnqueue {
-                    t,
-                    job,
-                    tenant,
-                    class,
-                    kind,
-                    deadline,
-                } => {
-                    // Always a fresh instance: ids restart per serve.
-                    open.remove(job);
-                    let idx = span_of(&mut spans, &mut open, *job);
-                    let s = &mut spans[idx];
-                    s.tenant = *tenant;
-                    s.class = Some(class);
-                    s.kind = Some(kind);
-                    s.deadline = *deadline;
-                    s.enqueue = Some(*t);
-                }
-                TraceEvent::JobAdmit { t, job } => {
-                    let idx = span_of(&mut spans, &mut open, *job);
-                    spans[idx].admit = Some(*t);
-                }
-                TraceEvent::JobShed {
-                    t,
-                    job,
-                    tenant,
-                    queued,
-                } => {
-                    let idx = span_of(&mut spans, &mut open, *job);
-                    let s = &mut spans[idx];
-                    s.tenant = *tenant;
-                    s.shed = Some((*t, *queued));
-                }
-                TraceEvent::JobSchedule {
-                    t,
-                    job,
-                    array,
-                    kernel,
-                    fingerprint,
-                } => {
-                    let idx = span_of(&mut spans, &mut open, *job);
-                    let s = &mut spans[idx];
-                    s.schedule = Some(*t);
-                    s.array = Some(*array);
-                    s.kernel = Some(kernel.clone());
-                    s.fingerprint = Some(fingerprint.clone());
-                }
-                TraceEvent::JobComplete {
-                    t,
-                    job,
-                    checksum,
-                    energy,
-                } => {
-                    let idx = span_of(&mut spans, &mut open, *job);
-                    let s = &mut spans[idx];
-                    s.complete = Some(*t);
-                    s.checksum = Some(*checksum);
-                    s.energy = Some(*energy);
-                }
-                TraceEvent::ArrayInterval {
-                    phase,
-                    start,
-                    end,
-                    job: Some(job),
-                    ..
-                } => {
-                    let idx = span_of(&mut spans, &mut open, *job);
-                    let s = &mut spans[idx];
-                    match phase {
-                        ArrayPhase::Reconfig => s.reconfig = Some((*start, *end)),
-                        ArrayPhase::Waking => {
-                            s.reconfig = Some((*start, *end));
-                            s.woke = true;
-                        }
-                        ArrayPhase::Exec => s.exec = Some((*start, *end)),
-                        _ => {}
-                    }
-                }
-                _ => {}
-            }
-        }
-        spans
-    }
-
     /// Per-array state intervals `(start, end, phase)` in emission order.
     pub fn array_intervals(&self) -> BTreeMap<u32, Vec<(u64, u64, ArrayPhase)>> {
         let mut by_array: BTreeMap<u32, Vec<(u64, u64, ArrayPhase)>> = BTreeMap::new();
@@ -268,6 +165,109 @@ impl EventLog {
         }
         by_array
     }
+}
+
+/// Joins lifecycle events into per-job-instance spans, in stream order
+/// of their opening event. A repeated `JobEnqueue` for an id
+/// (multi-serve logs) opens a new instance; non-enqueue events attach
+/// to the id's most recent instance.
+pub fn job_spans(events: &[TraceEvent]) -> Vec<JobSpan> {
+    let mut spans: Vec<JobSpan> = Vec::new();
+    let mut open: BTreeMap<u32, usize> = BTreeMap::new();
+    let span_of = |spans: &mut Vec<JobSpan>, open: &mut BTreeMap<u32, usize>, job: u32| {
+        let idx = *open.entry(job).or_insert_with(|| {
+            spans.push(JobSpan {
+                job,
+                ..JobSpan::default()
+            });
+            spans.len() - 1
+        });
+        idx
+    };
+    for ev in events {
+        match ev {
+            TraceEvent::JobEnqueue {
+                t,
+                job,
+                tenant,
+                class,
+                kind,
+                deadline,
+            } => {
+                // Always a fresh instance: ids restart per serve.
+                open.remove(job);
+                let idx = span_of(&mut spans, &mut open, *job);
+                let s = &mut spans[idx];
+                s.tenant = *tenant;
+                s.class = Some(class);
+                s.kind = Some(kind);
+                s.deadline = *deadline;
+                s.enqueue = Some(*t);
+            }
+            TraceEvent::JobAdmit { t, job } => {
+                let idx = span_of(&mut spans, &mut open, *job);
+                spans[idx].admit = Some(*t);
+            }
+            TraceEvent::JobShed {
+                t,
+                job,
+                tenant,
+                queued,
+            } => {
+                let idx = span_of(&mut spans, &mut open, *job);
+                let s = &mut spans[idx];
+                s.tenant = *tenant;
+                s.shed = Some((*t, *queued));
+            }
+            TraceEvent::JobSchedule {
+                t,
+                job,
+                array,
+                kernel,
+                fingerprint,
+            } => {
+                let idx = span_of(&mut spans, &mut open, *job);
+                let s = &mut spans[idx];
+                s.schedule = Some(*t);
+                s.array = Some(*array);
+                s.kernel = Some(kernel.clone());
+                s.fingerprint = Some(fingerprint.clone());
+            }
+            TraceEvent::JobComplete {
+                t,
+                job,
+                checksum,
+                energy,
+            } => {
+                let idx = span_of(&mut spans, &mut open, *job);
+                let s = &mut spans[idx];
+                s.complete = Some(*t);
+                s.checksum = Some(*checksum);
+                s.energy = Some(*energy);
+            }
+            TraceEvent::ArrayInterval {
+                phase,
+                start,
+                end,
+                job: Some(job),
+                ..
+            } => {
+                let idx = span_of(&mut spans, &mut open, *job);
+                let s = &mut spans[idx];
+                match phase {
+                    ArrayPhase::Reconfig => s.reconfig = Some((*start, *end)),
+                    ArrayPhase::Waking => {
+                        s.reconfig = Some((*start, *end));
+                        s.woke = true;
+                    }
+                    ArrayPhase::Exec => s.exec = Some((*start, *end)),
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+    spans
 }
 
 impl TraceSink for EventLog {
@@ -355,7 +355,7 @@ mod tests {
                 energy: EnergyBreakdown::default(),
             });
         }
-        let spans = log.job_spans();
+        let spans = job_spans(log.events());
         assert_eq!(spans.len(), 2, "repeated id opens a second instance");
         for (i, s) in spans.iter().enumerate() {
             let base = i as u64 * 100;
@@ -402,7 +402,7 @@ mod tests {
             job: Some(5),
             kernel: Some("dct8".into()),
         });
-        let spans = log.job_spans();
+        let spans = job_spans(log.events());
         assert_eq!(spans[0].shed, Some((120, 120)));
         assert_eq!(spans[0].deadline, 500);
         assert!(!spans[0].is_full_lifecycle());
