@@ -46,7 +46,7 @@ fn main() {
     let max_serves = parse_u64("--max-serves", 64);
     banner("E12", "energy-aware serving: jobs per full battery charge");
     println!(
-        "battery {capacity:.3e} J, {chunk}-job chunks of the E11 mix (seed {seed:#x}), \
+        "battery {capacity:.3e} eu, {chunk}-job chunks of the E11 mix (seed {seed:#x}), \
          pool {da} DA + {me} ME, low-battery threshold {low_pct}%\n"
     );
 
@@ -95,7 +95,7 @@ fn main() {
         }
     }
 
-    println!("policy        jobs/charge  serves  low-batt  J/job       frames/J");
+    println!("policy        jobs/charge  serves  low-batt  eu/job      frames/eu");
     for r in &runs {
         println!(
             "{:<12}  {:>11}  {:>6}  {:>8}  {:>10.3e}  {:.6e}",

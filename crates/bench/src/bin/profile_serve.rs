@@ -103,12 +103,12 @@ fn main() {
     let served_energy_j: f64 = report.outcomes.iter().map(|o| o.energy_j).sum();
     let energy_err_j = (prof.total_energy_j - served_energy_j).abs();
     println!(
-        "energy reconciliation: profiler {:.9} J vs outcomes {:.9} J (|err| {:.3e} J)\n",
+        "energy reconciliation: profiler {:.9} eu vs outcomes {:.9} eu (|err| {:.3e} eu)\n",
         prof.total_energy_j, served_energy_j, energy_err_j
     );
     assert!(
         energy_err_j < 1.0,
-        "E16 gate: kernel energy accounts diverge from request outcomes by {energy_err_j:.3e} J"
+        "E16 gate: kernel energy accounts diverge from request outcomes by {energy_err_j:.3e} eu"
     );
 
     // `--profile-out <file>`: the collapsed-stack flamegraph.

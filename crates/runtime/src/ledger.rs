@@ -1,14 +1,17 @@
-//! Per-array accounting shared by batch and streaming serving.
+//! Per-array state and accounting shared by batch and streaming serving.
 //!
 //! The model (DESIGN.md §7) charges each array for its (partial)
 //! configuration writes, its execution and the leakage of whatever plane
 //! it holds, and draws the same timeline as trace intervals. One
-//! [`ArrayLedger`] per array is the only place that happens. Batch `serve`
-//! walks each array's finished plan through its ledger; streaming drives
-//! it job by job and from the gate, wake, quarantine and restore hooks.
-//! What differs between the modes is passed in as arguments (whether an
-//! idle span is gated, whether a configuration write is a wake), never
-//! decided here.
+//! [`ArrayLedger`] per array is the only place that happens, and the only
+//! record of what the array holds and when it is free: streaming
+//! placement prices the ledgers directly. Batch `serve` walks each array's
+//! finished plan through its ledger; streaming drives it job by job and
+//! from the gate, wake, quarantine and restore hooks. What differs between
+//! the modes is passed in as arguments (whether an idle span is gated,
+//! whether a configuration write is a wake), never decided here.
+
+use std::sync::Arc;
 
 use dsra_core::report::ExecOutcome;
 use dsra_power::{EnergyAccount, OperatingPoint};
@@ -17,42 +20,51 @@ use dsra_video::JobSpec;
 
 use crate::cache::CompiledKernel;
 use crate::kernel::ArrayKind;
-use crate::scheduler::{ArrayState, PlannedSlot};
+use crate::report::ArrayReport;
+use crate::scheduler::{Candidate, PlannedSlot};
 use crate::PowerConfig;
 
-/// Energy, timeline cursor and tallies of one array over one serve or
-/// streaming session.
+/// Resident plane, energy, timeline cursor and tallies of one array over
+/// one serve or streaming session.
 pub(crate) struct ArrayLedger {
     pub(crate) id: usize,
     pub(crate) kind: ArrayKind,
-    pub(crate) account: EnergyAccount,
-    /// Leakage power of the resident configuration plane; `None` while the
-    /// array holds none (never configured, gated or quarantined), when an
-    /// idle span leaks nothing.
-    pub(crate) leak: Option<f64>,
+    account: EnergyAccount,
+    /// Kernel whose configuration plane the array holds; `None` while it
+    /// holds none (never configured, gated or quarantined), when an idle
+    /// span leaks nothing and the next kernel pays a full write.
+    pub(crate) resident: Option<Arc<CompiledKernel>>,
+    /// Streaming only: the elastic pool holds the array powered off.
+    pub(crate) gated: bool,
+    /// Streaming only: the fault-recovery layer holds the array out of
+    /// placement.
+    pub(crate) quarantined: bool,
     /// Every cycle before this one is charged and traced.
     pub(crate) free_at: u64,
-    pub(crate) jobs: usize,
+    jobs: usize,
     /// Switches that actually wrote bits.
-    pub(crate) reconfig_events: usize,
-    pub(crate) reconfig_bits: u64,
-    pub(crate) reconfig_cycles: u64,
-    pub(crate) exec_cycles: u64,
+    reconfig_events: usize,
+    reconfig_bits: u64,
+    reconfig_cycles: u64,
+    exec_cycles: u64,
     point: OperatingPoint,
     energy_per_bit: f64,
 }
 
 impl ArrayLedger {
-    /// One cold, zeroed ledger per array of a scheduler's pool, in id
-    /// order.
-    pub(crate) fn pool(arrays: &[ArrayState], power: &PowerConfig) -> Vec<Self> {
-        arrays
-            .iter()
-            .map(|a| ArrayLedger {
-                id: a.id,
-                kind: a.kind,
-                account: EnergyAccount::new(format!("{}{}", a.kind.tag(), a.id)),
-                leak: None,
+    /// One cold, zeroed ledger per array of a pool of `da` DA arrays
+    /// followed by `me` ME arrays, in id order.
+    pub(crate) fn pool(da: usize, me: usize, power: &PowerConfig) -> Vec<Self> {
+        std::iter::repeat_n(ArrayKind::Da, da)
+            .chain(std::iter::repeat_n(ArrayKind::Me, me))
+            .enumerate()
+            .map(|(id, kind)| ArrayLedger {
+                id,
+                kind,
+                account: EnergyAccount::new(format!("{}{id}", kind.tag())),
+                resident: None,
+                gated: false,
+                quarantined: false,
                 free_at: 0,
                 jobs: 0,
                 reconfig_events: 0,
@@ -65,6 +77,40 @@ impl ArrayLedger {
             .collect()
     }
 
+    /// What placement sees of this array.
+    pub(crate) fn candidate(&self) -> Candidate<'_> {
+        Candidate {
+            id: self.id,
+            kind: self.kind,
+            resident: self.resident.as_deref(),
+            free_at: self.free_at,
+        }
+    }
+
+    /// This array's totals as a report row, its utilisation taken over
+    /// `[0, span_end)`.
+    pub(crate) fn report(&self, span_end: u64) -> ArrayReport {
+        ArrayReport {
+            id: self.id,
+            kind: self.kind,
+            jobs: self.jobs,
+            exec_cycles: self.exec_cycles,
+            reconfig_cycles: self.reconfig_cycles,
+            reconfig_bits: self.reconfig_bits,
+            reconfig_events: self.reconfig_events,
+            utilization_pct: if span_end == 0 {
+                0.0
+            } else {
+                (self.exec_cycles + self.reconfig_cycles) as f64 * 100.0 / span_end as f64
+            },
+            dynamic_j: self.account.dynamic_j,
+            static_j: self.account.static_j,
+            reconfig_j: self.account.reconfig_j,
+            gated_cycles: self.account.gated_cycles,
+            idle_cycles: self.account.idle_cycles,
+        }
+    }
+
     /// Charges the span from the cursor up to `t` as idle time, leaking the
     /// resident plane or, when `gated`, nothing (tallied as gated cycles).
     /// It is traced as one `Idle`/`Gated` interval, and the cursor moves to
@@ -75,7 +121,7 @@ impl ArrayLedger {
             return 0.0;
         }
         let before = self.account.total_j();
-        let leak = self.leak.unwrap_or(0.0);
+        let leak = self.resident.as_ref().map_or(0.0, |k| k.split.leak_power);
         self.account
             .charge_idle(t - self.free_at, leak, &self.point, gated);
         if sink.enabled() {
@@ -130,7 +176,7 @@ impl ArrayLedger {
     pub(crate) fn finish_job(
         &mut self,
         job: u32,
-        kernel: &CompiledKernel,
+        kernel: &Arc<CompiledKernel>,
         slot: &PlannedSlot,
         outcome: &ExecOutcome,
         waking: bool,
@@ -185,7 +231,7 @@ impl ArrayLedger {
                 },
             });
         }
-        self.leak = Some(split.leak_power);
+        self.resident = Some(Arc::clone(kernel));
         self.free_at = end;
         self.jobs += 1;
         self.reconfig_events += usize::from(slot.reconfig_bits > 0);

@@ -11,19 +11,21 @@
 //!   compiled `(placement, routing, bitstream)` artifacts keyed by
 //!   `Netlist::fingerprint()`, so place-and-route runs once per distinct
 //!   kernel rather than once per job;
-//! * a **diff-aware scheduler** ([`scheduler::DiffAwareScheduler`]): each
-//!   job lands on the array whose loaded bitstream minimises
+//! * **diff-aware placement** (`scheduler::place`): a pure function
+//!   that puts each job on the array whose resident bitstream minimises
 //!   `diff_bits()` reconfiguration cost plus queueing delay, with a
 //!   [`scheduler::SchedulePolicy`] hook honouring the platform's run-time
 //!   `Condition` (battery / deadline / quality);
-//! * a **per-array ledger**, the one accounting path of both serving
-//!   modes: it charges each array's configuration writes, execution and
-//!   idle leakage, and emits the array's trace intervals and job
-//!   schedule/complete events. Batch [`SocRuntime::serve`] plans every
-//!   job up front, runs each array's payloads on its own worker thread,
-//!   then walks each plan through its ledger; streaming
+//! * a **per-array ledger**, the only per-array state and the one
+//!   accounting path of both serving modes: it holds the resident kernel
+//!   and the busy-until clock that placement prices, charges each array's
+//!   configuration writes, execution and idle leakage, and emits the
+//!   array's trace intervals and job schedule/complete events. Batch
+//!   [`SocRuntime::serve`] plans every job up front against estimated
+//!   clocks, runs each array's payloads on its own worker thread, then
+//!   walks each plan through its ledger; streaming
 //!   ([`SocRuntime::stream_serve_job`] and the gate/wake/quarantine
-//!   hooks) drives the same ledgers one event at a time;
+//!   hooks) places on and drives the same ledgers one event at a time;
 //! * a **metrics layer** ([`report::RuntimeReport`]): jobs per mega-cycle,
 //!   cache hit rate, total reconfiguration bits and per-array utilisation,
 //!   consumed by the E11 `soc_serve` binary and its Criterion group.
@@ -90,9 +92,10 @@ use ledger::ArrayLedger;
 pub use report::{
     ArrayReport, BatterySample, BatteryTrajectory, EnergyReport, JobOutcome, RuntimeReport,
 };
+use scheduler::{place, Candidate};
 pub use scheduler::{
-    ArrayState, DefaultPolicy, DiffAwareScheduler, DiffMatrix, DiffStats, EnergyAwarePolicy,
-    NaivePolicy, PlannedSlot, PowerSnapshot, SchedulePolicy,
+    DefaultPolicy, DiffMatrix, DiffStats, EnergyAwarePolicy, NaivePolicy, PlannedSlot,
+    PowerSnapshot, SchedulePolicy,
 };
 
 /// Wall-clock phase timings of the last [`SocRuntime::serve`] call —
@@ -179,7 +182,7 @@ struct Assignment {
     job: JobSpec,
     /// Compiled kernel serving it (shared cache entry).
     kernel: Arc<CompiledKernel>,
-    /// Where the scheduler placed it and at what reconfiguration cost.
+    /// Where placement put it and at what reconfiguration cost.
     slot: PlannedSlot,
 }
 
@@ -191,20 +194,12 @@ struct KernelSeed {
     netlist: Netlist,
 }
 
-/// State of the incremental (arrival-ordered) streaming mode: a live
-/// scheduler whose per-array clocks survive between jobs, plus per-array
-/// ledgers and gating flags. Owned by the runtime between
-/// [`SocRuntime::stream_begin`] and [`SocRuntime::stream_end`].
+/// State of the incremental (arrival-ordered) streaming mode: the
+/// per-array ledgers, whose clocks, resident kernels and gating flags
+/// survive between jobs, plus session tallies. Owned by the runtime
+/// between [`SocRuntime::stream_begin`] and [`SocRuntime::stream_end`].
 struct StreamState {
-    sched: DiffAwareScheduler,
-    /// Per-array accounting; each ledger's cursor is the array's settled
-    /// busy-until clock.
     ledgers: Vec<ArrayLedger>,
-    gated: Vec<bool>,
-    /// Arrays pulled from placement by the fault-recovery layer
-    /// (`dsra-chaos`): still powered, bitstream evicted, excluded from
-    /// `stream_serve_job` until restored.
-    quarantined: Vec<bool>,
     gate_events: usize,
     wakes: usize,
     /// Cache counters at session open, for the session-delta trace
@@ -214,7 +209,7 @@ struct StreamState {
     diff_before: DiffStats,
 }
 
-/// Scheduler-visible status of one array in streaming mode.
+/// Placement-visible status of one array in streaming mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamArrayStatus {
     /// Array id (dense, DA arrays first).
@@ -260,45 +255,12 @@ pub struct StreamedJob {
     pub woke_array: bool,
 }
 
-/// Per-array totals of one streaming session.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamArrayReport {
-    /// Array id.
-    pub id: usize,
-    /// Fabric kind.
-    pub kind: ArrayKind,
-    /// Jobs served.
-    pub jobs: usize,
-    /// Switches that actually wrote bits.
-    pub reconfig_events: usize,
-    /// Bits rewritten by reconfigurations.
-    pub reconfig_bits: u64,
-    /// Cycles spent executing payloads.
-    pub exec_cycles: u64,
-    /// Activity-based dynamic energy (joules).
-    pub dynamic_j: f64,
-    /// Leakage energy, active and idle (joules).
-    pub static_j: f64,
-    /// Configuration-plane write energy (joules).
-    pub reconfig_j: f64,
-    /// Idle cycles spent power-gated (leaking nothing).
-    pub gated_cycles: u64,
-    /// Idle cycles spent powered (leaking the loaded plane).
-    pub idle_cycles: u64,
-}
-
-impl StreamArrayReport {
-    /// Everything this array drained from the battery.
-    pub fn energy_j(&self) -> f64 {
-        self.dynamic_j + self.static_j + self.reconfig_j
-    }
-}
-
 /// What one streaming session cost, returned by [`SocRuntime::stream_end`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSummary {
-    /// Per-array totals (array-id order).
-    pub arrays: Vec<StreamArrayReport>,
+    /// Per-array totals (array-id order), utilisation taken over the
+    /// session up to its end instant.
+    pub arrays: Vec<ArrayReport>,
     /// Times the elastic pool powered an idle array off.
     pub gate_events: usize,
     /// Times a gated array was woken (each wake's first job paid a full
@@ -309,7 +271,7 @@ pub struct StreamSummary {
 impl StreamSummary {
     /// Total joules the session drained, all arrays.
     pub fn total_j(&self) -> f64 {
-        self.arrays.iter().map(StreamArrayReport::energy_j).sum()
+        self.arrays.iter().map(ArrayReport::energy_j).sum()
     }
 
     /// Total idle cycles that leaked nothing thanks to pool gating.
@@ -332,9 +294,9 @@ pub struct SocRuntime {
     /// ME systolic seeds and their fabrics, one per block edge a job has
     /// asked for (built lazily — the job's `block` field is the identity).
     me_seeds: HashMap<u8, (KernelSeed, Fabric)>,
-    /// Memoised kernel-pair reconfiguration costs, threaded through every
-    /// serve's scheduler so warm probes are table lookups.
-    diff_memo: DiffMatrix,
+    /// Memoised kernel-pair reconfiguration costs, shared by every batch
+    /// and streaming placement so warm probes are table lookups.
+    diffs: DiffMatrix,
     /// Per-array execution backends, reused across serve calls.
     engines: Vec<Box<dyn Backend>>,
     /// Wall-clock phase timings of the last serve.
@@ -406,7 +368,7 @@ impl SocRuntime {
             profiles,
             dct_seeds,
             me_seeds: HashMap::new(),
-            diff_memo: DiffMatrix::new(),
+            diffs: DiffMatrix::new(),
             engines,
             last_timings: PhaseTimings::default(),
             stream: None,
@@ -519,7 +481,7 @@ impl SocRuntime {
 
     /// Distinct kernel pairs whose reconfiguration diff is memoised.
     pub fn diff_memo_len(&self) -> usize {
-        self.diff_memo.len()
+        self.diffs.len()
     }
 
     /// Serves a job queue across the pool and reports what happened.
@@ -533,16 +495,13 @@ impl SocRuntime {
     /// Propagates compile and execution failures; fails if a job's payload
     /// has no compatible array in the pool.
     pub fn serve(&mut self, jobs: &[JobSpec]) -> Result<RuntimeReport> {
-        // Batch and streaming modes share the lifetime diff memo; an
-        // abandoned streaming session hands it back here.
-        if let Some(stream) = self.stream.take() {
-            self.diff_memo = stream.sched.into_memo();
-        }
+        // A batch serve abandons any open streaming session.
+        self.stream = None;
         if self.sink.enabled() {
             self.emit_session_meta("batch");
         }
         let stats_before = self.cache.stats();
-        let diff_before = self.diff_memo.stats();
+        let diff_before = self.diffs.stats();
         let mut order: Vec<&JobSpec> = jobs.iter().collect();
         order.sort_by_key(|j| (j.arrival_cycle, j.id));
 
@@ -550,50 +509,53 @@ impl SocRuntime {
         // reading is taken once at planning time (the controller samples
         // its gauge, then plans), keeping the whole plan a pure function
         // of (jobs, config, battery-at-start).
-        let power = PowerSnapshot {
-            battery_charge_pct: self.battery.charge_pct(),
-            low_battery_pct: self.config.power.low_battery_pct,
-            dvfs: self.config.power.dvfs,
-        };
+        let power = self.power_snapshot();
 
-        // Phase 1 — deterministic planning. The scheduler borrows the
-        // runtime's lifetime diff memo so warm kernel-pair probes are table
-        // lookups (timings are diagnostics only and never enter the
-        // report).
+        // Phase 1 — deterministic planning (timings are diagnostics only
+        // and never enter the report). Payloads have not run yet, so each
+        // array's clock advances by an *estimate* of its jobs' cycles:
+        // this per-array (resident kernel, estimated busy-until) vector is
+        // the runtime's only estimate clock.
         let plan_start = std::time::Instant::now();
-        let mut sched = DiffAwareScheduler::with_memo(
+        let mut ledgers = ArrayLedger::pool(
             self.config.da_arrays,
             self.config.me_arrays,
-            self.config.soc,
-            std::mem::take(&mut self.diff_memo),
+            &self.config.power,
         );
-        let mut ledgers = ArrayLedger::pool(sched.arrays(), &self.config.power);
+        let mut planned: Vec<(Option<Arc<CompiledKernel>>, u64)> = vec![(None, 0); ledgers.len()];
         let mut plans: Vec<Vec<Assignment>> = vec![Vec::new(); ledgers.len()];
         for job in order {
             let condition = self.policy.condition(job.class, &power);
-            let (kernel, est) = self.kernel_for(job, condition)?;
-            if !sched.arrays().iter().any(|a| a.kind == kernel.array_kind) {
-                return Err(CoreError::Mismatch(format!(
-                    "job {} needs a {} array but the pool has none",
-                    job.id,
-                    kernel.array_kind.tag()
-                )));
-            }
-            let slot = sched.assign(
+            let kernel = self.kernel_for(job, condition)?;
+            let candidates = ledgers
+                .iter()
+                .zip(&planned)
+                .map(|(l, (resident, free_at))| Candidate {
+                    id: l.id,
+                    kind: l.kind,
+                    resident: resident.as_deref(),
+                    free_at: *free_at,
+                });
+            let slot = place(
                 &kernel,
                 job.arrival_cycle,
-                est,
+                candidates,
+                &self.config.soc,
                 self.policy.as_ref(),
                 &power,
-            );
+                &mut self.diffs,
+            )
+            .ok_or_else(|| missing_array(job, &kernel, "the pool has none"))?;
+            let est = self.estimated_cycles(job, &kernel);
+            let (resident, free_at) = &mut planned[slot.array];
+            *free_at = (*free_at).max(job.arrival_cycle) + slot.reconfig_cycles + est;
+            *resident = Some(Arc::clone(&kernel));
             plans[slot.array].push(Assignment {
                 job: *job,
                 kernel,
                 slot,
             });
         }
-
-        self.diff_memo = sched.into_memo();
         let planning_ms = plan_start.elapsed().as_secs_f64() * 1e3;
 
         // Phase 2 — parallel execution, one worker thread per array, each
@@ -645,7 +607,7 @@ impl SocRuntime {
                 }
                 // An array that never held a plane leaks nothing
                 // attributable, gated or not.
-                let gated = ledger.leak.is_some() && gate_idle;
+                let gated = ledger.resident.is_some() && gate_idle;
                 let (start, _) = ledger.start_job(&a.job, &a.kernel, gated, sink);
                 let energy_j = ledger.finish_job(a.job.id, &a.kernel, &a.slot, out, false, sink);
                 outcomes.push(JobOutcome {
@@ -667,7 +629,7 @@ impl SocRuntime {
         let report = self.assemble_report(ledgers, outcomes, jobs, cache);
         self.battery.drain(report.energy.total_j());
         if self.sink.enabled() {
-            let d = self.diff_memo.stats().since(diff_before);
+            let d = self.diffs.stats().since(diff_before);
             for (name, value) in [("diff_probes", d.probes), ("diff_memo_misses", d.misses)] {
                 self.sink.emit(TraceEvent::Counter {
                     t: report.makespan_cycles,
@@ -680,40 +642,29 @@ impl SocRuntime {
     }
 
     /// Opens an incremental streaming session (E13): fresh per-array
-    /// busy-until clocks, all arrays powered and cold, the lifetime diff
-    /// memo threaded in. Any previous session is discarded (its memo is
-    /// kept).
+    /// ledgers, all arrays powered and cold. Any previous session is
+    /// discarded.
     ///
     /// In streaming mode jobs are served one at a time in whatever order
     /// the frontend dispatches them — the open-loop `dsra-service` layer
     /// owns arrivals, admission and shedding, and this runtime owns
-    /// placement (the same [`SchedulePolicy`]/[`DiffMatrix`] machinery as
-    /// batch serving), execution and energy.
+    /// placement (the same `place`/[`SchedulePolicy`]/[`DiffMatrix`]
+    /// machinery as batch serving, priced over the ledgers), execution and
+    /// energy.
     pub fn stream_begin(&mut self) {
-        if let Some(stream) = self.stream.take() {
-            self.diff_memo = stream.sched.into_memo();
-        }
         if self.sink.enabled() {
             self.emit_session_meta("stream");
         }
-        let cache_before = self.cache.stats();
-        let diff_before = self.diff_memo.stats();
-        let sched = DiffAwareScheduler::with_memo(
-            self.config.da_arrays,
-            self.config.me_arrays,
-            self.config.soc,
-            std::mem::take(&mut self.diff_memo),
-        );
-        let arrays = sched.arrays().len();
         self.stream = Some(StreamState {
-            ledgers: ArrayLedger::pool(sched.arrays(), &self.config.power),
-            sched,
-            gated: vec![false; arrays],
-            quarantined: vec![false; arrays],
+            ledgers: ArrayLedger::pool(
+                self.config.da_arrays,
+                self.config.me_arrays,
+                &self.config.power,
+            ),
             gate_events: 0,
             wakes: 0,
-            cache_before,
-            diff_before,
+            cache_before: self.cache.stats(),
+            diff_before: self.diffs.stats(),
         });
     }
 
@@ -724,15 +675,14 @@ impl SocRuntime {
             return Vec::new();
         };
         stream
-            .sched
-            .arrays()
+            .ledgers
             .iter()
-            .map(|a| StreamArrayStatus {
-                id: a.id,
-                kind: a.kind,
-                free_at: a.free_at,
-                gated: stream.gated[a.id],
-                quarantined: stream.quarantined[a.id],
+            .map(|l| StreamArrayStatus {
+                id: l.id,
+                kind: l.kind,
+                free_at: l.free_at,
+                gated: l.gated,
+                quarantined: l.quarantined,
             })
             .collect()
     }
@@ -749,23 +699,20 @@ impl SocRuntime {
     /// if no session is open, the array is out of range, or it is
     /// already quarantined.
     pub fn stream_quarantine(&mut self, array: usize, now_cycle: u64) -> bool {
-        let Some(stream) = self.stream.as_mut() else {
+        let Some(ledger) = self.stream.as_mut().and_then(|s| s.ledgers.get_mut(array)) else {
             return false;
         };
-        if array >= stream.quarantined.len() || stream.quarantined[array] {
+        if ledger.quarantined {
             return false;
         }
-        let ledger = &mut stream.ledgers[array];
-        if !stream.gated[array] {
+        if !ledger.gated {
             let idle_j = ledger.idle_until(now_cycle, false, self.sink.as_mut());
             self.battery.drain(idle_j);
         }
         // A gated array's dark span up to here is not tallied.
         ledger.free_at = ledger.free_at.max(now_cycle);
-        ledger.leak = None;
-        stream.sched.settle(array, ledger.free_at);
-        stream.sched.evict(array);
-        stream.quarantined[array] = true;
+        ledger.resident = None;
+        ledger.quarantined = true;
         true
     }
 
@@ -773,24 +720,22 @@ impl SocRuntime {
     /// recovery hook calls this when a probe finds the array healthy
     /// again). The span it sat quarantined is tallied as idle — it held
     /// no configuration plane, so it leaked nothing — and its busy-until
-    /// clock settles to the restore instant, so no job can start on it
+    /// clock moves to the restore instant, so no job can start on it
     /// before the restore decision existed. It re-enters placement cold.
-    /// Returns `false` if no session is open or the array was not
-    /// quarantined.
+    /// Returns `false` if no session is open, the array is out of range,
+    /// or it was not quarantined.
     pub fn stream_restore(&mut self, array: usize, now_cycle: u64) -> bool {
-        let Some(stream) = self.stream.as_mut() else {
+        let Some(ledger) = self.stream.as_mut().and_then(|s| s.ledgers.get_mut(array)) else {
             return false;
         };
-        if array >= stream.quarantined.len() || !stream.quarantined[array] {
+        if !ledger.quarantined {
             return false;
         }
         // Zero-leak idle (the plane was evicted at quarantine): no joules
         // move, but the idle-cycle tally stays complete. The quarantined
         // span is not drawn on the timeline.
-        let ledger = &mut stream.ledgers[array];
         ledger.idle_until(now_cycle, false, &mut NoopSink);
-        stream.sched.settle(array, ledger.free_at);
-        stream.quarantined[array] = false;
+        ledger.quarantined = false;
         true
     }
 
@@ -799,53 +744,55 @@ impl SocRuntime {
     /// its resident configuration is dropped — *non*-retentive gating, so
     /// the next kernel placed there pays a full bitstream rewrite — and
     /// subsequent idle cycles cost nothing. Returns `false` (and does
-    /// nothing) if no session is open, the array is still busy beyond
-    /// `now_cycle`, or it is already gated.
+    /// nothing) if no session is open, the array is out of range, it is
+    /// still busy beyond `now_cycle`, or it is already gated.
     pub fn stream_gate(&mut self, array: usize, now_cycle: u64) -> bool {
         let Some(stream) = self.stream.as_mut() else {
             return false;
         };
-        let ledger = &mut stream.ledgers[array];
-        if stream.gated[array] || ledger.free_at > now_cycle {
+        let Some(ledger) = stream.ledgers.get_mut(array) else {
+            return false;
+        };
+        if ledger.gated || ledger.free_at > now_cycle {
             return false;
         }
         // The powered-idle span the gate decision just closes out.
         let idle_j = ledger.idle_until(now_cycle, false, self.sink.as_mut());
-        ledger.leak = None;
-        stream.sched.settle(array, now_cycle);
-        stream.sched.evict(array);
-        stream.gated[array] = true;
+        ledger.resident = None;
+        ledger.gated = true;
         stream.gate_events += 1;
         self.battery.drain(idle_j);
         true
     }
 
     /// Wakes a gated array at `now_cycle`: the cycles it sat dark are
-    /// tallied as gated, its busy-until clock settles to the wake instant
+    /// tallied as gated, its busy-until clock moves to the wake instant
     /// — so no job can start on it before the wake decision existed — and
     /// it re-enters placement. It still holds no configuration (its first
-    /// job pays the full rewrite). Returns `false` if no session is open
-    /// or the array was not gated.
+    /// job pays the full rewrite). Returns `false` if no session is open,
+    /// the array is out of range, or it was not gated.
     pub fn stream_wake(&mut self, array: usize, now_cycle: u64) -> bool {
         let Some(stream) = self.stream.as_mut() else {
             return false;
         };
-        if !stream.gated[array] {
+        let Some(ledger) = stream.ledgers.get_mut(array) else {
+            return false;
+        };
+        if !ledger.gated {
             return false;
         }
-        let ledger = &mut stream.ledgers[array];
         ledger.idle_until(now_cycle, true, self.sink.as_mut());
-        stream.sched.settle(array, ledger.free_at);
-        stream.gated[array] = false;
+        ledger.gated = false;
         stream.wakes += 1;
         true
     }
 
-    /// Serves one job *now*: places it with the session scheduler (gated
+    /// Serves one job *now*: places it over the session's ledgers (gated
     /// arrays excluded — unless every compatible array is gated, in which
     /// case the cheapest one is woken), executes the payload
-    /// cycle-accurately, settles the array's busy-until clock with the
-    /// measured cycles, charges energy and drains the battery.
+    /// cycle-accurately, then advances the array's ledger by the measured
+    /// cycles, charges energy and drains the battery. A job whose payload
+    /// fails leaves the session exactly as it was.
     ///
     /// # Errors
     /// Propagates compile and execution failures; fails if no session is
@@ -874,80 +821,56 @@ impl SocRuntime {
                 "stream_serve_job needs an open session (call stream_begin)".into(),
             ));
         }
-        let power = PowerSnapshot {
-            battery_charge_pct: self.battery.charge_pct(),
-            low_battery_pct: self.config.power.low_battery_pct,
-            dvfs: self.config.power.dvfs,
-        };
+        let power = self.power_snapshot();
         let condition = self.policy.condition(job.class, &power);
-        let (kernel, est) = self.kernel_for(job, condition)?;
+        let kernel = self.kernel_for(job, condition)?;
         let stream = self.stream.as_mut().expect("checked above");
-        let StreamState {
-            sched,
-            ledgers,
-            gated,
-            quarantined,
-            wakes,
-            ..
-        } = stream;
-        let candidates = || {
-            sched
-                .arrays()
-                .iter()
-                .filter(|a| a.kind == kernel.array_kind)
-        };
-        if candidates().next().is_none() {
-            return Err(CoreError::Mismatch(format!(
-                "job {} needs a {} array but the pool has none",
-                job.id,
-                kernel.array_kind.tag()
-            )));
+        let kind = kernel.array_kind;
+        let of_kind = || stream.ledgers.iter().filter(move |l| l.kind == kind);
+        if of_kind().next().is_none() {
+            return Err(missing_array(job, &kernel, "the pool has none"));
         }
         // Quarantined arrays never take new work; the recovery layer's
         // retry exclusion only holds while another candidate remains.
-        if candidates().all(|a| quarantined[a.id]) {
-            return Err(CoreError::Mismatch(format!(
-                "job {} needs a {} array but every one is quarantined",
-                job.id,
-                kernel.array_kind.tag()
-            )));
+        if of_kind().all(|l| l.quarantined) {
+            return Err(missing_array(job, &kernel, "every one is quarantined"));
         }
-        let exclude = exclude.filter(|&x| candidates().any(|a| !quarantined[a.id] && a.id != x));
-        let banned = |i: usize| quarantined[i] || Some(i) == exclude;
+        let exclude = exclude.filter(|&x| of_kind().any(|l| !l.quarantined && l.id != x));
+        let open = |l: &ArrayLedger| !l.quarantined && Some(l.id) != exclude;
         // Gated arrays stay out of placement — except when the whole
         // candidate pool is gated, which force-wakes the winner (the
         // elastic controller's backlog threshold normally wakes arrays
         // before this fallback fires).
-        let all_gated = candidates().filter(|a| !banned(a.id)).all(|a| gated[a.id]);
-        let slot = sched.assign_filtered(
+        let all_gated = of_kind().filter(|l| open(l)).all(|l| l.gated);
+        let candidates = stream
+            .ledgers
+            .iter()
+            .filter(|l| open(l) && (all_gated || !l.gated))
+            .map(ArrayLedger::candidate);
+        let slot = place(
             &kernel,
             job.arrival_cycle,
-            est,
+            candidates,
+            &self.config.soc,
             self.policy.as_ref(),
             &power,
-            |i| !banned(i) && (all_gated || !gated[i]),
-        );
-        let array = slot.array;
-        let was_gated = gated[array];
-        if was_gated {
-            gated[array] = false;
-            *wakes += 1;
+            &mut self.diffs,
+        )
+        .expect("an open array of the kernel's kind remains");
+        let outcome = self.engines[slot.array].execute(self.config.da_params, job, &kernel.name)?;
+        // The job ran: only now does the session change.
+        let ledger = &mut stream.ledgers[slot.array];
+        let woke = ledger.gated;
+        if woke {
+            ledger.gated = false;
+            stream.wakes += 1;
         }
         // Idle gap before this job: a powered plane leaks, a gated one
         // only tallies the cycles it sat dark.
-        let ledger = &mut ledgers[array];
-        let (start, gap_j) = ledger.start_job(job, &kernel, was_gated, self.sink.as_mut());
-        let outcome = self.engines[array].execute(self.config.da_params, job, &kernel.name)?;
-        let energy_j = ledger.finish_job(
-            job.id,
-            &kernel,
-            &slot,
-            &outcome,
-            was_gated,
-            self.sink.as_mut(),
-        );
+        let (start, gap_j) = ledger.start_job(job, &kernel, woke, self.sink.as_mut());
+        let energy_j =
+            ledger.finish_job(job.id, &kernel, &slot, &outcome, woke, self.sink.as_mut());
         let end = ledger.free_at;
-        sched.settle(array, end);
         self.battery.drain(gap_j + energy_j);
         if self.sink.enabled() {
             self.sink.emit(TraceEvent::BatteryLevel {
@@ -957,7 +880,7 @@ impl SocRuntime {
         }
         Ok(StreamedJob {
             id: job.id,
-            array,
+            array: slot.array,
             kernel: kernel.name.clone(),
             reconfig_bits: slot.reconfig_bits,
             reconfig_cycles: slot.reconfig_cycles,
@@ -966,40 +889,24 @@ impl SocRuntime {
             end_cycle: end,
             checksum: outcome.checksum,
             energy_j,
-            woke_array: was_gated,
+            woke_array: woke,
         })
     }
 
     /// Closes the streaming session at `now_cycle`: every array's tail
     /// idle up to `now_cycle` is charged (leakage or gated, as it stood),
     /// drained from the battery, and the per-array totals are returned.
-    /// The session's diff memo flows back into the runtime's lifetime
-    /// memo. Returns `None` if no session was open.
+    /// Returns `None` if no session was open.
     pub fn stream_end(&mut self, now_cycle: u64) -> Option<StreamSummary> {
         let mut stream = self.stream.take()?;
         let mut tail_j = 0.0;
-        let mut arrays = Vec::with_capacity(stream.ledgers.len());
-        for (l, &gated) in stream.ledgers.iter_mut().zip(&stream.gated) {
-            tail_j += l.idle_until(now_cycle, gated, self.sink.as_mut());
-            arrays.push(StreamArrayReport {
-                id: l.id,
-                kind: l.kind,
-                jobs: l.jobs,
-                reconfig_events: l.reconfig_events,
-                reconfig_bits: l.reconfig_bits,
-                exec_cycles: l.exec_cycles,
-                dynamic_j: l.account.dynamic_j,
-                static_j: l.account.static_j,
-                reconfig_j: l.account.reconfig_j,
-                gated_cycles: l.account.gated_cycles,
-                idle_cycles: l.account.idle_cycles,
-            });
+        for l in &mut stream.ledgers {
+            tail_j += l.idle_until(now_cycle, l.gated, self.sink.as_mut());
         }
         self.battery.drain(tail_j);
-        self.diff_memo = stream.sched.into_memo();
         if self.sink.enabled() {
             let cache = self.cache.stats().since(stream.cache_before);
-            let diff = self.diff_memo.stats().since(stream.diff_before);
+            let diff = self.diffs.stats().since(stream.diff_before);
             for (name, value) in [
                 ("cache_hits", cache.hits),
                 ("cache_misses", cache.misses),
@@ -1018,7 +925,7 @@ impl SocRuntime {
             });
         }
         Some(StreamSummary {
-            arrays,
+            arrays: stream.ledgers.iter().map(|l| l.report(now_cycle)).collect(),
             gate_events: stream.gate_events,
             wakes: stream.wakes,
         })
@@ -1051,30 +958,10 @@ impl SocRuntime {
         // idle drain.
         let job_energy_total: f64 = outcomes.iter().map(|o| o.energy_j).sum();
         for l in &mut ledgers {
-            let gated = l.leak.is_some() && gate_idle;
+            let gated = l.resident.is_some() && gate_idle;
             l.idle_until(makespan, gated, sink);
         }
-        let arrays: Vec<ArrayReport> = ledgers
-            .iter()
-            .map(|l| ArrayReport {
-                id: l.id,
-                kind: l.kind,
-                jobs: l.jobs,
-                exec_cycles: l.exec_cycles,
-                reconfig_cycles: l.reconfig_cycles,
-                reconfig_bits: l.reconfig_bits,
-                reconfig_events: l.reconfig_events,
-                utilization_pct: if makespan == 0 {
-                    0.0
-                } else {
-                    (l.exec_cycles + l.reconfig_cycles) as f64 * 100.0 / makespan as f64
-                },
-                dynamic_j: l.account.dynamic_j,
-                static_j: l.account.static_j,
-                reconfig_j: l.account.reconfig_j,
-                gated_cycles: l.account.gated_cycles,
-            })
-            .collect();
+        let arrays: Vec<ArrayReport> = ledgers.iter().map(|l| l.report(makespan)).collect();
         let dynamic_j: f64 = arrays.iter().map(|a| a.dynamic_j).sum();
         let static_j: f64 = arrays.iter().map(|a| a.static_j).sum();
         let reconfig_j: f64 = arrays.iter().map(|a| a.reconfig_j).sum();
@@ -1189,18 +1076,22 @@ impl SocRuntime {
         }
     }
 
-    /// Resolves the kernel and estimated cycles for one job.
-    fn kernel_for(
-        &mut self,
-        job: &JobSpec,
-        condition: Condition,
-    ) -> Result<(Arc<CompiledKernel>, u64)> {
+    /// The power state placement decisions see right now.
+    fn power_snapshot(&self) -> PowerSnapshot {
+        PowerSnapshot {
+            battery_charge_pct: self.battery.charge_pct(),
+            low_battery_pct: self.config.power.low_battery_pct,
+            dvfs: self.config.power.dvfs,
+        }
+    }
+
+    /// Resolves the compiled kernel that serves one job.
+    fn kernel_for(&mut self, job: &JobSpec, condition: Condition) -> Result<Arc<CompiledKernel>> {
         match job.payload {
-            JobPayload::DctBlocks { blocks, .. } => {
-                let (kernel, cycles_per_block) = self.dct_kernel(condition)?;
-                Ok((kernel, cycles_per_block * u64::from(blocks)))
+            JobPayload::DctBlocks { .. } | JobPayload::EncodeGop { .. } => {
+                self.dct_kernel(condition)
             }
-            JobPayload::MeSearch { block, range, .. } => {
+            JobPayload::MeSearch { block, .. } => {
                 // One systolic kernel per block edge, seeded on first sight
                 // — the kernel the worker will execute is exactly the one
                 // priced and cached here.
@@ -1220,33 +1111,47 @@ impl SocRuntime {
                         ))
                     }
                 };
-                let kernel = self.cache.get_or_compile(
+                self.cache.get_or_compile(
                     seed.fingerprint,
                     &kernel_id.display_name(),
                     kernel_id.array_kind(),
                     fabric,
                     || Ok(seed.netlist.clone()),
-                )?;
-                let candidates = {
-                    let side = 2 * u64::from(range) + 1;
-                    side * side
-                };
-                Ok((kernel, candidates * u64::from(block) * 2))
+                )
+            }
+        }
+    }
+
+    /// Batch planning's estimate of `job`'s payload cycles on `kernel`,
+    /// before the payload has run: the selected mapping's cycles per block
+    /// for DCT work, `candidates × block × 2` for a motion search.
+    fn estimated_cycles(&self, job: &JobSpec, kernel: &CompiledKernel) -> u64 {
+        let cycles_per_block = || {
+            self.profiles
+                .iter()
+                .find(|p| p.name == kernel.name)
+                .expect("DCT kernels are compiled from the offered profiles")
+                .cycles_per_block
+        };
+        match job.payload {
+            JobPayload::DctBlocks { blocks, .. } => cycles_per_block() * u64::from(blocks),
+            JobPayload::MeSearch { block, range, .. } => {
+                let side = 2 * u64::from(range) + 1;
+                side * side * u64::from(block) * 2
             }
             JobPayload::EncodeGop { size, frames, .. } => {
-                let (kernel, cycles_per_block) = self.dct_kernel(condition)?;
                 let blocks8 = (u64::from(size.0) / 8)
                     * (u64::from(size.1) / 8)
                     * u64::from(frames.saturating_sub(1));
                 // 16 1-D transforms per 8×8 block (rows + columns).
-                Ok((kernel, blocks8 * 16 * cycles_per_block))
+                blocks8 * 16 * cycles_per_block()
             }
         }
     }
 
     /// Picks the DCT mapping for a condition and fetches its compiled
     /// kernel through the cache (a hit after warm-up).
-    fn dct_kernel(&mut self, condition: Condition) -> Result<(Arc<CompiledKernel>, u64)> {
+    fn dct_kernel(&mut self, condition: Condition) -> Result<Arc<CompiledKernel>> {
         let profile = self
             .policy
             .select_mapping(&self.profiles, condition)
@@ -1257,15 +1162,24 @@ impl SocRuntime {
             .dct_seeds
             .get(profile.name.as_str())
             .expect("profiles and seeds are built together");
-        let kernel = self.cache.get_or_compile(
+        self.cache.get_or_compile(
             seed.fingerprint,
             &profile.name,
             ArrayKind::Da,
             &self.da_fabric,
             || Ok(seed.netlist.clone()),
-        )?;
-        Ok((kernel, profile.cycles_per_block))
+        )
     }
+}
+
+/// The error for a job whose kernel has no usable array, `why` naming
+/// the reason.
+fn missing_array(job: &JobSpec, kernel: &CompiledKernel, why: &str) -> CoreError {
+    CoreError::Mismatch(format!(
+        "job {} needs a {} array but {why}",
+        job.id,
+        kernel.array_kind.tag()
+    ))
 }
 
 /// Smallest standard ME array that fits `netlist` (cluster capacity only;
@@ -1679,7 +1593,7 @@ mod tests {
             makespan = makespan.max(rt.stream_serve_job(j).unwrap().end_cycle);
         }
         let summary = rt.stream_end(makespan).unwrap();
-        assert!(rt.diff_memo_len() > 0, "stream memo flows back");
+        assert!(rt.diff_memo_len() > 0, "streaming placement fills the memo");
         let drained = full - rt.battery().charge_j();
         assert!(
             (drained - summary.total_j()).abs() < 1e-6 * summary.total_j().max(1.0),
@@ -1735,5 +1649,230 @@ mod tests {
             ..Default::default()
         });
         assert!(rt.serve(&jobs).is_err());
+    }
+
+    fn one_da_one_me() -> SocRuntime {
+        SocRuntime::new(RuntimeConfig {
+            da_arrays: 1,
+            me_arrays: 1,
+            mappings: vec![DctMapping::BasicDa],
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
+    fn me_job(id: u32, arrival_cycle: u64, size: (u16, u16)) -> JobSpec {
+        JobSpec {
+            id,
+            arrival_cycle,
+            class: dsra_video::ServiceClass::Quality,
+            payload: JobPayload::MeSearch {
+                size,
+                shift: (1, 0),
+                block: 8,
+                range: 2,
+            },
+            seed: u64::from(id) + 1,
+        }
+    }
+
+    #[test]
+    fn a_failed_stream_job_leaves_the_session_untouched() {
+        // A 10×10 plane is too small for an 8×8 block searched ±2: the
+        // payload fails after placement chose the ME array.
+        let mut rt = one_da_one_me();
+        rt.stream_begin();
+        let before = rt.stream_array_status();
+        assert!(rt.stream_serve_job(&me_job(0, 0, (10, 10))).is_err());
+        assert_eq!(rt.stream_array_status(), before);
+        // The array neither holds the kernel nor is busy: the next job
+        // pays the cold write and runs exactly as on a fresh session.
+        let after = rt.stream_serve_job(&me_job(1, 0, (32, 32))).unwrap();
+        let mut fresh = one_da_one_me();
+        fresh.stream_begin();
+        let clean = fresh.stream_serve_job(&me_job(1, 0, (32, 32))).unwrap();
+        assert!(clean.reconfig_bits > 0);
+        assert_eq!(
+            (after.reconfig_bits, after.start_cycle, after.end_cycle),
+            (clean.reconfig_bits, clean.start_cycle, clean.end_cycle)
+        );
+    }
+
+    #[test]
+    fn stream_hooks_reject_out_of_range_arrays() {
+        let mut rt = one_da_one_me();
+        assert!(!rt.stream_gate(0, 0), "no session open");
+        rt.stream_begin();
+        let before = rt.stream_array_status();
+        assert!(!rt.stream_gate(9, 0));
+        assert!(!rt.stream_wake(9, 0));
+        assert!(!rt.stream_quarantine(9, 0));
+        assert!(!rt.stream_restore(9, 0));
+        assert_eq!(rt.stream_array_status(), before);
+    }
+
+    /// One step of a random streaming session.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Serve(JobSpec, Option<usize>),
+        Gate(usize),
+        Wake(usize),
+        Quarantine(usize),
+        Restore(usize),
+    }
+
+    /// A random session on 2 DA + 1 ME arrays: DCT jobs of both offered
+    /// mappings, ME searches (some on planes too small, which fail), and
+    /// hooks on in-range and out-of-range arrays, all at a rising clock.
+    fn random_ops(seed: u64, steps: usize) -> Vec<(u64, Op)> {
+        let mut rng = dsra_core::rng::SplitMix64::new(seed);
+        let mut now = 0;
+        (0..steps as u32)
+            .map(|id| {
+                now += rng.next_below(2_500);
+                let array = rng.next_below(4) as usize;
+                let op = match rng.next_below(9) {
+                    0..=2 => {
+                        let class = [
+                            dsra_video::ServiceClass::Quality,
+                            dsra_video::ServiceClass::Background,
+                        ][rng.next_below(2) as usize];
+                        let blocks = 1 + rng.next_below(3) as u16;
+                        let payload = JobPayload::DctBlocks {
+                            blocks,
+                            amplitude: 100,
+                        };
+                        let job = JobSpec {
+                            id,
+                            arrival_cycle: now,
+                            class,
+                            payload,
+                            seed: u64::from(id),
+                        };
+                        Op::Serve(job, (array < 3).then_some(array))
+                    }
+                    3 => Op::Serve(me_job(id, now, (32, 32)), None),
+                    4 => Op::Serve(me_job(id, now, (10, 10)), None),
+                    5 => Op::Gate(array),
+                    6 => Op::Wake(array),
+                    7 => Op::Quarantine(array),
+                    _ => Op::Restore(array),
+                };
+                (now, op)
+            })
+            .collect()
+    }
+
+    /// What a session returned, step by step, for replay equality.
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Served(std::result::Result<StreamedJob, String>),
+        Hook(bool),
+    }
+
+    /// Runs `ops` on a fresh runtime, checking the array-state invariants
+    /// after every step, and returns what each step and the session end
+    /// reported.
+    fn checked_session(ops: &[(u64, Op)]) -> (Vec<Step>, StreamSummary) {
+        let mut rt = SocRuntime::new(RuntimeConfig {
+            da_arrays: 2,
+            me_arrays: 1,
+            mappings: vec![DctMapping::BasicDa, DctMapping::MixedRom],
+            ..Default::default()
+        })
+        .unwrap();
+        rt.stream_begin();
+        let start_j = rt.battery().charge_j();
+        // The model: each array's busy-until clock, and whether it holds
+        // no configuration (cold, gated or quarantined since its last job).
+        let mut free_at = [0u64; 3];
+        let mut cold = [true; 3];
+        let (mut job_j, mut idle_j) = (0.0, 0.0);
+        let mut steps = Vec::with_capacity(ops.len());
+        for &(now, op) in ops {
+            let status = rt.stream_array_status();
+            let charge = rt.battery().charge_j();
+            let step = match op {
+                Op::Serve(job, exclude) => Step::Served(
+                    rt.stream_serve_job_excluding(&job, exclude)
+                        .map_err(|e| e.to_string()),
+                ),
+                Op::Gate(a) => Step::Hook(rt.stream_gate(a, now)),
+                Op::Wake(a) => Step::Hook(rt.stream_wake(a, now)),
+                Op::Quarantine(a) => Step::Hook(rt.stream_quarantine(a, now)),
+                Op::Restore(a) => Step::Hook(rt.stream_restore(a, now)),
+            };
+            let drop_j = charge - rt.battery().charge_j();
+            match (&step, op) {
+                (Step::Served(Ok(s)), Op::Serve(job, _)) => {
+                    let a = s.array;
+                    assert!(!status[a].quarantined, "{s:?} on a quarantined array");
+                    assert_eq!(s.woke_array, status[a].gated, "{s:?}");
+                    assert_eq!(s.start_cycle, free_at[a].max(job.arrival_cycle));
+                    if cold[a] {
+                        let full = rt
+                            .cache
+                            .kernels_sorted()
+                            .into_iter()
+                            .find(|k| k.name == s.kernel)
+                            .unwrap()
+                            .total_bits();
+                        assert_eq!(s.reconfig_bits, full, "{s:?} on a cold array");
+                    }
+                    (free_at[a], cold[a]) = (s.end_cycle, false);
+                    assert!(drop_j >= s.energy_j * (1.0 - 1e-9), "{s:?}");
+                    job_j += s.energy_j;
+                    idle_j += drop_j - s.energy_j;
+                }
+                (Step::Hook(true), Op::Gate(a) | Op::Quarantine(a)) => {
+                    free_at[a] = free_at[a].max(now);
+                    cold[a] = true;
+                    idle_j += drop_j;
+                }
+                (Step::Hook(true), Op::Wake(a) | Op::Restore(a)) => {
+                    free_at[a] = free_at[a].max(now);
+                    assert!(cold[a]);
+                    idle_j += drop_j;
+                }
+                // A failed job or a refused hook changes nothing.
+                _ => {
+                    assert_eq!(rt.stream_array_status(), status, "{op:?} -> {step:?}");
+                    assert_eq!(drop_j, 0.0, "{op:?} -> {step:?}");
+                }
+            }
+            let clocks: Vec<u64> = rt.stream_array_status().iter().map(|a| a.free_at).collect();
+            assert_eq!(clocks, free_at, "after {op:?} -> {step:?}");
+            steps.push(step);
+        }
+        let end = ops
+            .last()
+            .map_or(0, |&(now, _)| now)
+            .max(free_at.into_iter().max().unwrap());
+        let charge = rt.battery().charge_j();
+        let summary = rt.stream_end(end).unwrap();
+        idle_j += charge - rt.battery().charge_j();
+        let drained = start_j - rt.battery().charge_j();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+        assert!(
+            close(drained, job_j + idle_j),
+            "{drained} vs {job_j} + {idle_j}"
+        );
+        assert!(
+            close(drained, summary.total_j()),
+            "{drained} vs {}",
+            summary.total_j()
+        );
+        (steps, summary)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn random_stream_sessions_keep_one_array_state(seed: u64, steps in 12usize..40) {
+            let ops = random_ops(seed, steps);
+            let first = checked_session(&ops);
+            proptest::prop_assert_eq!(checked_session(&ops), first);
+        }
     }
 }

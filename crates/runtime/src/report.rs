@@ -10,7 +10,7 @@ use dsra_power::OperatingPoint;
 use crate::cache::CacheStats;
 use crate::kernel::ArrayKind;
 
-/// Per-array aggregate.
+/// Per-array totals of one batch serve or streaming session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayReport {
     /// Array id.
@@ -27,7 +27,8 @@ pub struct ArrayReport {
     pub reconfig_bits: u64,
     /// Switches that actually wrote bits.
     pub reconfig_events: usize,
-    /// Busy fraction of the makespan, in percent.
+    /// Busy fraction of the serve's span (the batch makespan, or the
+    /// instant a streaming session ended), in percent.
     pub utilization_pct: f64,
     /// Activity-based dynamic energy this array burned (joules).
     pub dynamic_j: f64,
@@ -37,6 +38,8 @@ pub struct ArrayReport {
     pub reconfig_j: f64,
     /// Idle cycles spent power-gated (leaking nothing).
     pub gated_cycles: u64,
+    /// Idle cycles spent powered (leaking the resident plane, if any).
+    pub idle_cycles: u64,
 }
 
 impl ArrayReport {
@@ -237,7 +240,7 @@ impl RuntimeReport {
         ));
         let e = &self.energy;
         s.push_str(&format!(
-            "energy @ {:<9}: {:.1} J ({:.1} dynamic, {:.1} static, {:.1} reconfig)\n",
+            "energy @ {:<9}: {:.1} eu ({:.1} dynamic, {:.1} static, {:.1} reconfig)\n",
             e.point.name,
             e.total_j(),
             e.dynamic_j,
@@ -245,11 +248,11 @@ impl RuntimeReport {
             e.reconfig_j
         ));
         s.push_str(&format!(
-            "efficiency         : {:.2} J/job, {:.6} frames/J, {} gated cycles\n",
+            "efficiency         : {:.2} eu/job, {:.6} frames/eu, {} gated cycles\n",
             e.joules_per_job, e.frames_per_joule, e.gated_cycles
         ));
         s.push_str(&format!(
-            "battery            : {:.1} -> {:.1} J of {:.1} ({} samples, {:.1} J idle drain)\n",
+            "battery            : {:.1} -> {:.1} eu of {:.1} ({} samples, {:.1} eu idle drain)\n",
             e.battery.start_j,
             e.battery.end_j,
             e.battery.capacity_j,
@@ -257,7 +260,7 @@ impl RuntimeReport {
             e.battery.idle_drain_j
         ));
         s.push_str(
-            "array  kind  jobs   exec-cycles  reconfig-bits  events  util%      energy-J  gated\n",
+            "array  kind  jobs   exec-cycles  reconfig-bits  events  util%     energy-eu  gated\n",
         );
         for a in &self.arrays {
             s.push_str(&format!(

@@ -1,20 +1,20 @@
-//! Diff-aware job scheduling across the array pool.
+//! Diff-aware placement across the array pool.
 //!
-//! The scheduler walks jobs in arrival order and assigns each to the
-//! compatible array where it is cheapest to run *now*: the partial
-//! reconfiguration cost against the array's currently loaded bitstream
-//! (`diff_bits` over the configuration bus — zero when the kernel is
-//! already resident) plus the wait until that array drains its backlog, in
-//! sim-cycles. Kernels therefore develop array affinity automatically, and
-//! identical kernels spill to a second array only once queueing delay
-//! outweighs a reconfiguration.
+//! `place` puts each job on the compatible array where it is cheapest to
+//! run *now*: the partial reconfiguration cost against the array's
+//! resident bitstream (`diff_bits` over the configuration bus — zero when
+//! the kernel is already resident) plus the wait until that array drains
+//! its backlog, in sim-cycles. Kernels therefore develop array affinity
+//! automatically, and identical kernels spill to a second array only once
+//! queueing delay outweighs a reconfiguration.
 //!
-//! Assignment is a pure, sequential function of the job list and pool
-//! state; worker threads only execute the resulting per-array plans, so
-//! thread scheduling can never change any decision.
+//! Placement is a pure function of the job and the pool state it is
+//! shown. The runtime's per-array ledgers are that state; only batch
+//! planning substitutes estimated busy-until clocks. Worker threads only
+//! execute the resulting per-array plans, so thread scheduling can never
+//! change any decision.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dsra_core::netlist::Fingerprint;
 use dsra_platform::{select, Condition, ImplProfile, SocConfig};
@@ -27,7 +27,7 @@ use crate::kernel::ArrayKind;
 /// Memoised partial-reconfiguration costs, keyed by unordered kernel
 /// fingerprint pair.
 ///
-/// The scheduler probes `diff_bits(loaded, target)` once per candidate
+/// Placement probes `diff_bits(loaded, target)` once per candidate
 /// array per job; the kernel population of a run is tiny (a handful of
 /// distinct fingerprints), so after warm-up every probe is a table lookup
 /// instead of a frame-map sweep. Two invariants make the memo sound, both
@@ -36,9 +36,9 @@ use crate::kernel::ArrayKind;
 /// compiled artifact (the cache compiles each kernel for one deterministic
 /// fabric).
 ///
-/// The runtime owns one matrix for its whole lifetime and threads it
-/// through every serve, so E12's chunked discharge loop reuses diffs
-/// across chunks.
+/// The runtime owns one matrix for its whole lifetime and prices every
+/// batch and streaming placement with it, so E12's chunked discharge
+/// loop reuses diffs across chunks.
 #[derive(Debug, Default)]
 pub struct DiffMatrix {
     entries: HashMap<(Fingerprint, Fingerprint), u64>,
@@ -144,32 +144,18 @@ impl Default for PowerSnapshot {
     }
 }
 
-/// Scheduler-visible state of one array.
-#[derive(Debug)]
-pub struct ArrayState {
+/// What placement sees of one array: its identity, the kernel it holds
+/// and when it finishes the work it has accepted.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate<'a> {
     /// Array id (dense, DA arrays first).
-    pub id: usize,
+    pub(crate) id: usize,
     /// Fabric kind.
-    pub kind: ArrayKind,
-    /// Kernel whose bitstream the array will hold after the jobs planned so
-    /// far have run.
-    pub loaded: Option<Arc<CompiledKernel>>,
-    /// Sim-cycle at which the array finishes its planned work.
-    pub free_at: u64,
-    /// Number of planned jobs.
-    pub pending_jobs: usize,
-}
-
-impl ArrayState {
-    fn new(id: usize, kind: ArrayKind) -> Self {
-        ArrayState {
-            id,
-            kind,
-            loaded: None,
-            free_at: 0,
-            pending_jobs: 0,
-        }
-    }
+    pub(crate) kind: ArrayKind,
+    /// Kernel whose bitstream the array holds; `None` while cold.
+    pub(crate) resident: Option<&'a CompiledKernel>,
+    /// Sim-cycle at which the array finishes its accepted work.
+    pub(crate) free_at: u64,
 }
 
 /// Policy hook: how service classes map to platform conditions, how DCT
@@ -221,10 +207,9 @@ pub trait SchedulePolicy {
         &self,
         reconfig_cycles: u64,
         wait_cycles: u64,
-        array: &ArrayState,
         power: &PowerSnapshot,
     ) -> u64 {
-        let _ = (array, power);
+        let _ = power;
         reconfig_cycles + wait_cycles
     }
 
@@ -260,13 +245,7 @@ impl SchedulePolicy for NaivePolicy {
         Condition::HighQuality
     }
 
-    fn assignment_cost(
-        &self,
-        _reconfig_cycles: u64,
-        wait_cycles: u64,
-        _array: &ArrayState,
-        _power: &PowerSnapshot,
-    ) -> u64 {
+    fn assignment_cost(&self, _reconfig_cycles: u64, wait_cycles: u64, _: &PowerSnapshot) -> u64 {
         wait_cycles
     }
 }
@@ -324,7 +303,6 @@ impl SchedulePolicy for EnergyAwarePolicy {
         &self,
         reconfig_cycles: u64,
         wait_cycles: u64,
-        _array: &ArrayState,
         power: &PowerSnapshot,
     ) -> u64 {
         let weight = self.reconfig_weight
@@ -354,163 +332,57 @@ pub struct PlannedSlot {
     pub reconfig_cycles: u64,
 }
 
-/// The pool-state half of the scheduler: array states plus the diff-aware
-/// argmin. Kernel selection stays in the runtime (it owns profiles and the
-/// cache); this type owns *where* work lands.
-#[derive(Debug)]
-pub struct DiffAwareScheduler {
-    arrays: Vec<ArrayState>,
-    soc: SocConfig,
-    diffs: DiffMatrix,
-}
-
-impl DiffAwareScheduler {
-    /// A pool of `da` DA arrays followed by `me` ME arrays, all cold,
-    /// pricing switches with the SoC's configuration-path constants (bus
-    /// width and partial-reconfiguration support). The runtime charges
-    /// the planned costs as they stand, so they must equal what a
-    /// per-array `ReconfigManager` replaying the plan would charge.
-    pub fn new(da: usize, me: usize, soc: SocConfig) -> Self {
-        Self::with_memo(da, me, soc, DiffMatrix::new())
-    }
-
-    /// Like [`DiffAwareScheduler::new`] with a pre-warmed diff memo (the
-    /// runtime threads one matrix through every serve; reclaim it with
-    /// [`DiffAwareScheduler::into_memo`]).
-    pub fn with_memo(da: usize, me: usize, soc: SocConfig, diffs: DiffMatrix) -> Self {
-        let mut arrays = Vec::with_capacity(da + me);
-        for _ in 0..da {
-            let id = arrays.len();
-            arrays.push(ArrayState::new(id, ArrayKind::Da));
+/// Places one job that needs `kernel` and arrives at `arrival_cycle` on
+/// the cheapest of `candidates` (in id order) whose kind matches the
+/// kernel's, or returns `None` when none does. A pure function: the
+/// callers own the array state and apply the slot themselves.
+///
+/// The switch is priced as `ReconfigManager::switch_to` would charge it:
+/// free when the kernel is resident, a (memoised) frame diff under
+/// partial reconfiguration, a full rewrite otherwise. The policy weighs
+/// those bus cycles against the wait until the array is free; ties go to
+/// the lower array id.
+pub(crate) fn place<'a>(
+    kernel: &CompiledKernel,
+    arrival_cycle: u64,
+    candidates: impl IntoIterator<Item = Candidate<'a>>,
+    soc: &SocConfig,
+    policy: &dyn SchedulePolicy,
+    power: &PowerSnapshot,
+    diffs: &mut DiffMatrix,
+) -> Option<PlannedSlot> {
+    let mut chosen: Option<(u64, PlannedSlot)> = None;
+    for a in candidates {
+        if a.kind != kernel.array_kind {
+            continue;
         }
-        for _ in 0..me {
-            let id = arrays.len();
-            arrays.push(ArrayState::new(id, ArrayKind::Me));
-        }
-        DiffAwareScheduler { arrays, soc, diffs }
-    }
-
-    /// Current array states (scheduling order).
-    pub fn arrays(&self) -> &[ArrayState] {
-        &self.arrays
-    }
-
-    /// Hands the diff memo back (with everything this scheduler learned).
-    pub fn into_memo(self) -> DiffMatrix {
-        self.diffs
-    }
-
-    /// Assigns one job arriving at `arrival_cycle` that needs `kernel` for
-    /// an estimated `est_exec_cycles` of work, updating the planned pool
-    /// state. Returns the placement.
-    ///
-    /// Reconfiguration pricing mirrors `ReconfigManager::switch_to`: free
-    /// when resident, a (memoised) frame diff under partial
-    /// reconfiguration, a full rewrite otherwise.
-    ///
-    /// # Panics
-    /// Panics if the pool has no array of the kernel's kind.
-    pub fn assign(
-        &mut self,
-        kernel: &Arc<CompiledKernel>,
-        arrival_cycle: u64,
-        est_exec_cycles: u64,
-        policy: &dyn SchedulePolicy,
-        power: &PowerSnapshot,
-    ) -> PlannedSlot {
-        self.assign_filtered(
-            kernel,
-            arrival_cycle,
-            est_exec_cycles,
-            policy,
-            power,
-            |_| true,
-        )
-    }
-
-    /// Like [`DiffAwareScheduler::assign`], restricted to the arrays
-    /// `available` admits — the hook the streaming layer (E13) uses to
-    /// keep power-gated arrays out of placement until its elastic-pool
-    /// controller wakes them.
-    ///
-    /// # Panics
-    /// Panics if no available array of the kernel's kind exists.
-    pub fn assign_filtered(
-        &mut self,
-        kernel: &Arc<CompiledKernel>,
-        arrival_cycle: u64,
-        est_exec_cycles: u64,
-        policy: &dyn SchedulePolicy,
-        power: &PowerSnapshot,
-        available: impl Fn(usize) -> bool,
-    ) -> PlannedSlot {
-        let mut chosen: Option<(u64, usize, u64, u64)> = None;
-        for i in 0..self.arrays.len() {
-            if self.arrays[i].kind != kernel.array_kind || !available(i) {
-                continue;
-            }
-            let bits = match &self.arrays[i].loaded {
-                None => kernel.total_bits(),
-                Some(resident) if resident.fingerprint == kernel.fingerprint => 0,
-                Some(_) if !self.soc.partial_reconfig => kernel.total_bits(),
-                Some(resident) => self.diffs.bits(resident, kernel),
-            };
-            let cycles = bits.div_ceil(u64::from(self.soc.cfg_bus_bits_per_cycle));
-            let a = &self.arrays[i];
-            let wait = a.free_at.saturating_sub(arrival_cycle);
-            let cost = policy.assignment_cost(cycles, wait, a, power);
-            // First minimum wins: ties break towards the lower array id.
-            if chosen.is_none_or(|(best_cost, best_id, _, _)| (cost, a.id) < (best_cost, best_id)) {
-                chosen = Some((cost, a.id, bits, cycles));
-            }
-        }
-        let Some((_, id, reconfig_bits, reconfig_cycles)) = chosen else {
-            panic!(
-                "pool has no {} array for kernel `{}`",
-                kernel.array_kind.tag(),
-                kernel.name
-            )
+        let reconfig_bits = match a.resident {
+            None => kernel.total_bits(),
+            Some(resident) if resident.fingerprint == kernel.fingerprint => 0,
+            Some(_) if !soc.partial_reconfig => kernel.total_bits(),
+            Some(resident) => diffs.bits(resident, kernel),
         };
-        let state = &mut self.arrays[id];
-        state.loaded = Some(Arc::clone(kernel));
-        let start = state.free_at.max(arrival_cycle);
-        state.free_at = start + reconfig_cycles + est_exec_cycles;
-        state.pending_jobs += 1;
-        PlannedSlot {
-            array: id,
-            reconfig_bits,
-            reconfig_cycles,
+        let reconfig_cycles = reconfig_bits.div_ceil(u64::from(soc.cfg_bus_bits_per_cycle));
+        let wait = a.free_at.saturating_sub(arrival_cycle);
+        let cost = policy.assignment_cost(reconfig_cycles, wait, power);
+        // First minimum wins: ties break towards the lower array id.
+        if chosen.is_none_or(|(best, slot)| (cost, a.id) < (best, slot.array)) {
+            let slot = PlannedSlot {
+                array: a.id,
+                reconfig_bits,
+                reconfig_cycles,
+            };
+            chosen = Some((cost, slot));
         }
     }
-
-    /// Corrects an array's busy-until clock to the *measured* completion
-    /// cycle. [`DiffAwareScheduler::assign`] advances `free_at` by the
-    /// caller's estimate; the streaming layer executes each job right
-    /// after placing it and settles the clock with the cycle-accurate
-    /// figure so the next placement sees the true backlog.
-    ///
-    /// # Panics
-    /// Panics if `array` is out of range.
-    pub fn settle(&mut self, array: usize, free_at: u64) {
-        self.arrays[array].free_at = free_at;
-    }
-
-    /// Drops an array's resident configuration, as a full power-off does:
-    /// the next kernel placed there is priced as a cold, full bitstream
-    /// write. This is how the elastic pool models non-retentive power
-    /// gating (DESIGN.md §9) — the wake penalty is exactly the rewrite
-    /// the scheduler now charges.
-    ///
-    /// # Panics
-    /// Panics if `array` is out of range.
-    pub fn evict(&mut self, array: usize) {
-        self.arrays[array].loaded = None;
-    }
+    chosen.map(|(_, slot)| slot)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use dsra_core::fabric::{Fabric, MeshSpec};
     use dsra_core::netlist::Netlist;
     use dsra_core::prelude::{AbsDiffMode, ClusterCfg};
@@ -549,24 +421,91 @@ mod tests {
         PowerSnapshot::default()
     }
 
+    /// Drives [`place`] the way batch planning does: each array's resident
+    /// kernel and busy-until clock advance by the caller's estimate.
+    struct Pool {
+        soc: SocConfig,
+        diffs: DiffMatrix,
+        arrays: Vec<(ArrayKind, Option<Arc<CompiledKernel>>, u64)>,
+    }
+
+    impl Pool {
+        fn new(da: usize, me: usize, soc: SocConfig) -> Self {
+            let kinds = std::iter::repeat_n(ArrayKind::Da, da);
+            Pool {
+                soc,
+                diffs: DiffMatrix::new(),
+                arrays: kinds
+                    .chain(std::iter::repeat_n(ArrayKind::Me, me))
+                    .map(|kind| (kind, None, 0))
+                    .collect(),
+            }
+        }
+
+        fn assign(
+            &mut self,
+            k: &Arc<CompiledKernel>,
+            arrival: u64,
+            est: u64,
+            policy: &dyn SchedulePolicy,
+        ) -> PlannedSlot {
+            self.assign_among(k, arrival, est, policy, |_| true)
+        }
+
+        fn assign_among(
+            &mut self,
+            k: &Arc<CompiledKernel>,
+            arrival: u64,
+            est: u64,
+            policy: &dyn SchedulePolicy,
+            available: impl Fn(usize) -> bool,
+        ) -> PlannedSlot {
+            let candidates = self
+                .arrays
+                .iter()
+                .enumerate()
+                .filter(|(id, _)| available(*id))
+                .map(|(id, (kind, resident, free_at))| Candidate {
+                    id,
+                    kind: *kind,
+                    resident: resident.as_deref(),
+                    free_at: *free_at,
+                });
+            let slot = place(
+                k,
+                arrival,
+                candidates,
+                &self.soc,
+                policy,
+                &snap(),
+                &mut self.diffs,
+            )
+            .expect("a candidate of the kernel's kind");
+            let (_, resident, free_at) = &mut self.arrays[slot.array];
+            *free_at = (*free_at).max(arrival) + slot.reconfig_cycles + est;
+            *resident = Some(Arc::clone(k));
+            slot
+        }
+    }
+
     #[test]
     fn resident_kernel_wins_over_cold_array() {
-        let mut sched = DiffAwareScheduler::new(0, 2, SocConfig::default());
+        let mut pool = Pool::new(0, 2, SocConfig::default());
         let k = kernel(AbsDiffMode::AbsDiff);
         // First job cold-starts array 0 (tie on cost → lowest id).
-        let p0 = sched.assign(&k, 0, 10, &DefaultPolicy, &snap());
+        let p0 = pool.assign(&k, 0, 10, &DefaultPolicy);
         assert_eq!(p0.array, 0);
         assert_eq!(p0.reconfig_bits, k.total_bits());
         // Second job with the same kernel: array 0 is loaded, and with the
         // backlog drained by the late arrival the switch is free.
-        let p1 = sched.assign(&k, 1 << 20, 10, &DefaultPolicy, &snap());
+        let p1 = pool.assign(&k, 1 << 20, 10, &DefaultPolicy);
         assert_eq!(p1.array, 0);
         assert_eq!(p1.reconfig_bits, 0);
     }
 
     #[test]
     fn queueing_delay_eventually_spills_to_a_second_array() {
-        let mut sched = DiffAwareScheduler::new(0, 2, SocConfig::default());
+        let mut pool = Pool::new(0, 2, SocConfig::default());
         let k = kernel(AbsDiffMode::AbsDiff);
         // A burst of same-kernel jobs all arriving at cycle 0: affinity
         // holds until array 0's queue costs more than a cold start of
@@ -574,7 +513,7 @@ mod tests {
         let cold_cycles = k.total_bits().div_ceil(32);
         let mut spilled = false;
         for _ in 0..200 {
-            let p = sched.assign(&k, 0, cold_cycles / 4 + 1, &DefaultPolicy, &snap());
+            let p = pool.assign(&k, 0, cold_cycles / 4 + 1, &DefaultPolicy);
             if p.array == 1 {
                 spilled = true;
                 break;
@@ -585,13 +524,13 @@ mod tests {
 
     #[test]
     fn different_kernel_prefers_the_cheaper_diff() {
-        let mut sched = DiffAwareScheduler::new(0, 2, SocConfig::default());
+        let mut pool = Pool::new(0, 2, SocConfig::default());
         let ka = kernel(AbsDiffMode::AbsDiff);
         let kb = kernel(AbsDiffMode::Sub);
-        sched.assign(&ka, 0, 0, &DefaultPolicy, &snap()); // array 0 holds ka
-                                                          // Arriving after array 0 drained: a partial reconfiguration against
-                                                          // ka beats a full cold write onto empty array 1.
-        let p = sched.assign(&kb, 1 << 20, 0, &DefaultPolicy, &snap());
+        pool.assign(&ka, 0, 0, &DefaultPolicy); // array 0 holds ka
+                                                // Arriving after array 0 drained: a partial reconfiguration against
+                                                // ka beats a full cold write onto empty array 1.
+        let p = pool.assign(&kb, 1 << 20, 0, &DefaultPolicy);
         assert_eq!(p.array, 0);
         assert!(p.reconfig_bits > 0);
         assert!(p.reconfig_bits < kb.total_bits());
@@ -606,23 +545,23 @@ mod tests {
             partial_reconfig: false,
             ..Default::default()
         };
-        let mut sched = DiffAwareScheduler::new(0, 1, soc);
+        let mut pool = Pool::new(0, 1, soc);
         let ka = kernel(AbsDiffMode::AbsDiff);
         let kb = kernel(AbsDiffMode::Sub);
-        sched.assign(&ka, 0, 0, &DefaultPolicy, &snap());
-        let resident = sched.assign(&ka, 1 << 20, 0, &DefaultPolicy, &snap());
+        pool.assign(&ka, 0, 0, &DefaultPolicy);
+        let resident = pool.assign(&ka, 1 << 20, 0, &DefaultPolicy);
         assert_eq!(resident.reconfig_bits, 0);
-        let switch = sched.assign(&kb, 2 << 20, 0, &DefaultPolicy, &snap());
+        let switch = pool.assign(&kb, 2 << 20, 0, &DefaultPolicy);
         assert_eq!(switch.reconfig_bits, kb.total_bits());
     }
 
     #[test]
     fn planned_switch_costs_match_a_reconfig_manager_per_array() {
-        // Batch workers never re-price a switch: the ledger charges the
-        // plan's bits and cycles. So for random kernel sequences, pool
-        // sizes, bus widths and policies, with partial reconfiguration on
-        // and off, every slot must equal what a per-array
-        // `ReconfigManager` replaying the plan charges.
+        // Ledgers never re-price a switch: they charge the slot's bits and
+        // cycles. So for random kernel sequences, pool sizes, bus widths
+        // and policies, with partial reconfiguration on and off, every
+        // slot must equal what a per-array `ReconfigManager` replaying the
+        // placements charges.
         use dsra_core::rng::SplitMix64;
         use dsra_platform::ReconfigManager;
         let kernels: Vec<Arc<CompiledKernel>> = [8, 12, 16]
@@ -641,10 +580,10 @@ mod tests {
                 cfg_bus_bits_per_cycle: [8, 32, 64][rng.next_below(3) as usize],
                 ..Default::default()
             };
-            let pool = 1 + rng.next_below(4) as usize;
+            let size = 1 + rng.next_below(4) as usize;
             let policy = policies[rng.next_below(3) as usize];
-            let mut sched = DiffAwareScheduler::new(0, pool, soc);
-            let mut managers: Vec<ReconfigManager> = (0..pool)
+            let mut pool = Pool::new(0, size, soc);
+            let mut managers: Vec<ReconfigManager> = (0..size)
                 .map(|_| {
                     let mut m = ReconfigManager::new(soc);
                     for k in &kernels {
@@ -658,7 +597,7 @@ mod tests {
                 // A small working set per case, so residency hits happen.
                 let k = &kernels[rng.next_below(1 + case % kernels.len() as u64) as usize];
                 arrival += rng.next_below(3_000);
-                let slot = sched.assign(k, arrival, rng.next_below(6_000), policy, &snap());
+                let slot = pool.assign(k, arrival, rng.next_below(6_000), policy);
                 let charged = managers[slot.array]
                     .switch_to(&k.fingerprint.to_hex())
                     .unwrap();
@@ -673,10 +612,23 @@ mod tests {
 
     #[test]
     fn kinds_are_respected() {
-        let mut sched = DiffAwareScheduler::new(1, 1, SocConfig::default());
+        let mut pool = Pool::new(1, 1, SocConfig::default());
         let k = kernel(AbsDiffMode::AbsDiff); // an ME kernel
-        let p = sched.assign(&k, 0, 0, &DefaultPolicy, &snap());
-        assert_eq!(sched.arrays()[p.array].kind, ArrayKind::Me);
+        let p = pool.assign(&k, 0, 0, &DefaultPolicy);
+        assert_eq!(pool.arrays[p.array].0, ArrayKind::Me);
+        // With no array of the kernel's kind offered, nothing is placed.
+        let da_only = [Candidate {
+            id: 0,
+            kind: ArrayKind::Da,
+            resident: None,
+            free_at: 0,
+        }];
+        let soc = SocConfig::default();
+        let mut diffs = DiffMatrix::new();
+        assert_eq!(
+            place(&k, 0, da_only, &soc, &DefaultPolicy, &snap(), &mut diffs),
+            None
+        );
     }
 
     #[test]
@@ -697,56 +649,24 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_memo_survives_round_trips() {
-        // The runtime threads one memo through every serve: handing it to a
-        // scheduler and reclaiming it must keep what was learned.
-        let ka = kernel(AbsDiffMode::AbsDiff);
-        let kb = kernel(AbsDiffMode::Sub);
-        let mut sched = DiffAwareScheduler::new(0, 1, SocConfig::default());
-        sched.assign(&ka, 0, 0, &DefaultPolicy, &snap());
-        sched.assign(&kb, 1 << 20, 0, &DefaultPolicy, &snap());
-        let memo = sched.into_memo();
-        assert_eq!(memo.len(), 1, "one kernel pair was diffed");
-        let mut again = DiffAwareScheduler::with_memo(0, 1, SocConfig::default(), memo);
-        again.assign(&ka, 0, 0, &DefaultPolicy, &snap());
-        again.assign(&kb, 1 << 20, 0, &DefaultPolicy, &snap());
-        assert_eq!(again.into_memo().len(), 1, "warm pair must not recompute");
-    }
-
-    #[test]
     fn filtered_assignment_skips_unavailable_arrays_and_eviction_goes_cold() {
-        let mut sched = DiffAwareScheduler::new(0, 2, SocConfig::default());
+        let mut pool = Pool::new(0, 2, SocConfig::default());
         let k = kernel(AbsDiffMode::AbsDiff);
-        // Array 0 is masked out (gated): the cold start lands on array 1
+        // Array 0 is not offered (gated): the cold start lands on array 1
         // even though 0 would win the tie.
-        let p = sched.assign_filtered(&k, 0, 10, &DefaultPolicy, &snap(), |i| i != 0);
+        let p = pool.assign_among(&k, 0, 10, &DefaultPolicy, |i| i != 0);
         assert_eq!(p.array, 1);
         assert_eq!(p.reconfig_bits, k.total_bits());
         // Resident on 1, a later arrival is free there…
-        let p = sched.assign(&k, 1 << 20, 10, &DefaultPolicy, &snap());
+        let p = pool.assign(&k, 1 << 20, 10, &DefaultPolicy);
         assert_eq!((p.array, p.reconfig_bits), (1, 0));
-        // …until eviction models the power-off: residency is gone, both
-        // arrays are equally cold (the tie reverts to array 0) and the
-        // kernel pays the full write again.
-        sched.evict(1);
-        let p = sched.assign(&k, 2 << 20, 10, &DefaultPolicy, &snap());
+        // …until the resident plane is dropped, as a power-off does:
+        // both arrays are equally cold (the tie reverts to array 0) and
+        // the kernel pays the full write again.
+        pool.arrays[1].1 = None;
+        let p = pool.assign(&k, 2 << 20, 10, &DefaultPolicy);
         assert_eq!(p.array, 0);
         assert_eq!(p.reconfig_bits, k.total_bits());
-    }
-
-    #[test]
-    fn settle_overrides_the_estimated_clock() {
-        let mut sched = DiffAwareScheduler::new(0, 1, SocConfig::default());
-        let k = kernel(AbsDiffMode::AbsDiff);
-        sched.assign(&k, 0, 1_000_000, &DefaultPolicy, &snap());
-        let estimated = sched.arrays()[0].free_at;
-        assert!(estimated >= 1_000_000);
-        // The measured job ran much shorter than estimated; the settled
-        // clock is what the next placement sees.
-        sched.settle(0, 500);
-        assert_eq!(sched.arrays()[0].free_at, 500);
-        let p = sched.assign(&k, 400, 10, &DefaultPolicy, &snap());
-        assert_eq!(p.array, 0);
     }
 
     #[test]
@@ -767,8 +687,7 @@ mod tests {
             assert_eq!(naive.condition(class, &low), Condition::HighQuality);
         }
         // A mountain of reconfiguration bits costs it nothing.
-        let state = ArrayState::new(0, ArrayKind::Da);
-        assert_eq!(naive.assignment_cost(1 << 30, 7, &state, &low), 7);
+        assert_eq!(naive.assignment_cost(1 << 30, 7, &low), 7);
         assert!(!naive.power_gate_idle());
     }
 
@@ -807,9 +726,8 @@ mod tests {
             }
         );
         // Reconfiguration is weighted above waiting, more so when low.
-        let state = ArrayState::new(0, ArrayKind::Da);
-        let healthy_cost = policy.assignment_cost(100, 10, &state, &healthy);
-        let low_cost = policy.assignment_cost(100, 10, &state, &low);
+        let healthy_cost = policy.assignment_cost(100, 10, &healthy);
+        let low_cost = policy.assignment_cost(100, 10, &low);
         assert!(healthy_cost > 100 + 10);
         assert!(low_cost > healthy_cost);
         assert!(policy.power_gate_idle());

@@ -256,7 +256,7 @@ impl ServiceReport {
             self.pool.gated_cycles()
         ));
         s.push_str(&format!(
-            "energy             : {:.1} J total, {:.1} J per served request\n",
+            "energy             : {:.1} eu total, {:.1} eu per served request\n",
             self.pool.total_j(),
             self.joules_per_served()
         ));
