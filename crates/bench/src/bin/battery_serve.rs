@@ -16,9 +16,9 @@
 //! same definition `tests/battery_serve.rs` gates in tier-1.
 
 use dsra_bench::{
-    bad_value, banner, discharge_runtime, install_profile_arg, install_trace_arg, json_flag,
-    parse_f64, parse_u64, write_chrome_trace, write_json_summary, write_metrics_arg,
-    write_profile_arg, DischargeOutcome, JsonValue,
+    banner, discharge_runtime, install_profile_arg, install_trace_arg, json_flag, or_exit,
+    parse_f64, parse_int, parse_u64, write_chrome_trace, write_json_summary, write_metrics_arg,
+    write_profile_arg, DischargeOutcome, JsonValue, MAX_ARRAYS, MAX_JOBS,
 };
 use dsra_runtime::{
     DefaultPolicy, EnergyAwarePolicy, NaivePolicy, PowerConfig, RuntimeConfig, SchedulePolicy,
@@ -26,23 +26,13 @@ use dsra_runtime::{
 };
 use dsra_video::JobMixConfig;
 
-fn parse_u32(name: &str, default: u32) -> u32 {
-    let v = parse_u64(name, u64::from(default));
-    u32::try_from(v).unwrap_or_else(|_| bad_value(name, &v.to_string()))
-}
-
-fn parse_u8(name: &str, default: u8) -> u8 {
-    let v = parse_u64(name, u64::from(default));
-    u8::try_from(v).unwrap_or_else(|_| bad_value(name, &v.to_string()))
-}
-
 fn main() {
     let capacity = parse_f64("--capacity", 2.0e9);
-    let chunk = parse_u32("--chunk", 120);
-    let da = parse_u64("--da", 2) as usize;
-    let me = parse_u64("--me", 2) as usize;
+    let chunk: u32 = parse_int("--chunk", 120, MAX_JOBS);
+    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
+    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
     let seed = parse_u64("--seed", 0x50C_5EED);
-    let low_pct = parse_u8("--low-pct", 20);
+    let low_pct: u8 = parse_int("--low-pct", 20, u8::MAX.into());
     let max_serves = parse_u64("--max-serves", 64);
     banner("E12", "energy-aware serving: jobs per full battery charge");
     println!(
@@ -88,7 +78,10 @@ fn main() {
         } else {
             None
         };
-        runs.push(discharge_runtime(&mut runtime, base, max_serves).expect("discharge run"));
+        runs.push(or_exit(
+            "discharge run",
+            discharge_runtime(&mut runtime, base, max_serves),
+        ));
         write_profile_arg(&runtime, &profile);
         if let Some(path) = &trace_path {
             write_chrome_trace(&mut runtime, path);

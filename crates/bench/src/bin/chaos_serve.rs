@@ -20,8 +20,9 @@
 //! land on the array tracks next to the intervals they perturb.
 
 use dsra_bench::{
-    arg_value, banner, chaos_metrics, install_profile_arg, json_flag, latency_histogram, parse_u64,
-    write_chrome_trace, write_json_summary, write_metrics_arg, write_profile_arg, JsonValue,
+    arg_value, banner, chaos_metrics, install_profile_arg, json_flag, latency_histogram, or_exit,
+    parse_int, parse_u64, write_chrome_trace, write_json_summary, write_metrics_arg,
+    write_profile_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_chaos::{serve_with_chaos, ChaosConfig, ChaosReport, FaultPlan, RecoveryConfig};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
@@ -29,11 +30,11 @@ use dsra_service::{standard_tenants, ServiceConfig, TraceConfig};
 use dsra_trace::EventLog;
 
 fn main() {
-    let tenants = parse_u64("--tenants", 3) as u16;
-    let duration_us = parse_u64("--duration", 6_000);
+    let tenants: u16 = parse_int("--tenants", 3, u16::MAX.into());
+    let duration_us = parse_int("--duration", 6_000, MAX_DURATION_US);
     let rate_per_ms = parse_u64("--rate", 450).max(1);
-    let da = parse_u64("--da", 2) as usize;
-    let me = parse_u64("--me", 2) as usize;
+    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
+    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
     // Fault-plan seed; the request trace keeps E13's default seed so the
     // offered load is the familiar one.
     let seed = parse_u64("--seed", 7);
@@ -89,14 +90,16 @@ fn main() {
         } else {
             None
         };
-        let report = serve_with_chaos(
-            &mut runtime,
-            &trace,
-            &ServiceConfig::default(),
-            &plan,
-            *recovery,
-        )
-        .expect("chaos session");
+        let report = or_exit(
+            "chaos session",
+            serve_with_chaos(
+                &mut runtime,
+                &trace,
+                &ServiceConfig::default(),
+                &plan,
+                *recovery,
+            ),
+        );
         println!("--- {tag} ---");
         print!("{}", report.service.render());
         let c = report.counts;

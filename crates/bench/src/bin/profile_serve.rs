@@ -21,9 +21,9 @@
 //! virtual-time event stream that makes the serve itself deterministic.
 
 use dsra_bench::{
-    arg_value, banner, install_profiler, json_flag, latency_histogram, parse_u64,
-    runtime_profile_report, write_chrome_trace, write_flame, write_json_summary, write_metrics_arg,
-    JsonValue,
+    arg_value, banner, install_profiler, json_flag, latency_histogram, or_exit, parse_int,
+    parse_u64, runtime_profile_report, write_chrome_trace, write_flame, write_json_summary,
+    write_metrics_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_profile::{flamegraph, utilization_tracks};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
@@ -31,13 +31,13 @@ use dsra_service::{serve_trace, standard_tenants, AdmitPolicy, ServiceConfig, Tr
 use dsra_trace::{counter_tracks_doc, EventLog};
 
 fn main() {
-    let tenants = parse_u64("--tenants", 4) as u16;
-    let duration_us = parse_u64("--duration", 20_000);
+    let tenants: u16 = parse_int("--tenants", 4, u16::MAX.into());
+    let duration_us = parse_int("--duration", 20_000, MAX_DURATION_US);
     let rate_per_ms = parse_u64("--rate", 900).max(1);
-    let da = parse_u64("--da", 2) as usize;
-    let me = parse_u64("--me", 2) as usize;
+    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
+    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
     let seed = parse_u64("--seed", 0x57EA_4AED);
-    let top_k = parse_u64("--top", 8) as usize;
+    let top_k: usize = parse_int("--top", 8, u64::MAX);
     banner(
         "E16",
         "cycle-exact attribution: where the stream's cycles and joules went",
@@ -67,15 +67,17 @@ fn main() {
     }
     let handle = install_profiler(&mut runtime);
 
-    let report = serve_trace(
-        &mut runtime,
-        &trace,
-        &ServiceConfig {
-            policy: AdmitPolicy::EdfShed,
-            ..Default::default()
-        },
-    )
-    .expect("streaming session");
+    let report = or_exit(
+        "streaming session",
+        serve_trace(
+            &mut runtime,
+            &trace,
+            &ServiceConfig {
+                policy: AdmitPolicy::EdfShed,
+                ..Default::default()
+            },
+        ),
+    );
     print!("{}", report.render());
     let h = latency_histogram(&report);
     println!(

@@ -14,16 +14,17 @@
 //! plans — which is exactly what the `outcome digest` line pins.
 
 use dsra_bench::{
-    arg_value, bad_value, banner, install_profile_arg, install_trace_arg, json_flag, parse_u64,
-    write_chrome_trace, write_metrics_arg, write_profile_arg, JsonValue,
+    arg_value, bad_value, banner, install_profile_arg, install_trace_arg, json_flag, or_exit,
+    parse_int, parse_u64, write_chrome_trace, write_metrics_arg, write_profile_arg, JsonValue,
+    MAX_ARRAYS, MAX_JOBS,
 };
 use dsra_runtime::{BackendKind, RuntimeConfig, SocRuntime};
 use dsra_video::{generate_job_mix, JobMixConfig};
 
 fn main() {
-    let jobs = parse_u64("--jobs", 1000) as u32;
-    let da = parse_u64("--da", 2) as usize;
-    let me = parse_u64("--me", 2) as usize;
+    let jobs: u32 = parse_int("--jobs", 1000, MAX_JOBS);
+    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
+    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
     let seed = parse_u64("--seed", 0x50C_5EED);
     // `--backend check` runs every job through the array simulator *and*
     // the software golden reference, failing on the first divergence; the
@@ -59,7 +60,7 @@ fn main() {
     // `--profile-out <file>` tees the same event stream into the
     // attribution profiler and dumps the serve as a flamegraph.
     let profile = install_profile_arg(&mut runtime);
-    let report = runtime.serve(&mix).expect("serve");
+    let report = or_exit("serve", runtime.serve(&mix));
     print!("{}", report.render());
     write_profile_arg(&runtime, &profile);
     if let Some(path) = &trace_path {

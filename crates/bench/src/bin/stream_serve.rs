@@ -25,8 +25,9 @@
 
 use dsra_bench::{
     arg_value, bad_value, banner, install_profile_arg, json_flag, latency_histogram,
-    monitor_metrics, parse_u64, shed_wait_histogram, stream_metrics, write_chrome_trace,
-    write_json_summary, write_metrics_arg, write_profile_arg, JsonValue,
+    monitor_metrics, or_exit, parse_int, parse_u64, shed_wait_histogram, stream_metrics,
+    write_chrome_trace, write_json_summary, write_metrics_arg, write_profile_arg, JsonValue,
+    MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_monitor::{render_dashboard, MonitorHandle};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
@@ -37,14 +38,14 @@ use dsra_service::{
 use dsra_trace::{EventLog, NoopSink, TraceSink};
 
 fn main() {
-    let tenants = parse_u64("--tenants", 4) as u16;
-    let duration_us = parse_u64("--duration", 20_000);
+    let tenants: u16 = parse_int("--tenants", 4, u16::MAX.into());
+    let duration_us = parse_int("--duration", 20_000, MAX_DURATION_US);
     // Aggregate offered load in requests per virtual millisecond; the
     // per-tenant mean gap follows from it (background tenants halve
     // their own rate).
     let rate_per_ms = parse_u64("--rate", 900).max(1);
-    let da = parse_u64("--da", 2) as usize;
-    let me = parse_u64("--me", 2) as usize;
+    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
+    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
     let seed = parse_u64("--seed", 0x57EA_4AED);
     let policy_arg = arg_value("--policy").unwrap_or_else(|| "both".into());
     banner(
@@ -112,16 +113,18 @@ fn main() {
         } else {
             None
         };
-        let report = serve_trace(
-            &mut runtime,
-            &trace,
-            &ServiceConfig {
-                policy: *policy,
-                monitor: monitor.clone(),
-                ..Default::default()
-            },
-        )
-        .expect("streaming session");
+        let report = or_exit(
+            "streaming session",
+            serve_trace(
+                &mut runtime,
+                &trace,
+                &ServiceConfig {
+                    policy: *policy,
+                    monitor: monitor.clone(),
+                    ..Default::default()
+                },
+            ),
+        );
         print!("{}", report.render());
         if let Some(handle) = &monitor {
             print!(

@@ -18,7 +18,7 @@
 //! The report is a pure function of the trace document, which is itself
 //! byte-identical per seed — so the breakdown is too.
 
-use dsra_bench::{analyze_chrome_trace, banner, parse_json, parse_u64, slo_replay};
+use dsra_bench::{analyze_chrome_trace, banner, parse_int, parse_json, slo_replay};
 use dsra_monitor::{render_dashboard, render_timeline};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         eprintln!("usage: trace_report <trace.json> [--top N] [--slo]");
         std::process::exit(2);
     });
-    let top_k = parse_u64("--top", 8) as usize;
+    let top_k: usize = parse_int("--top", 8, u64::MAX);
     banner("trace_report", "job-lifecycle trace breakdowns");
     let fail = |what: String| -> ! {
         eprintln!("{what}");

@@ -188,21 +188,51 @@ pub fn bad_value(name: &str, value: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Parses `--name <u64>` (decimal or `0x…` hex), falling back to
-/// `default` when the flag is absent; an unparseable value goes to
-/// [`bad_value`].
+/// Largest `--da` / `--me` pool a serving binary accepts: batch serving
+/// runs one OS thread per array.
+pub const MAX_ARRAYS: u64 = 64;
+
+/// Largest `--jobs` / `--chunk` job count a serving binary accepts; the
+/// whole job list is generated up front.
+pub const MAX_JOBS: u64 = 1_000_000;
+
+/// Longest `--duration` (virtual µs) a streaming binary accepts; the whole
+/// request trace is generated up front.
+pub const MAX_DURATION_US: u64 = 1_000_000;
+
+/// Parses `--name <integer>` (decimal or `0x…` hex) into `T`, falling back
+/// to `default` when the flag is absent — the one integer flag parser
+/// every experiment binary shares. A value that does not parse, exceeds
+/// `max` or does not fit `T` goes to [`bad_value`]; nothing is truncated.
+pub fn parse_int<T: TryFrom<u64>>(name: &str, default: T, max: u64) -> T {
+    let Some(v) = arg_value(name) else {
+        return default;
+    };
+    let text = v.trim();
+    let parsed = match text.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => text.parse(),
+    };
+    let n = parsed.unwrap_or_else(|_| bad_value(name, &v));
+    if n > max {
+        bad_value(&format!("{name} (at most {max})"), &v);
+    }
+    T::try_from(n).unwrap_or_else(|_| bad_value(name, &v))
+}
+
+/// [`parse_int`] for a flag that takes any `u64`.
 pub fn parse_u64(name: &str, default: u64) -> u64 {
-    arg_value(name)
-        .map(|v| {
-            let v = v.trim();
-            let parsed = if let Some(hex) = v.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                v.parse()
-            };
-            parsed.unwrap_or_else(|_| bad_value(name, v))
-        })
-        .unwrap_or(default)
+    parse_int(name, default, u64::MAX)
+}
+
+/// The value of a fallible step whose input came from the command line;
+/// on an error, prints `<what> failed: <error>` to stderr and exits with
+/// status 2 — the same contract as [`bad_value`], never a panic.
+pub fn or_exit<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what} failed: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Parses `--name <f64>`, falling back to `default` when absent; an

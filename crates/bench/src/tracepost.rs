@@ -371,7 +371,7 @@ impl TraceAnalysis {
         s.push_str(&format!("top-{top_k} hot kernels by fingerprint:\n"));
         for (fingerprint, k) in self.kernels.iter().take(top_k) {
             s.push_str(&format!(
-                "  {}  {:<24} {:>6} jobs  {:>10.3} J\n",
+                "  {}  {:<24} {:>6} jobs  {:>10.3} eu\n",
                 fingerprint,
                 k.kernel,
                 k.completions,

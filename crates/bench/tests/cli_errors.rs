@@ -36,12 +36,87 @@ fn bad_flag_values_exit_2_without_panicking() {
             &["no-such-trace.json", "--top", "-1"],
             "--top",
         ),
+        // Values past the type: once truncated to 2 jobs and 1 tenant.
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--jobs", "4294967298"],
+            "--jobs",
+        ),
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &["--tenants", "65537", "--duration", "100"],
+            "--tenants",
+        ),
+        // One value just past each bound. `--da 0` makes the run fail
+        // fast should the bound ever stop being checked before the
+        // runtime is built, and then the message names the pool instead.
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--jobs", "1000001", "--da", "0"],
+            "--jobs",
+        ),
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--da", "65", "--me", "0"],
+            "--da",
+        ),
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &["--me", "65", "--da", "0", "--duration", "100"],
+            "--me",
+        ),
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &["--duration", "1000001", "--da", "0"],
+            "--duration",
+        ),
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--chunk", "1000001", "--da", "0"],
+            "--chunk",
+        ),
     ] {
         let out = Command::new(bin).args(args).output().expect("spawn binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
         assert!(
             stderr.contains(&format!("bad value for {flag}")),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn failed_serves_exit_2_naming_the_runtime_error() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--jobs", "20", "--da", "0", "--me", "1"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &["--da", "0", "--duration", "200"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos_serve"),
+            &["--da", "0", "--duration", "200"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--da", "0", "--chunk", "5"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            &["--da", "0", "--duration", "200"],
+        ),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("failed: ")
+                && stderr.contains("needs a DA array but the pool has none"),
             "{bin} {args:?}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");

@@ -13,9 +13,9 @@
 use dsra_backend::{Backend, Divergence, GoldenBackend};
 use dsra_core::error::Result;
 use dsra_runtime::{SocRuntime, StreamedJob};
-use dsra_service::DispatchHook;
+use dsra_service::{cycles_per_us, pool_for, DispatchHook};
 use dsra_trace::TraceEvent;
-use dsra_video::{JobPayload, JobSpec};
+use dsra_video::JobSpec;
 
 use crate::fault::ChaosState;
 use crate::plan::{FaultKind, FaultPlan};
@@ -95,7 +95,8 @@ pub struct ChaosHook {
     golden: GoldenBackend,
     /// Consecutive-divergence strikes per array.
     strikes: Vec<u32>,
-    /// Next probe instant per quarantined array (µs).
+    /// Next probe instant per quarantined array (µs) — only a schedule:
+    /// whether an array is quarantined is read from the runtime.
     probe_at: Vec<Option<u64>>,
     /// First-attempt dispatches seen, for the spot-check cadence.
     dispatched: u64,
@@ -129,28 +130,17 @@ impl ChaosHook {
         self.counts
     }
 
-    fn cycles_per_us(runtime: &SocRuntime) -> u64 {
-        (runtime.config().soc.clock_mhz.round() as u64).max(1)
-    }
-
-    fn payload_kind(payload: &JobPayload) -> dsra_runtime::ArrayKind {
-        match payload {
-            JobPayload::MeSearch { .. } => dsra_runtime::ArrayKind::Me,
-            _ => dsra_runtime::ArrayKind::Da,
-        }
-    }
-
     /// Quarantines `array` unless it is the last healthy array of its
     /// kind (a degraded pool keeps serving — jobs that keep diverging
     /// there fail per-job instead of stalling the whole service).
     fn try_quarantine(&mut self, runtime: &mut SocRuntime, array: usize, now_cycle: u64) -> bool {
-        let status = runtime.stream_array_status();
-        let kind = status[array].kind;
-        let healthy_peers = status
-            .iter()
-            .filter(|a| a.kind == kind && !a.quarantined && a.id != array)
-            .count();
-        if healthy_peers == 0 || !runtime.stream_quarantine(array, now_cycle) {
+        let Some(kind) = runtime.stream_array(array).map(|a| a.kind) else {
+            return false;
+        };
+        let healthy_peer = runtime
+            .stream_arrays()
+            .any(|a| a.kind == kind && !a.quarantined && a.id != array);
+        if !healthy_peer || !runtime.stream_quarantine(array, now_cycle) {
             return false;
         }
         self.counts.quarantines += 1;
@@ -169,7 +159,7 @@ impl ChaosHook {
 
 impl DispatchHook for ChaosHook {
     fn on_tick(&mut self, runtime: &mut SocRuntime, now_us: u64) {
-        let cyc = Self::cycles_per_us(runtime);
+        let cyc = cycles_per_us(runtime);
         self.state.set_now(now_us);
         // Land every fault scheduled at or before this instant. The
         // dispatcher's clock visits each fault instant exactly (they are
@@ -199,16 +189,13 @@ impl DispatchHook for ChaosHook {
         // clean (stuck-at windows expire, evicted reconfig corruption is
         // gone; death never probes healthy).
         for array in 0..self.probe_at.len() {
-            let Some(due) = self.probe_at[array] else {
-                continue;
-            };
-            if due > now_us {
+            if self.probe_at[array].is_none_or(|due| due > now_us) {
                 continue;
             }
-            if self.state.is_faulty(array, now_us) {
-                self.probe_at[array] = Some(now_us + self.recovery.probe_interval_us.max(1));
-            } else if runtime.stream_restore(array, now_us * cyc) {
-                self.probe_at[array] = None;
+            let faulty = self.state.is_faulty(array, now_us);
+            self.probe_at[array] =
+                faulty.then_some(now_us + self.recovery.probe_interval_us.max(1));
+            if !faulty && runtime.stream_restore(array, now_us * cyc) {
                 self.strikes[array] = 0;
                 self.counts.restores += 1;
                 if runtime.trace_sink().enabled() {
@@ -217,8 +204,6 @@ impl DispatchHook for ChaosHook {
                         array: array as u32,
                     });
                 }
-            } else {
-                self.probe_at[array] = None; // not actually quarantined
             }
         }
     }
@@ -247,8 +232,8 @@ impl DispatchHook for ChaosHook {
         job: &JobSpec,
         now_us: u64,
     ) -> Result<Option<StreamedJob>> {
-        let cyc = Self::cycles_per_us(runtime);
-        let kind = Self::payload_kind(&job.payload);
+        let cyc = cycles_per_us(runtime);
+        let kind = pool_for(&job.payload);
         self.dispatched += 1;
         let cadence = self.recovery.spot_check_every;
         let check_first = cadence > 0 && self.dispatched.is_multiple_of(cadence);
@@ -257,8 +242,7 @@ impl DispatchHook for ChaosHook {
         for attempt in 0..=self.recovery.max_retries {
             // A fully-quarantined pool cannot place the job at all.
             if !runtime
-                .stream_array_status()
-                .iter()
+                .stream_arrays()
                 .any(|a| a.kind == kind && !a.quarantined)
             {
                 self.counts.failed_jobs += 1;

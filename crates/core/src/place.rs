@@ -203,8 +203,6 @@ fn anneal(
     if movable.is_empty() {
         return;
     }
-    // Occupancy by site, for swaps.
-    let mut at: HashMap<(u16, u16), NodeId> = loc.iter().map(|(n, s)| (*s, *n)).collect();
     let mut rng = SplitMix64::new(opts.seed);
     let mut temp = opts.initial_temperature;
     let decay = (0.01f64 / opts.initial_temperature).powf(1.0 / f64::from(opts.sa_moves.max(1)));
@@ -256,17 +254,13 @@ fn anneal(
         let delta = after - before;
         let accept = delta < 0.0 || rng.next_f64() < (-delta / temp.max(1e-9)).exp();
         if accept {
-            at.remove(&cur);
-            if let Some(other) = swap_with {
-                at.insert(cur, other);
-            } else {
+            if swap_with.is_none() {
                 // dest was free: remove it from the free list, add cur back.
                 let list = free.get_mut(&key).unwrap();
                 let pos = list.iter().position(|&s| s == dest).unwrap();
                 list.swap_remove(pos);
                 list.push(cur);
             }
-            at.insert(dest, node);
         } else {
             // Revert.
             loc.insert(node, cur);

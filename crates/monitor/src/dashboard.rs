@@ -31,7 +31,7 @@ pub fn render_dashboard(snapshot: &HealthSnapshot, log: &AlertLog) -> String {
     }
     if let Some(b) = &snapshot.battery {
         out.push_str(&format!(
-            "battery: charge={:.3}J at={} burn={:.6}J/Mcyc empty@{}\n",
+            "battery: charge={:.3}eu at={} burn={:.6}eu/Mcyc empty@{}\n",
             b.charge_j,
             b.at_cycle,
             b.burn_j_per_mcycle,

@@ -22,7 +22,7 @@ use crate::cache::CompiledKernel;
 use crate::kernel::ArrayKind;
 use crate::report::ArrayReport;
 use crate::scheduler::{Candidate, PlannedSlot};
-use crate::PowerConfig;
+use crate::{PowerConfig, StreamArrayStatus};
 
 /// Resident plane, energy, timeline cursor and tallies of one array over
 /// one serve or streaming session.
@@ -84,6 +84,17 @@ impl ArrayLedger {
             kind: self.kind,
             resident: self.resident.as_deref(),
             free_at: self.free_at,
+        }
+    }
+
+    /// What the streaming frontends see of this array.
+    pub(crate) fn status(&self) -> StreamArrayStatus {
+        StreamArrayStatus {
+            id: self.id,
+            kind: self.kind,
+            free_at: self.free_at,
+            gated: self.gated,
+            quarantined: self.quarantined,
         }
     }
 

@@ -668,23 +668,27 @@ impl SocRuntime {
         });
     }
 
-    /// Per-array busy-until clocks and gating flags of the open streaming
-    /// session (empty when no session is open).
-    pub fn stream_array_status(&self) -> Vec<StreamArrayStatus> {
-        let Some(stream) = &self.stream else {
-            return Vec::new();
-        };
-        stream
+    /// Array `id` of the open streaming session, read from its ledger at
+    /// the moment of the call (`None` when no session is open or `id` is
+    /// out of range).
+    pub fn stream_array(&self, id: usize) -> Option<StreamArrayStatus> {
+        self.stream
+            .as_ref()?
             .ledgers
+            .get(id)
+            .map(ArrayLedger::status)
+    }
+
+    /// Every array of the open streaming session in id order, read from
+    /// the ledgers without copying them (empty when no session is open).
+    /// The streaming frontends decide on this view, so they keep no array
+    /// state of their own.
+    pub fn stream_arrays(&self) -> impl ExactSizeIterator<Item = StreamArrayStatus> + '_ {
+        self.stream
+            .as_ref()
+            .map_or(&[][..], |s| &s.ledgers[..])
             .iter()
-            .map(|l| StreamArrayStatus {
-                id: l.id,
-                kind: l.kind,
-                free_at: l.free_at,
-                gated: l.gated,
-                quarantined: l.quarantined,
-            })
-            .collect()
+            .map(ArrayLedger::status)
     }
 
     /// Pulls an array out of placement at `now_cycle` — the
@@ -1526,7 +1530,7 @@ mod tests {
         let now = resident.end_cycle + 1_000;
         assert!(rt.stream_gate(0, now));
         assert!(!rt.stream_gate(0, now), "already gated");
-        assert!(rt.stream_array_status()[0].gated);
+        assert!(rt.stream_array(0).unwrap().gated);
         let woken = rt.stream_serve_job(&job(2, now + 1_000)).unwrap();
         assert!(woken.woke_array);
         assert_eq!(woken.reconfig_bits, first.reconfig_bits);
@@ -1565,9 +1569,9 @@ mod tests {
         let wake_at = first.end_cycle + 10_000;
         assert!(rt.stream_wake(0, wake_at));
         assert!(!rt.stream_wake(0, wake_at), "only gated arrays wake");
-        let status = rt.stream_array_status();
-        assert!(!status[0].gated);
-        assert_eq!(status[0].free_at, wake_at);
+        let status = rt.stream_array(0).unwrap();
+        assert!(!status.gated);
+        assert_eq!(status.free_at, wake_at);
         // …so a request that arrived while the array was dark cannot be
         // served before the wake decision existed.
         let served = rt.stream_serve_job(&job(1, first.end_cycle + 500)).unwrap();
@@ -1682,9 +1686,9 @@ mod tests {
         // payload fails after placement chose the ME array.
         let mut rt = one_da_one_me();
         rt.stream_begin();
-        let before = rt.stream_array_status();
+        let before: Vec<_> = rt.stream_arrays().collect();
         assert!(rt.stream_serve_job(&me_job(0, 0, (10, 10))).is_err());
-        assert_eq!(rt.stream_array_status(), before);
+        assert_eq!(rt.stream_arrays().collect::<Vec<_>>(), before);
         // The array neither holds the kernel nor is busy: the next job
         // pays the cold write and runs exactly as on a fresh session.
         let after = rt.stream_serve_job(&me_job(1, 0, (32, 32))).unwrap();
@@ -1703,12 +1707,13 @@ mod tests {
         let mut rt = one_da_one_me();
         assert!(!rt.stream_gate(0, 0), "no session open");
         rt.stream_begin();
-        let before = rt.stream_array_status();
+        let before: Vec<_> = rt.stream_arrays().collect();
         assert!(!rt.stream_gate(9, 0));
         assert!(!rt.stream_wake(9, 0));
         assert!(!rt.stream_quarantine(9, 0));
         assert!(!rt.stream_restore(9, 0));
-        assert_eq!(rt.stream_array_status(), before);
+        assert_eq!(rt.stream_arrays().collect::<Vec<_>>(), before);
+        assert_eq!(rt.stream_array(9), None);
     }
 
     /// One step of a random streaming session.
@@ -1790,7 +1795,7 @@ mod tests {
         let (mut job_j, mut idle_j) = (0.0, 0.0);
         let mut steps = Vec::with_capacity(ops.len());
         for &(now, op) in ops {
-            let status = rt.stream_array_status();
+            let status: Vec<_> = rt.stream_arrays().collect();
             let charge = rt.battery().charge_j();
             let step = match op {
                 Op::Serve(job, exclude) => Step::Served(
@@ -1836,11 +1841,15 @@ mod tests {
                 }
                 // A failed job or a refused hook changes nothing.
                 _ => {
-                    assert_eq!(rt.stream_array_status(), status, "{op:?} -> {step:?}");
+                    assert_eq!(
+                        rt.stream_arrays().collect::<Vec<_>>(),
+                        status,
+                        "{op:?} -> {step:?}"
+                    );
                     assert_eq!(drop_j, 0.0, "{op:?} -> {step:?}");
                 }
             }
-            let clocks: Vec<u64> = rt.stream_array_status().iter().map(|a| a.free_at).collect();
+            let clocks: Vec<u64> = rt.stream_arrays().map(|a| a.free_at).collect();
             assert_eq!(clocks, free_at, "after {op:?} -> {step:?}");
             steps.push(step);
         }

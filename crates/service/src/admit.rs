@@ -32,7 +32,7 @@ use dsra_monitor::MonitorHandle;
 use dsra_runtime::ArrayKind;
 use dsra_video::ServiceClass;
 
-use crate::trace::Request;
+use crate::trace::{pool_for, Request};
 
 /// How the service admits, orders and sheds queued requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,7 +184,7 @@ impl AdmissionQueue {
     /// saying no happens at dispatch time, where the EDF policy sheds).
     pub fn push(&mut self, request: Request) {
         let key = self.key(&request);
-        self.heaps[kind_index(request.needs())].push(Reverse((key, request.id)));
+        self.heaps[kind_index(pool_for(&request.payload))].push(Reverse((key, request.id)));
         self.requests.insert(request.id, request);
     }
 

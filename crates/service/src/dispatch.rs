@@ -73,7 +73,7 @@ impl DispatchHook for NoopDispatch {
 
 use crate::admit::{AdmissionQueue, AdmitPolicy, MonitorAwareAdmission};
 use crate::report::{RequestOutcome, ServiceReport, TenantReport};
-use crate::trace::{generate_trace, Request, TenantSpec, TraceConfig};
+use crate::trace::{generate_trace, pool_for, Request, TenantSpec, TraceConfig};
 
 /// Elastic array-pool parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +123,13 @@ impl Default for ServiceConfig {
     }
 }
 
+/// Sim-cycles per virtual µs: one µs is one clock-MHz worth of cycles
+/// (exact at the default 100 MHz; rounded otherwise). The one conversion
+/// every streaming frontend stamps its µs clock with.
+pub fn cycles_per_us(runtime: &SocRuntime) -> u64 {
+    (runtime.config().soc.clock_mhz.round() as u64).max(1)
+}
+
 /// Builds a [`MonitorConfig`] for a tenant set: each tenant's error
 /// budget is its SLO shed tolerance, and the window geometry is scaled
 /// from the runtime's µs↔cycle factor (250 µs windows by default). The
@@ -156,8 +163,7 @@ pub fn install_monitor(
     tenants: &[TenantSpec],
     inner: Box<dyn TraceSink>,
 ) -> MonitorHandle {
-    let cyc = (runtime.config().soc.clock_mhz.round() as u64).max(1);
-    let cfg = monitor_config_for(tenants, cyc);
+    let cfg = monitor_config_for(tenants, cycles_per_us(runtime));
     install_monitor_with(runtime, cfg, inner)
 }
 
@@ -279,7 +285,8 @@ pub fn serve_requests_with_hook(
                 "trace must be arrival-ordered with dense ids (request {i})"
             )));
         }
-        let pool = match r.needs() {
+        let kind = pool_for(&r.payload);
+        let pool = match kind {
             ArrayKind::Da => runtime.config().da_arrays,
             ArrayKind::Me => runtime.config().me_arrays,
         };
@@ -287,13 +294,11 @@ pub fn serve_requests_with_hook(
             return Err(CoreError::Mismatch(format!(
                 "request {} needs a {} array but the pool has none",
                 r.id,
-                r.needs().tag()
+                kind.tag()
             )));
         }
     }
-    // Virtual µs ↔ sim-cycles: one µs is one clock-MHz worth of cycles
-    // (exact at the default 100 MHz; rounded otherwise).
-    let cyc = (runtime.config().soc.clock_mhz.round() as u64).max(1);
+    let cyc = cycles_per_us(runtime);
     let us_of = |cycle: u64| cycle.div_ceil(cyc);
 
     // The health-driven control hook: only the monitor-shed policy acts
@@ -347,6 +352,7 @@ pub fn serve_requests_with_hook(
         }
     }
     runtime.stream_begin();
+    let arrays = runtime.stream_arrays().len();
 
     loop {
         // 0 — hook tick: scheduled fault injection and quarantine
@@ -396,51 +402,38 @@ pub fn serve_requests_with_hook(
         // 3 — elastic pool control: gate long-idle arrays with no queued
         // work of their kind; wake gated arrays once backlog crosses the
         // threshold (and always keep at least one array of a kind with
-        // queued work awake). One status snapshot per iteration, updated
-        // locally as gates/wakes land — the loop runs once per virtual
-        // event, and under overload the backlog makes every scan count.
-        let mut status: Vec<StreamArrayStatus> = runtime.stream_array_status();
+        // queued work awake). Every decision reads the runtime's ledgers
+        // at the moment it is made, so a gate or wake is seen at once.
+        let at = now_us * cyc;
         if service.pool.elastic {
-            for a in status.iter_mut() {
-                if !a.gated
+            let idle = |a: StreamArrayStatus| {
+                !a.gated
                     && !a.quarantined
                     && us_of(a.free_at) + service.pool.gate_idle_us <= now_us
                     && queue.depth(a.kind) == 0
-                    && runtime.stream_gate(a.id, now_us * cyc)
-                {
-                    a.gated = true;
-                    a.free_at = now_us * cyc;
+            };
+            for id in 0..arrays {
+                if runtime.stream_array(id).is_some_and(idle) {
+                    runtime.stream_gate(id, at);
                 }
             }
             for kind in [ArrayKind::Da, ArrayKind::Me] {
+                let dark = |a: StreamArrayStatus| a.kind == kind && a.gated && !a.quarantined;
                 if queue.depth(kind) >= service.pool.wake_backlog {
-                    for a in status.iter_mut() {
-                        if a.kind == kind
-                            && a.gated
-                            && !a.quarantined
-                            && runtime.stream_wake(a.id, now_us * cyc)
-                        {
-                            a.gated = false;
-                            a.free_at = a.free_at.max(now_us * cyc);
+                    for id in 0..arrays {
+                        if runtime.stream_array(id).is_some_and(dark) {
+                            runtime.stream_wake(id, at);
                         }
                     }
                 }
             }
         }
         for kind in [ArrayKind::Da, ArrayKind::Me] {
-            if queue.depth(kind) > 0
-                && status.iter().any(|a| a.kind == kind && !a.quarantined)
-                && status
-                    .iter()
-                    .all(|a| a.kind != kind || a.quarantined || a.gated)
-            {
-                let first = status
-                    .iter_mut()
-                    .find(|a| a.kind == kind && !a.quarantined)
-                    .expect("checked above");
-                if runtime.stream_wake(first.id, now_us * cyc) {
-                    first.gated = false;
-                    first.free_at = first.free_at.max(now_us * cyc);
+            let usable = |a: &StreamArrayStatus| a.kind == kind && !a.quarantined;
+            let first = runtime.stream_arrays().find(usable);
+            if queue.depth(kind) > 0 && runtime.stream_arrays().filter(usable).all(|a| a.gated) {
+                if let Some(first) = first {
+                    runtime.stream_wake(first.id, at);
                 }
             }
         }
@@ -448,8 +441,8 @@ pub fn serve_requests_with_hook(
         // 4 — dispatch: the policy-most-urgent request whose pool has a
         // free, powered array right now.
         let free = |kind: ArrayKind| {
-            status
-                .iter()
+            runtime
+                .stream_arrays()
                 .any(|a| a.kind == kind && !a.gated && !a.quarantined && us_of(a.free_at) <= now_us)
         };
         if let Some(r) = queue.pop_available(free) {
@@ -501,7 +494,7 @@ pub fn serve_requests_with_hook(
                 next_event = Some(next_event.map_or(t, |e| e.min(t)));
             }
         };
-        for a in &status {
+        for a in runtime.stream_arrays() {
             if !a.gated && !a.quarantined {
                 consider(us_of(a.free_at));
                 if service.pool.elastic {

@@ -61,12 +61,13 @@ pub mod trace;
 
 pub use admit::{AdmissionQueue, AdmitPolicy, MonitorAwareAdmission};
 pub use dispatch::{
-    install_monitor, install_monitor_with, monitor_config_for, serve_requests,
+    cycles_per_us, install_monitor, install_monitor_with, monitor_config_for, serve_requests,
     serve_requests_with_hook, serve_trace, DispatchHook, NoopDispatch, PoolConfig, ServiceConfig,
 };
 pub use report::{RequestOutcome, ServiceReport, TenantReport};
 pub use trace::{
-    generate_trace, standard_tenant, standard_tenants, Request, SloSpec, TenantSpec, TraceConfig,
+    generate_trace, pool_for, standard_tenant, standard_tenants, Request, SloSpec, TenantSpec,
+    TraceConfig,
 };
 
 #[cfg(test)]

@@ -138,13 +138,12 @@ pub struct Request {
     pub seed: u64,
 }
 
-impl Request {
-    /// Which array pool serves this request.
-    pub fn needs(&self) -> ArrayKind {
-        match self.payload {
-            JobPayload::MeSearch { .. } => ArrayKind::Me,
-            JobPayload::DctBlocks { .. } | JobPayload::EncodeGop { .. } => ArrayKind::Da,
-        }
+/// Which array pool serves `payload` — the one mapping the dispatcher's
+/// queues, its pool checks and the fault-recovery hook all share.
+pub fn pool_for(payload: &JobPayload) -> ArrayKind {
+    match payload {
+        JobPayload::MeSearch { .. } => ArrayKind::Me,
+        JobPayload::DctBlocks { .. } | JobPayload::EncodeGop { .. } => ArrayKind::Da,
     }
 }
 
@@ -257,8 +256,8 @@ mod tests {
                 "tenant {tenant} generated nothing"
             );
         }
-        assert!(trace.iter().any(|r| r.needs() == ArrayKind::Me));
-        assert!(trace.iter().any(|r| r.needs() == ArrayKind::Da));
+        assert!(trace.iter().any(|r| pool_for(&r.payload) == ArrayKind::Me));
+        assert!(trace.iter().any(|r| pool_for(&r.payload) == ArrayKind::Da));
         // The class mix is in force: both primary and secondary classes
         // of tenant 0 (interactive) appear.
         let t0: Vec<_> = trace.iter().filter(|r| r.tenant == 0).collect();

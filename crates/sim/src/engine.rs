@@ -755,7 +755,6 @@ pub struct Simulator<'n, P: ProfSink = NoopProf, const W: usize = 1> {
     activity: Activity,
     cycle: u64,
     waveform: Option<crate::trace::Waveform>,
-    faults: Vec<StuckFault>,
     /// Op-level profiling sink. [`NoopProf`] (the default) has
     /// `ENABLED = false`, so every record call below const-folds away
     /// and the hot loop is the unprofiled one.
@@ -896,7 +895,6 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
             activity: Activity::new(nets, netlist.nodes().len()),
             cycle: 0,
             waveform: None,
-            faults: Vec::new(),
             prof,
         }
     }
@@ -1032,12 +1030,10 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
                 m.or &= !bit;
             }
         }
-        self.faults.push(fault);
     }
 
     /// Removes all injected faults.
     pub fn clear_faults(&mut self) {
-        self.faults.clear();
         self.lanes.fault_masks.clear();
     }
 
