@@ -1,7 +1,8 @@
-//! Hot-path micro-benchmarks gating the zero-allocation serving work
-//! (ISSUE 4): the flat-plan cycle engine and the packed bitstream diff.
-//! CI runs this file as a smoke pass so regressions in either surface
-//! before they reach the `soc_serve` numbers.
+//! Hot-path micro-benchmarks gating the zero-allocation serving work:
+//! the flat-plan cycle engine, the annealing placer that runtime setup
+//! pays per kernel, and the packed bitstream diff. CI runs this file as a
+//! smoke pass so regressions in any of them surface before they reach the
+//! `soc_serve` numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Duration;
@@ -12,7 +13,8 @@ use dsra_core::place::{place, PlacerOptions};
 use dsra_core::route::{route, RouterOptions};
 use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl, LANES};
 use dsra_me::{MeEngine, Systolic2d};
-use dsra_runtime::{DctMapping, RuntimeConfig, SocRuntime};
+use dsra_platform::standard_da_fabric;
+use dsra_runtime::{me_fabric_for, DctMapping, RuntimeConfig, SocRuntime};
 use dsra_sim::{ExecPlan, Simulator};
 use dsra_trace::{EventLog, NoopSink};
 use dsra_video::{generate_job_mix, JobMixConfig};
@@ -62,6 +64,33 @@ fn bench_engine_step(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("with_plan_construction", |b| {
         b.iter(|| Simulator::with_plan(me.netlist(), &me_plan).cycle())
+    });
+    g.finish();
+}
+
+/// `place`: one annealing placement (greedy start plus 20 000 moves), the
+/// bulk of the compile each kernel pays once at runtime setup: BASIC DA on
+/// the standard DA array and systolic 8×8 on the runtime's ME array.
+fn bench_place(c: &mut Criterion) {
+    let mut g = c.benchmark_group("place");
+    g.sample_size(10).measurement_time(Duration::from_secs(3));
+    let da = BasicDa::new(DaParams::precise()).unwrap();
+    let da_fabric = standard_da_fabric();
+    g.bench_function("basic_da", |b| {
+        b.iter(|| {
+            place(da.netlist(), &da_fabric, PlacerOptions::default())
+                .unwrap()
+                .hpwl()
+        })
+    });
+    let me = Systolic2d::new(8).unwrap();
+    let me_fabric = me_fabric_for(me.netlist());
+    g.bench_function("systolic8", |b| {
+        b.iter(|| {
+            place(me.netlist(), &me_fabric, PlacerOptions::default())
+                .unwrap()
+                .hpwl()
+        })
     });
     g.finish();
 }
@@ -145,6 +174,6 @@ fn bench_trace_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_engine_step, bench_diff_bits, bench_trace_overhead
+    targets = bench_engine_step, bench_place, bench_diff_bits, bench_trace_overhead
 }
 criterion_main!(benches);

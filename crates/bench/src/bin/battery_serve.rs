@@ -16,9 +16,9 @@
 //! same definition `tests/battery_serve.rs` gates in tier-1.
 
 use dsra_bench::{
-    banner, discharge_runtime, install_profile_arg, install_trace_arg, json_flag, or_exit,
-    parse_f64, parse_int, parse_u64, write_chrome_trace, write_json_summary, write_metrics_arg,
-    write_profile_arg, DischargeOutcome, JsonValue, MAX_ARRAYS, MAX_JOBS,
+    arg_value, bad_value, banner, discharge_runtime, install_profile_arg, install_trace_arg,
+    json_flag, or_exit, parse_f64, parse_int, parse_u64, write_chrome_trace, write_json_summary,
+    write_metrics_arg, write_profile_arg, DischargeOutcome, JsonValue, MAX_ARRAYS, MAX_JOBS,
 };
 use dsra_runtime::{
     DefaultPolicy, EnergyAwarePolicy, NaivePolicy, PowerConfig, RuntimeConfig, SchedulePolicy,
@@ -28,6 +28,12 @@ use dsra_video::JobMixConfig;
 
 fn main() {
     let capacity = parse_f64("--capacity", 2.0e9);
+    if !(capacity.is_finite() && capacity > 0.0) {
+        bad_value(
+            "--capacity (a finite number above 0)",
+            &arg_value("--capacity").unwrap_or_default(),
+        );
+    }
     let chunk: u32 = parse_int("--chunk", 120, MAX_JOBS);
     let da: usize = parse_int("--da", 2, MAX_ARRAYS);
     let me: usize = parse_int("--me", 2, MAX_ARRAYS);
@@ -111,10 +117,14 @@ fn main() {
         naive.jobs_served,
         (energy.jobs_served as f64 / naive.jobs_served.max(1) as f64 - 1.0) * 100.0
     );
-    assert!(
-        energy.jobs_served > naive.jobs_served,
-        "E12 gate: energy-aware must serve strictly more jobs per charge"
-    );
+    if energy.jobs_served <= naive.jobs_served {
+        eprintln!(
+            "E12 gate missed: energy-aware must serve strictly more jobs per charge \
+             (energy-aware {}, naive {})",
+            energy.jobs_served, naive.jobs_served
+        );
+        std::process::exit(1);
+    }
 
     let mut metrics: Vec<(String, JsonValue)> = vec![
         ("battery_capacity_j".into(), JsonValue::Num(capacity)),

@@ -21,12 +21,12 @@
 
 use dsra_bench::{
     arg_value, banner, chaos_metrics, install_profile_arg, json_flag, latency_histogram, or_exit,
-    parse_int, parse_u64, write_chrome_trace, write_json_summary, write_metrics_arg,
+    parse_int, parse_u64, tenant_trace, write_chrome_trace, write_json_summary, write_metrics_arg,
     write_profile_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_chaos::{serve_with_chaos, ChaosConfig, ChaosReport, FaultPlan, RecoveryConfig};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
-use dsra_service::{standard_tenants, ServiceConfig, TraceConfig};
+use dsra_service::{ServiceConfig, TraceConfig};
 use dsra_trace::EventLog;
 
 fn main() {
@@ -47,12 +47,12 @@ fn main() {
          pool {da} DA + {me} ME, fault seed {seed:#x}\n"
     );
 
-    let mean_gap_us = (u64::from(tenants).max(1) * 1000 / rate_per_ms).max(1);
-    let trace = TraceConfig {
-        tenants: standard_tenants(tenants, mean_gap_us),
+    let trace = tenant_trace(
+        tenants,
         duration_us,
-        ..Default::default()
-    };
+        rate_per_ms,
+        TraceConfig::default().seed,
+    );
     let plan = FaultPlan::generate(&ChaosConfig {
         seed,
         duration_us,

@@ -22,12 +22,12 @@
 
 use dsra_bench::{
     arg_value, banner, install_profiler, json_flag, latency_histogram, or_exit, parse_int,
-    parse_u64, runtime_profile_report, write_chrome_trace, write_flame, write_json_summary,
-    write_metrics_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
+    parse_u64, runtime_profile_report, tenant_trace, write_chrome_trace, write_flame,
+    write_json_summary, write_metrics_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_profile::{flamegraph, utilization_tracks};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
-use dsra_service::{serve_trace, standard_tenants, AdmitPolicy, ServiceConfig, TraceConfig};
+use dsra_service::{serve_trace, AdmitPolicy, ServiceConfig};
 use dsra_trace::{counter_tracks_doc, EventLog};
 
 fn main() {
@@ -47,12 +47,7 @@ fn main() {
          pool {da} DA + {me} ME, seed {seed:#x}\n"
     );
 
-    let mean_gap_us = (u64::from(tenants).max(1) * 1000 / rate_per_ms).max(1);
-    let trace = TraceConfig {
-        tenants: standard_tenants(tenants, mean_gap_us),
-        duration_us,
-        seed,
-    };
+    let trace = tenant_trace(tenants, duration_us, rate_per_ms, seed);
     let mut runtime = SocRuntime::new(RuntimeConfig {
         da_arrays: da,
         me_arrays: me,

@@ -26,15 +26,12 @@
 use dsra_bench::{
     arg_value, bad_value, banner, install_profile_arg, json_flag, latency_histogram,
     monitor_metrics, or_exit, parse_int, parse_u64, shed_wait_histogram, stream_metrics,
-    write_chrome_trace, write_json_summary, write_metrics_arg, write_profile_arg, JsonValue,
-    MAX_ARRAYS, MAX_DURATION_US,
+    tenant_trace, write_chrome_trace, write_json_summary, write_metrics_arg, write_profile_arg,
+    JsonValue, MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_monitor::{render_dashboard, MonitorHandle};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
-use dsra_service::{
-    install_monitor, serve_trace, standard_tenants, AdmitPolicy, ServiceConfig, ServiceReport,
-    TraceConfig,
-};
+use dsra_service::{install_monitor, serve_trace, AdmitPolicy, ServiceConfig, ServiceReport};
 use dsra_trace::{EventLog, NoopSink, TraceSink};
 
 fn main() {
@@ -57,12 +54,7 @@ fn main() {
          pool {da} DA + {me} ME, seed {seed:#x}\n"
     );
 
-    let mean_gap_us = (u64::from(tenants).max(1) * 1000 / rate_per_ms).max(1);
-    let trace = TraceConfig {
-        tenants: standard_tenants(tenants, mean_gap_us),
-        duration_us,
-        seed,
-    };
+    let trace = tenant_trace(tenants, duration_us, rate_per_ms, seed);
     let monitored = std::env::args().any(|a| a == "--monitor");
     let mut policies: Vec<AdmitPolicy> = match policy_arg.as_str() {
         "both" => vec![AdmitPolicy::FifoUnbounded, AdmitPolicy::EdfShed],

@@ -34,6 +34,7 @@ pub use dsra_trace::hist;
 
 use dsra_core::netlist::Netlist;
 use dsra_me::Plane;
+use dsra_service::{standard_tenants, TraceConfig};
 use dsra_sim::{Activity, Simulator};
 
 pub use chaos::chaos_metrics;
@@ -199,6 +200,36 @@ pub const MAX_JOBS: u64 = 1_000_000;
 /// Longest `--duration` (virtual µs) a streaming binary accepts; the whole
 /// request trace is generated up front.
 pub const MAX_DURATION_US: u64 = 1_000_000;
+
+/// The standard tenant trace a streaming binary serves: `tenants` tenants
+/// offering ~`rate_per_ms` requests per virtual ms in aggregate over
+/// `duration_us`, each tenant's mean gap `tenants × 1000 / rate` µs
+/// (at least 1; background tenants arrive at half that rate).
+///
+/// The whole trace is generated up front, so a request count past
+/// [`MAX_JOBS`] goes to [`bad_value`] before any of it is built. The
+/// count checked is the nominal one, `duration ÷ mean gap` summed over
+/// the tenants; bursts move the generated count around it.
+pub fn tenant_trace(tenants: u16, duration_us: u64, rate_per_ms: u64, seed: u64) -> TraceConfig {
+    let mean_gap_us = (u64::from(tenants).max(1) * 1000 / rate_per_ms.max(1)).max(1);
+    let tenants = standard_tenants(tenants, mean_gap_us);
+    let nominal: u64 = tenants.iter().map(|t| duration_us / t.mean_gap_us).sum();
+    if nominal > MAX_JOBS {
+        bad_value(
+            &format!("--tenants/--duration/--rate (at most {MAX_JOBS} requests)"),
+            &format!(
+                "{} tenants over {duration_us} µs at {rate_per_ms} req/ms would offer \
+                 ~{nominal} requests",
+                tenants.len()
+            ),
+        );
+    }
+    TraceConfig {
+        tenants,
+        duration_us,
+        seed,
+    }
+}
 
 /// Parses `--name <integer>` (decimal or `0x…` hex) into `T`, falling back
 /// to `default` when the flag is absent — the one integer flag parser

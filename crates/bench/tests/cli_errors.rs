@@ -75,6 +75,71 @@ fn bad_flag_values_exit_2_without_panicking() {
             &["--chunk", "1000001", "--da", "0"],
             "--chunk",
         ),
+        // A battery charge must be a finite number above zero.
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--capacity", "-1", "--chunk", "5"],
+            "--capacity",
+        ),
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--capacity", "nan", "--chunk", "5"],
+            "--capacity",
+        ),
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--capacity", "0", "--chunk", "5"],
+            "--capacity",
+        ),
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--capacity", "inf", "--chunk", "5"],
+            "--capacity",
+        ),
+        // A generated trace just past `MAX_JOBS` nominal requests: two
+        // tenants at a 1 µs mean gap offer 2 × 500 001.
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &[
+                "--tenants",
+                "2",
+                "--duration",
+                "500001",
+                "--rate",
+                "2000",
+                "--da",
+                "0",
+            ],
+            "--tenants/--duration/--rate",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos_serve"),
+            &[
+                "--tenants",
+                "2",
+                "--duration",
+                "500001",
+                "--rate",
+                "2000",
+                "--da",
+                "0",
+            ],
+            "--tenants/--duration/--rate",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            &[
+                "--tenants",
+                "2",
+                "--duration",
+                "500001",
+                "--rate",
+                "2000",
+                "--da",
+                "0",
+            ],
+            "--tenants/--duration/--rate",
+        ),
     ] {
         let out = Command::new(bin).args(args).output().expect("spawn binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -121,6 +186,24 @@ fn failed_serves_exit_2_naming_the_runtime_error() {
         );
         assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     }
+}
+
+/// A charge too small to serve any job misses the E12 gate for every
+/// policy alike: the binary names the gate and both counts, and exits
+/// non-zero without a panic.
+#[test]
+fn missed_e12_gate_exits_1_with_both_job_counts() {
+    let out = Command::new(env!("CARGO_BIN_EXE_battery_serve"))
+        .args(["--capacity", "1e3", "--chunk", "5"])
+        .output()
+        .expect("spawn battery_serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("E12 gate missed") && stderr.contains("(energy-aware 0, naive 0)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -4,8 +4,16 @@
 //! nearest the centroid of its already-placed neighbours) is refined by
 //! simulated annealing over swap/move proposals, minimising width-weighted
 //! half-perimeter wirelength (HPWL). Deterministic for a given seed.
-
-use std::collections::HashMap;
+//!
+//! **The draw order is the placement contract.** Every compiled kernel,
+//! bitstream fingerprint and diff cost downstream follows from which sites
+//! the annealer picks, so the sequence of RNG draws per move (node, then
+//! destination, then swap partner, then an acceptance draw only for a
+//! non-improving move), the free-list update and the order in which HPWL
+//! terms are summed are fixed. Everything is indexed densely by node id
+//! and site kind, so a move costs only the nets it touches. The
+//! workspace's `tests/placement_pins.rs` pins the sites, HPWL bits and
+//! bitstream of every kernel the runtime and the experiments place.
 
 use crate::cluster::ClusterKind;
 use crate::error::{CoreError, Result};
@@ -34,17 +42,20 @@ impl Default for PlacerOptions {
     }
 }
 
+/// A site, or `None` for an unplaced (wiring) node, indexed by node id.
+type Sites = [Option<(u16, u16)>];
+
 /// A completed placement of one netlist on one fabric.
 #[derive(Debug, Clone)]
 pub struct Placement {
-    loc: HashMap<NodeId, (u16, u16)>,
+    loc: Vec<Option<(u16, u16)>>,
     hpwl: f64,
 }
 
 impl Placement {
     /// Site of a placed node, if it is a placeable node.
     pub fn loc(&self, node: NodeId) -> Option<(u16, u16)> {
-        self.loc.get(&node).copied()
+        self.loc.get(node.0 as usize).copied().flatten()
     }
 
     /// Width-weighted half-perimeter wirelength of the final placement.
@@ -54,12 +65,12 @@ impl Placement {
 
     /// Number of placed nodes.
     pub fn len(&self) -> usize {
-        self.loc.len()
+        self.loc.iter().flatten().count()
     }
 
     /// `true` when nothing was placed (empty netlist).
     pub fn is_empty(&self) -> bool {
-        self.loc.is_empty()
+        self.loc.iter().all(Option::is_none)
     }
 }
 
@@ -67,12 +78,12 @@ fn manhattan(a: (u16, u16), b: (u16, u16)) -> u32 {
     a.0.abs_diff(b.0) as u32 + a.1.abs_diff(b.1) as u32
 }
 
-fn net_hpwl(net: &PhysNet, loc: &HashMap<NodeId, (u16, u16)>) -> f64 {
+fn net_hpwl(net: &PhysNet, loc: &Sites) -> f64 {
     let mut xs: (u16, u16) = (u16::MAX, 0);
     let mut ys: (u16, u16) = (u16::MAX, 0);
     let mut seen = false;
     for node in std::iter::once(net.source).chain(net.sinks.iter().copied()) {
-        if let Some(&(x, y)) = loc.get(&node) {
+        if let Some((x, y)) = loc[node.0 as usize] {
             xs = (xs.0.min(x), xs.1.max(x));
             ys = (ys.0.min(y), ys.1.max(y));
             seen = true;
@@ -93,74 +104,68 @@ fn net_hpwl(net: &PhysNet, loc: &HashMap<NodeId, (u16, u16)>) -> f64 {
 pub fn place(netlist: &Netlist, fabric: &Fabric, opts: PlacerOptions) -> Result<Placement> {
     fabric.check_capacity(&netlist.resource_report())?;
 
-    let mut free: HashMap<SiteKey, Vec<(u16, u16)>> = HashMap::new();
+    // Free sites per kind, in fabric scan order.
+    let mut free: Vec<Vec<(u16, u16)>> = vec![Vec::new(); SiteKey::COUNT];
     for (x, y, site) in fabric.iter_sites() {
         match site {
-            SiteKind::Io => free.entry(SiteKey::Io).or_default().push((x, y)),
-            SiteKind::Cluster(kind) => free.entry(SiteKey::Cluster(kind)).or_default().push((x, y)),
+            SiteKind::Io => free[SiteKey::Io.slot()].push((x, y)),
+            SiteKind::Cluster(kind) => free[SiteKey::Cluster(kind).slot()].push((x, y)),
             SiteKind::Empty => {}
         }
     }
 
+    let nodes = netlist.nodes().len();
     let phys = netlist.physical_nets();
     // Adjacency: node -> other endpoints of shared nets.
-    let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
     for net in &phys {
         for &sink in &net.sinks {
-            adj.entry(net.source).or_default().push(sink);
-            adj.entry(sink).or_default().push(net.source);
+            adj[net.source.0 as usize].push(sink);
+            adj[sink.0 as usize].push(net.source);
         }
     }
 
     let io_count = netlist.input_nodes().len() + netlist.output_nodes().len();
-    if io_count > free.get(&SiteKey::Io).map_or(0, Vec::len) {
+    if io_count > free[SiteKey::Io.slot()].len() {
         return Err(CoreError::PlacementFull {
             kind: "IO".to_owned(),
         });
     }
 
     // Greedy constructive placement in node order.
-    let mut loc: HashMap<NodeId, (u16, u16)> = HashMap::new();
+    let mut loc: Vec<Option<(u16, u16)>> = vec![None; nodes];
     for (idx, node) in netlist.nodes().iter().enumerate() {
-        let id = NodeId(idx as u32);
         let key = match &node.kind {
             NodeKind::Input { .. } | NodeKind::Output { .. } => SiteKey::Io,
             NodeKind::Cluster(cfg) => SiteKey::Cluster(cfg.kind()),
             _ => continue, // wiring nodes are not placed
         };
-        let candidates = free.get_mut(&key).ok_or_else(|| CoreError::PlacementFull {
-            kind: format!("{key:?}"),
-        })?;
+        let candidates = &mut free[key.slot()];
         if candidates.is_empty() {
             return Err(CoreError::PlacementFull {
                 kind: format!("{key:?}"),
             });
         }
         // Centroid of placed neighbours.
-        let target = adj.get(&id).and_then(|ns| {
-            let placed: Vec<(u16, u16)> = ns.iter().filter_map(|n| loc.get(n).copied()).collect();
-            if placed.is_empty() {
-                None
-            } else {
-                let sx: u32 = placed.iter().map(|p| u32::from(p.0)).sum();
-                let sy: u32 = placed.iter().map(|p| u32::from(p.1)).sum();
-                Some((
-                    (sx / placed.len() as u32) as u16,
-                    (sy / placed.len() as u32) as u16,
-                ))
+        let (sx, sy, n) = adj[idx]
+            .iter()
+            .filter_map(|&nb| loc[nb.0 as usize])
+            .fold((0u32, 0u32, 0u32), |(sx, sy, n), (x, y)| {
+                (sx + u32::from(x), sy + u32::from(y), n + 1)
+            });
+        let pick = match (sx.checked_div(n), sy.checked_div(n)) {
+            (Some(cx), Some(cy)) => {
+                let target = (cx as u16, cy as u16);
+                candidates
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, &c)| manhattan(c, target))
+                    .map(|(i, _)| i)
+                    .unwrap()
             }
-        });
-        let pick = match target {
-            Some(t) => candidates
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &c)| manhattan(c, t))
-                .map(|(i, _)| i)
-                .unwrap(),
-            None => 0,
+            _ => 0,
         };
-        let site = candidates.swap_remove(pick);
-        loc.insert(id, site);
+        loc[idx] = Some(candidates.swap_remove(pick));
     }
 
     // Simulated-annealing refinement over cluster nodes.
@@ -170,53 +175,81 @@ pub fn place(netlist: &Netlist, fabric: &Fabric, opts: PlacerOptions) -> Result<
     Ok(Placement { loc, hpwl })
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SiteKey {
     Io,
     Cluster(ClusterKind),
 }
 
+impl SiteKey {
+    /// Number of distinct keys: the I/O pads plus every cluster kind.
+    const COUNT: usize = 1 + ClusterKind::ALL.len();
+
+    /// Dense index of this key, below [`SiteKey::COUNT`].
+    fn slot(self) -> usize {
+        match self {
+            SiteKey::Io => 0,
+            SiteKey::Cluster(kind) => 1 + kind as usize,
+        }
+    }
+}
+
 fn anneal(
     netlist: &Netlist,
     phys: &[PhysNet],
-    loc: &mut HashMap<NodeId, (u16, u16)>,
-    free: &mut HashMap<SiteKey, Vec<(u16, u16)>>,
+    loc: &mut Sites,
+    free: &mut [Vec<(u16, u16)>],
     opts: PlacerOptions,
 ) {
     // Nets touching each node, for incremental cost evaluation.
-    let mut nets_of: HashMap<NodeId, Vec<usize>> = HashMap::new();
+    let mut nets_of: Vec<Vec<usize>> = vec![Vec::new(); loc.len()];
     for (i, net) in phys.iter().enumerate() {
-        nets_of.entry(net.source).or_default().push(i);
+        nets_of[net.source.0 as usize].push(i);
         for &s in &net.sinks {
-            nets_of.entry(s).or_default().push(i);
+            nets_of[s.0 as usize].push(i);
         }
     }
-    let movable: Vec<(NodeId, SiteKey)> = netlist
+    // Movable cluster nodes with their kind slot, in node order; each
+    // kind's members in that same order, and each movable node's rank
+    // among its kind's members.
+    let movable: Vec<(usize, usize)> = netlist
         .nodes()
         .iter()
         .enumerate()
         .filter_map(|(i, n)| match &n.kind {
-            NodeKind::Cluster(cfg) => Some((NodeId(i as u32), SiteKey::Cluster(cfg.kind()))),
+            NodeKind::Cluster(cfg) => Some((i, SiteKey::Cluster(cfg.kind()).slot())),
             _ => None,
         })
         .collect();
     if movable.is_empty() {
         return;
     }
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); SiteKey::COUNT];
+    let rank: Vec<usize> = movable
+        .iter()
+        .map(|&(node, slot)| {
+            members[slot].push(node);
+            members[slot].len() - 1
+        })
+        .collect();
     let mut rng = SplitMix64::new(opts.seed);
     let mut temp = opts.initial_temperature;
     let decay = (0.01f64 / opts.initial_temperature).powf(1.0 / f64::from(opts.sa_moves.max(1)));
-
-    let cost_of = |ids: &[usize], loc: &HashMap<NodeId, (u16, u16)>| -> f64 {
-        ids.iter().map(|&i| net_hpwl(&phys[i], loc)).sum()
-    };
+    // Each net's HPWL under the current placement: a move re-prices only
+    // the nets it touches, and writes them back only when accepted.
+    let mut net_cost: Vec<f64> = phys.iter().map(|n| net_hpwl(n, loc)).collect();
+    let mut touched: Vec<usize> = Vec::new();
+    let mut moved_cost: Vec<f64> = Vec::new();
 
     for _ in 0..opts.sa_moves {
-        let (node, key) = movable[rng.next_below(movable.len() as u64) as usize];
-        let cur = loc[&node];
-        // Choose a destination: a free same-kind site or another node's site.
-        let free_sites = free.get(&key).map_or(&[][..], Vec::as_slice);
-        let total = free_sites.len() + movable.iter().filter(|(_, k)| *k == key).count();
+        let m = rng.next_below(movable.len() as u64) as usize;
+        let (node, slot) = movable[m];
+        let cur = loc[node].expect("every cluster node is placed greedily");
+        // Choose a destination: a free same-kind site or another node's
+        // site. `total` counts the node itself among its kind's members.
+        let free_sites = &free[slot];
+        let kin = &members[slot];
+        let total = free_sites.len() + kin.len();
         if total <= 1 {
             continue;
         }
@@ -224,48 +257,53 @@ fn anneal(
         let (dest, swap_with) = if choice < free_sites.len() {
             (free_sites[choice], None)
         } else {
-            let peers: Vec<NodeId> = movable
-                .iter()
-                .filter(|(n, k)| *k == key && *n != node)
-                .map(|(n, _)| *n)
-                .collect();
-            if peers.is_empty() {
+            // The peers are the kind's members without the node itself:
+            // peer `j` is member `j` below the node's rank, `j + 1` above.
+            let peers = kin.len() - 1;
+            if peers == 0 {
                 continue;
             }
-            let other = peers[rng.next_below(peers.len() as u64) as usize];
-            (loc[&other], Some(other))
+            let j = rng.next_below(peers as u64) as usize;
+            let other = kin[if j < rank[m] { j } else { j + 1 }];
+            (loc[other].expect("peers are placed"), Some(other))
         };
         if dest == cur {
             continue;
         }
-        let mut touched: Vec<usize> = nets_of.get(&node).cloned().unwrap_or_default();
+        touched.clear();
+        touched.extend_from_slice(&nets_of[node]);
         if let Some(other) = swap_with {
-            touched.extend(nets_of.get(&other).cloned().unwrap_or_default());
+            touched.extend_from_slice(&nets_of[other]);
         }
         touched.sort_unstable();
         touched.dedup();
-        let before = cost_of(&touched, loc);
+        let before: f64 = touched.iter().map(|&i| net_cost[i]).sum();
         // Apply move.
-        loc.insert(node, dest);
+        loc[node] = Some(dest);
         if let Some(other) = swap_with {
-            loc.insert(other, cur);
+            loc[other] = Some(cur);
         }
-        let after = cost_of(&touched, loc);
+        moved_cost.clear();
+        moved_cost.extend(touched.iter().map(|&i| net_hpwl(&phys[i], loc)));
+        let after: f64 = moved_cost.iter().copied().sum();
         let delta = after - before;
         let accept = delta < 0.0 || rng.next_f64() < (-delta / temp.max(1e-9)).exp();
         if accept {
+            for (&i, &c) in touched.iter().zip(&moved_cost) {
+                net_cost[i] = c;
+            }
             if swap_with.is_none() {
                 // dest was free: remove it from the free list, add cur back.
-                let list = free.get_mut(&key).unwrap();
+                let list = &mut free[slot];
                 let pos = list.iter().position(|&s| s == dest).unwrap();
                 list.swap_remove(pos);
                 list.push(cur);
             }
         } else {
             // Revert.
-            loc.insert(node, cur);
+            loc[node] = Some(cur);
             if let Some(other) = swap_with {
-                loc.insert(other, dest);
+                loc[other] = Some(dest);
             }
         }
         temp *= decay;

@@ -45,5 +45,5 @@ pub use policy::{select, Condition, ImplProfile};
 pub use reconfig::{ReconfigManager, ReconfigReport, SocConfig};
 pub use scenario::{
     compile_netlist, dynamic_encode, profile_all_impls, profile_impl, profiling_activity,
-    standard_da_fabric, CompiledArtifact, ProfiledImpl, ScenarioFrame,
+    profiling_split, standard_da_fabric, CompiledArtifact, ProfiledImpl, ScenarioFrame,
 };

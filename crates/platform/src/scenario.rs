@@ -14,7 +14,7 @@ use dsra_core::route::{route, RouterOptions};
 use dsra_dct::{all_impls, measure_accuracy, DaParams, DctImpl};
 use dsra_me::Plane;
 use dsra_sim::Simulator;
-use dsra_tech::{dsra_cost, TechModel};
+use dsra_tech::{dsra_cost, EnergySplit, TechModel};
 use dsra_video::{encode_frame, EncodeConfig, EncodeStats};
 
 use crate::policy::{select, Condition, ImplProfile};
@@ -61,20 +61,36 @@ pub fn compile_netlist(
     })
 }
 
+/// Prices a compiled kernel's energy under the profiling stimulus
+/// ([`profiling_activity`]): the static/dynamic split the run-time
+/// policies select on and the runtime's energy accounts integrate. The
+/// runtime's bitstream cache prices each kernel through this once, at
+/// compile time.
+///
+/// # Errors
+/// Propagates simulator errors.
+pub fn profiling_split(
+    nl: &dsra_core::netlist::Netlist,
+    artifact: &CompiledArtifact,
+    model: &TechModel,
+) -> Result<EnergySplit> {
+    let activity = profiling_activity(nl)?;
+    Ok(dsra_cost(nl, &artifact.routing.stats, &activity, model).energy_split())
+}
+
 /// Measures one compiled DCT mapping into the [`ImplProfile`] the run-time
 /// selection policy consumes: area, configuration bits, cycle count,
-/// activity-based energy and coefficient accuracy.
+/// energy and coefficient accuracy. `split` is the mapping's
+/// [`profiling_split`] on `artifact`, priced once by the caller.
 ///
 /// # Errors
 /// Propagates simulator errors.
 pub fn profile_impl(
     imp: &dyn DctImpl,
     artifact: &CompiledArtifact,
-    model: &TechModel,
+    split: &EnergySplit,
 ) -> Result<ImplProfile> {
     let nl = imp.netlist();
-    let activity = profiling_activity(nl)?;
-    let cost = dsra_cost(nl, &artifact.routing.stats, &activity, model);
     let accuracy = measure_accuracy(imp, 4, 2047, 0xACC)?;
     Ok(ImplProfile {
         name: imp.name().to_owned(),
@@ -87,7 +103,7 @@ pub fn profile_impl(
         // E9 (`dct_energy`) prints the same call, so the offline table
         // and the run-time selection cannot drift.
         energy_per_block: dsra_power::energy_per_block(
-            &cost.energy_split(),
+            split,
             imp.cycles_per_block(),
             &dsra_power::OperatingPoint::NOMINAL,
         ),
@@ -109,7 +125,8 @@ pub fn profile_all_impls(
     let mut out = Vec::new();
     for imp in all_impls(params)? {
         let artifact = compile_netlist(imp.netlist(), fabric)?;
-        let profile = profile_impl(imp.as_ref(), &artifact, model)?;
+        let split = profiling_split(imp.netlist(), &artifact, model)?;
+        let profile = profile_impl(imp.as_ref(), &artifact, &split)?;
         manager.register(imp.name(), artifact.bitstream);
         out.push(ProfiledImpl {
             implementation: imp,

@@ -331,8 +331,7 @@ impl SocRuntime {
             "runtime needs at least one DCT mapping to offer"
         );
         let da_fabric = standard_da_fabric();
-        let model = TechModel::default();
-        let mut cache = BitstreamCache::with_model(model);
+        let mut cache = BitstreamCache::with_model(TechModel::default());
         let mut profiles = Vec::with_capacity(config.mappings.len());
         let mut dct_seeds = HashMap::new();
         for mapping in &config.mappings {
@@ -346,7 +345,7 @@ impl SocRuntime {
                 &da_fabric,
                 || Ok(netlist.clone()),
             )?;
-            profiles.push(profile_impl(imp.as_ref(), &kernel.artifact, &model)?);
+            profiles.push(profile_impl(imp.as_ref(), &kernel.artifact, &kernel.split)?);
             dct_seeds.insert(
                 mapping.name(),
                 KernelSeed {
@@ -1187,8 +1186,9 @@ fn missing_array(job: &JobSpec, kernel: &CompiledKernel, why: &str) -> CoreError
 }
 
 /// Smallest standard ME array that fits `netlist` (cluster capacity only;
-/// the perimeter provides I/O pads).
-fn me_fabric_for(netlist: &Netlist) -> Fabric {
+/// the perimeter provides I/O pads): the fabric the runtime compiles each
+/// systolic ME kernel for.
+pub fn me_fabric_for(netlist: &Netlist) -> Fabric {
     let report = netlist.resource_report();
     let mut height = 6u16;
     loop {

@@ -44,3 +44,46 @@ fn serve_small_mix_end_to_end() {
     assert_eq!(report.render(), again.render());
     assert_eq!(report.digest(), again.digest());
 }
+
+/// The runtime prices each DCT mapping once, in its bitstream cache, and
+/// profiles it from that price; E7's `profile_all_impls` prices on its
+/// own. Both must land on the same profiles, energy bit for bit, or the
+/// runtime's selections would drift from the offline table's.
+#[test]
+fn runtime_profiles_equal_the_offline_profiles_bit_for_bit() {
+    use dsra::dct::DaParams;
+    use dsra::platform::{profile_all_impls, standard_da_fabric, ReconfigManager, SocConfig};
+    use dsra::tech::TechModel;
+
+    for params in [DaParams::precise(), DaParams::paper()] {
+        let rt = SocRuntime::new(RuntimeConfig {
+            da_params: params,
+            ..Default::default()
+        })
+        .expect("runtime builds");
+        let offline = profile_all_impls(
+            params,
+            &standard_da_fabric(),
+            &TechModel::default(),
+            &mut ReconfigManager::new(SocConfig::default()),
+        )
+        .expect("offline profiles");
+        assert_eq!(rt.profiles().len(), offline.len());
+        for (live, off) in rt.profiles().iter().zip(&offline) {
+            let off = &off.profile;
+            assert_eq!(live, off, "{params:?}");
+            assert_eq!(
+                live.energy_per_block.to_bits(),
+                off.energy_per_block.to_bits(),
+                "{} {params:?}",
+                live.name
+            );
+            assert_eq!(
+                live.max_abs_err.to_bits(),
+                off.max_abs_err.to_bits(),
+                "{} {params:?}",
+                live.name
+            );
+        }
+    }
+}
