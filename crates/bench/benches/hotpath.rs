@@ -1,12 +1,13 @@
 //! Hot-path micro-benchmarks gating the zero-allocation serving work:
-//! the flat-plan cycle engine, the annealing placer that runtime setup
-//! pays per kernel, and the packed bitstream diff. CI runs this file as a
-//! smoke pass so regressions in any of them surface before they reach the
-//! `soc_serve` numbers.
+//! the flat-plan cycle engine, one encode GOP on each backend, the
+//! annealing placer that runtime setup pays per kernel, and the packed
+//! bitstream diff. CI runs this file as a smoke pass so regressions in any
+//! of them surface before they reach the `soc_serve` numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Duration;
 
+use dsra_backend::{ArrayBackend, Backend, GoldenBackend};
 use dsra_core::bitstream::Bitstream;
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::place::{place, PlacerOptions};
@@ -15,15 +16,16 @@ use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl, LANES};
 use dsra_me::{MeEngine, Systolic2d};
 use dsra_platform::standard_da_fabric;
 use dsra_runtime::{me_fabric_for, DctMapping, RuntimeConfig, SocRuntime};
-use dsra_sim::{ExecPlan, Simulator};
+use dsra_sim::{ExecPlan, NoopProf, RecordActivity, Simulator};
 use dsra_trace::{EventLog, NoopSink};
-use dsra_video::{generate_job_mix, JobMixConfig};
+use dsra_video::{generate_job_mix, JobMixConfig, JobPayload, JobSpec, ServiceClass};
 
 /// `engine_step`: raw cycles/second of the flat-plan simulator on the two
 /// array archetypes — the bit-serial DA datapath and the 2-D systolic ME
-/// array — plus the 8-lane DA sweep the DCT drivers run. Rows report ns
-/// per block-cycle (one lane for one clock). Steady-state stepping
-/// performs zero heap allocations.
+/// array — plus the 8-lane DA sweep the DCT drivers run, both as served
+/// (no toggle counting) and on the activity-recording sink power
+/// profiling builds. Rows report ns per block-cycle (one lane for one
+/// clock). Steady-state stepping performs zero heap allocations.
 fn bench_engine_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_step");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
@@ -47,6 +49,14 @@ fn bench_engine_step(c: &mut Criterion) {
             da_lanes.cycle()
         })
     });
+    let mut da_recording =
+        Simulator::<_, LANES>::with_plan_profiled(da.netlist(), &da_plan, RecordActivity(NoopProf));
+    g.bench_function("basic_da_x8_recording_1k_cycles", |b| {
+        b.iter(|| {
+            da_recording.run(1000);
+            da_recording.activity().total_net_toggles()
+        })
+    });
     g.throughput(Throughput::Elements(1000));
 
     let me = Systolic2d::new(16).unwrap();
@@ -64,6 +74,39 @@ fn bench_engine_step(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("with_plan_construction", |b| {
         b.iter(|| Simulator::with_plan(me.netlist(), &me_plan).cycle())
+    });
+    g.finish();
+}
+
+/// `encode_gop`: one served encode job — a 32×32, 3-frame GOP through the
+/// motion-compensated encode loop on BASIC DA — on the cycle-level array
+/// backend and on the golden backend, engines warmed first.
+fn bench_encode_gop(c: &mut Criterion) {
+    let mut g = c.benchmark_group("encode_gop");
+    g.sample_size(10).measurement_time(Duration::from_secs(3));
+    let job = JobSpec {
+        id: 0,
+        arrival_cycle: 0,
+        class: ServiceClass::Quality,
+        payload: JobPayload::EncodeGop {
+            size: (32, 32),
+            frames: 3,
+            noise: 2,
+        },
+        seed: 0x60B,
+    };
+    let params = DaParams::precise();
+    let kernel = DctMapping::BasicDa.name();
+    let mut array = ArrayBackend::default();
+    let mut golden = GoldenBackend::default();
+    for backend in [&mut array as &mut dyn Backend, &mut golden] {
+        backend.execute(params, &job, kernel).unwrap();
+    }
+    g.bench_function("array_basic_da_32x32x3", |b| {
+        b.iter(|| array.execute(params, &job, kernel).unwrap().checksum)
+    });
+    g.bench_function("golden_basic_da_32x32x3", |b| {
+        b.iter(|| golden.execute(params, &job, kernel).unwrap().checksum)
     });
     g.finish();
 }
@@ -174,6 +217,6 @@ fn bench_trace_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_engine_step, bench_place, bench_diff_bits, bench_trace_overhead
+    targets = bench_engine_step, bench_encode_gop, bench_place, bench_diff_bits, bench_trace_overhead
 }
 criterion_main!(benches);

@@ -13,7 +13,7 @@
 //! change; fractional numbers fail beyond the relative `--threshold`
 //! (default 1 %); missing or extra keys always fail.
 
-use dsra_bench::{diff_documents, parse_f64, parse_json};
+use dsra_bench::{arg_value, bad_value, diff_documents, parse_f64, parse_json};
 
 fn load(path: &str) -> dsra_bench::Json {
     let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -36,6 +36,12 @@ fn main() {
         }
     };
     let threshold = parse_f64("--threshold", 0.01);
+    if !(threshold.is_finite() && threshold >= 0.0) {
+        bad_value(
+            "--threshold (a finite number, at least 0)",
+            &arg_value("--threshold").unwrap_or_default(),
+        );
+    }
     let report = diff_documents(&load(old), &load(new), threshold);
     print!("{}", report.render());
     if report.regressed() {

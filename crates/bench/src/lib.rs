@@ -72,7 +72,7 @@ pub fn shifted_planes(w: usize, h: usize, shift: (i32, i32)) -> (Plane, Plane) {
 
 /// Representative switching activity for the 2-D systolic ME array.
 pub fn me_activity(nl: &Netlist, cycles: u64) -> Activity {
-    let mut sim = Simulator::new(nl).expect("valid ME netlist");
+    let mut sim = Simulator::recording(nl).expect("valid ME netlist");
     let cols = nl
         .input_nodes()
         .into_iter()
@@ -94,7 +94,7 @@ pub fn me_activity(nl: &Netlist, cycles: u64) -> Activity {
 /// Representative switching activity for a DA/DCT netlist (generic control
 /// duty cycle; 12-bit random-ish samples).
 pub fn da_activity(nl: &Netlist, cycles: u64) -> Activity {
-    let mut sim = Simulator::new(nl).expect("valid DA netlist");
+    let mut sim = Simulator::recording(nl).expect("valid DA netlist");
     let inputs: Vec<String> = nl
         .input_nodes()
         .into_iter()
@@ -208,18 +208,27 @@ pub const MAX_DURATION_US: u64 = 1_000_000;
 ///
 /// The whole trace is generated up front, so a request count past
 /// [`MAX_JOBS`] goes to [`bad_value`] before any of it is built. The
-/// count checked is the nominal one, `duration ÷ mean gap` summed over
-/// the tenants; bursts move the generated count around it.
+/// count checked is the expected one, summed over the tenants: at mean
+/// gap `m`, [`dsra_video::sample_gap`] averages `m·7/8 + ⌊m/2⌋·3/8` µs,
+/// so a tenant offers `8·duration ÷ (7m + 3⌊m/2⌋)` requests on average
+/// (8/7 of `duration ÷ m` at a 1 µs gap); bursts move the generated
+/// count around it.
 pub fn tenant_trace(tenants: u16, duration_us: u64, rate_per_ms: u64, seed: u64) -> TraceConfig {
     let mean_gap_us = (u64::from(tenants).max(1) * 1000 / rate_per_ms.max(1)).max(1);
     let tenants = standard_tenants(tenants, mean_gap_us);
-    let nominal: u64 = tenants.iter().map(|t| duration_us / t.mean_gap_us).sum();
-    if nominal > MAX_JOBS {
+    let expected: u128 = tenants
+        .iter()
+        .map(|t| {
+            let m = u128::from(t.mean_gap_us.max(1));
+            u128::from(duration_us) * 8 / (7 * m + 3 * (m / 2))
+        })
+        .sum();
+    if expected > u128::from(MAX_JOBS) {
         bad_value(
             &format!("--tenants/--duration/--rate (at most {MAX_JOBS} requests)"),
             &format!(
                 "{} tenants over {duration_us} µs at {rate_per_ms} req/ms would offer \
-                 ~{nominal} requests",
+                 ~{expected} requests",
                 tenants.len()
             ),
         );

@@ -3,12 +3,41 @@
 
 use std::process::Command;
 
+/// A committed benchmark summary: a well-formed document to diff against
+/// itself.
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
+
+/// One tenant, a 1 µs mean gap, the longest duration (`--da 0` fails the
+/// serve fast should the trace ever be built).
+const ONE_TENANT_AT_1US: &[&str] = &[
+    "--tenants",
+    "1",
+    "--duration",
+    "1000000",
+    "--rate",
+    "1000",
+    "--da",
+    "0",
+];
+
 #[test]
 fn bad_flag_values_exit_2_without_panicking() {
     for (bin, args, flag) in [
         (
             env!("CARGO_BIN_EXE_bench_diff"),
             &["a.json", "b.json", "--threshold", "x"][..],
+            "--threshold",
+        ),
+        // A threshold no difference can exceed (NaN) or that an identical
+        // pair exceeds (negative), on a document diffed against itself.
+        (
+            env!("CARGO_BIN_EXE_bench_diff"),
+            &[BASELINE, BASELINE, "--threshold", "nan"],
+            "--threshold",
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench_diff"),
+            &[BASELINE, BASELINE, "--threshold", "-1"],
             "--threshold",
         ),
         (
@@ -138,6 +167,24 @@ fn bad_flag_values_exit_2_without_panicking() {
                 "--da",
                 "0",
             ],
+            "--tenants/--duration/--rate",
+        ),
+        // One tenant at a 1 µs mean gap over 1 000 000 µs: exactly
+        // `MAX_JOBS` nominal requests, but `sample_gap` averages 7/8 µs
+        // there, so the trace would hold ~1 142 857.
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            ONE_TENANT_AT_1US,
+            "--tenants/--duration/--rate",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos_serve"),
+            ONE_TENANT_AT_1US,
+            "--tenants/--duration/--rate",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            ONE_TENANT_AT_1US,
             "--tenants/--duration/--rate",
         ),
     ] {

@@ -1,5 +1,12 @@
 //! Reference DCT implementations (double precision and integer), the golden
 //! models every hardware mapping is validated against.
+//!
+//! The transforms read one matrix built once from [`dct_coeff`], so a block
+//! costs its 64 multiply-adds per pass and no trigonometry; each output is
+//! the same products summed in the same order as evaluating [`dct_coeff`]
+//! in place, bit for bit.
+
+use std::sync::OnceLock;
 
 /// Transform size used throughout the paper (8-point DCT).
 pub const N: usize = 8;
@@ -32,6 +39,12 @@ pub fn dct_matrix() -> [[f64; N]; N] {
     m
 }
 
+/// The matrix the reference transforms read, built on first use.
+fn table() -> &'static [[f64; N]; N] {
+    static TABLE: OnceLock<[[f64; N]; N]> = OnceLock::new();
+    TABLE.get_or_init(dct_matrix)
+}
+
 /// Reference 1-D forward DCT-II of an 8-sample block.
 ///
 /// ```
@@ -44,28 +57,14 @@ pub fn dct_matrix() -> [[f64; N]; N] {
 /// }
 /// ```
 pub fn dct_1d(x: &[f64; N]) -> [f64; N] {
-    let mut out = [0.0; N];
-    for (u, o) in out.iter_mut().enumerate() {
-        *o = x
-            .iter()
-            .enumerate()
-            .map(|(i, &xi)| xi * dct_coeff(u, i))
-            .sum();
-    }
-    out
+    let m = table();
+    std::array::from_fn(|u| x.iter().zip(&m[u]).map(|(&xi, &c)| xi * c).sum())
 }
 
 /// Reference 1-D inverse DCT (DCT-III with orthonormal scaling).
 pub fn idct_1d(y: &[f64; N]) -> [f64; N] {
-    let mut out = [0.0; N];
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = y
-            .iter()
-            .enumerate()
-            .map(|(u, &yu)| yu * dct_coeff(u, i))
-            .sum();
-    }
-    out
+    let m = table();
+    std::array::from_fn(|i| y.iter().zip(m).map(|(&yu, row)| yu * row[i]).sum())
 }
 
 /// Reference 2-D forward DCT of an 8×8 block (row-column decomposition).

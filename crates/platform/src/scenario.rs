@@ -141,7 +141,7 @@ pub fn profile_all_impls(
 /// Public so other layers (the runtime's bitstream cache) price kernels
 /// with exactly the stimulus the profiles were measured under.
 pub fn profiling_activity(nl: &dsra_core::netlist::Netlist) -> Result<dsra_sim::Activity> {
-    let mut sim = Simulator::new(nl)?;
+    let mut sim = Simulator::recording(nl)?;
     let inputs: Vec<String> = nl
         .input_nodes()
         .into_iter()

@@ -3,14 +3,20 @@
 //! The paper performs no power measurements (§3.6) but notes that the
 //! implementations "can have different power consumption due to the
 //! different area usage and different signal activities in the design".
-//! The simulator therefore counts, per net, how many bits toggle each cycle;
-//! `dsra-tech` turns these counts into activity-based energy estimates
-//! (experiment E9).
+//! A recording simulator therefore counts, per net, how many bits toggle
+//! each cycle; `dsra-tech` turns these counts into activity-based energy
+//! estimates (experiment E9).
+//!
+//! Only simulators built over the recording sink
+//! ([`crate::RecordActivity`], e.g. [`crate::Simulator::recording`]) count
+//! toggles. Power is priced once per kernel, from a profiling run at
+//! setup, so the engines that serve jobs keep the default sink and pay
+//! nothing for activity no caller would read.
 
 use dsra_core::netlist::{NetId, Netlist};
 
-/// Per-net and per-node toggle counters accumulated over a simulation run
-/// (summed over every lane of a lane-batched simulator).
+/// Per-net and per-node toggle counters accumulated over a recording
+/// simulation run (summed over every lane of a lane-batched simulator).
 #[derive(Debug, Clone, Default)]
 pub struct Activity {
     net_toggles: Vec<u64>,

@@ -31,6 +31,16 @@
 //! sums toggles (and lane-cycles) over the lanes, so a `W`-lane record
 //! equals the sum of `W` single-lane runs.
 //!
+//! ## Activity is recorded only by recording types
+//!
+//! Toggle counting is a compile-time property of the sink type, like op
+//! profiling: a simulator over [`crate::RecordActivity`] copies each
+//! cycle's net values, counts the bits that changed per net and the lanes
+//! whose state changed per sequential node, and offers
+//! [`Simulator::activity`]. On any other sink — [`NoopProf`], the default
+//! every served engine uses — those steps const-fold away: no
+//! previous-value buffer is allocated, and one sweep loop serves both.
+//!
 //! Drivers that rebuild a `Simulator` per batch or per search (the DCT
 //! `transform_batch` drivers, the ME engines) compile the plan once at
 //! construction and share it via [`Simulator::with_plan`] /
@@ -43,7 +53,7 @@ use dsra_core::fixed::{from_signed, mask, to_signed};
 use dsra_core::netlist::{Netlist, NodeId, NodeKind, PortDir, PortRef};
 
 use crate::activity::Activity;
-use crate::prof::{NoopProf, OpClass, OpMix, ProfSink};
+use crate::prof::{NoopProf, OpClass, OpMix, ProfSink, RecordActivity};
 
 /// Sentinel for "no net" in the compiled plan: an undriven output port (its
 /// writes are dropped) or an unconnected top-level output (reads as 0).
@@ -76,12 +86,18 @@ fn map2<const W: usize>(a: &[u64; W], b: &[u64; W], f: impl Fn(u64, u64) -> u64)
 
 /// Stores a node's next state (its `K` consecutive slots) and returns the
 /// number of lanes in which any slot changed — the node's output toggles
-/// for the activity record.
+/// for the activity record. Only a recording sink counts; on any other
+/// the count is a constant 0.
 #[inline(always)]
-fn commit<const W: usize, const K: usize>(slots: &mut [[u64; W]], next: [[u64; W]; K]) -> u64 {
+fn commit<P: ProfSink, const W: usize, const K: usize>(
+    slots: &mut [[u64; W]],
+    next: [[u64; W]; K],
+) -> u64 {
     let mut changed = 0;
-    for l in 0..W {
-        changed += u64::from((0..K).any(|k| slots[k][l] != next[k][l]));
+    if P::RECORDS_ACTIVITY {
+        for l in 0..W {
+            changed += u64::from((0..K).any(|k| slots[k][l] != next[k][l]));
+        }
     }
     slots[..K].copy_from_slice(&next);
     changed
@@ -750,14 +766,17 @@ pub struct Simulator<'n, P: ProfSink = NoopProf, const W: usize = 1> {
     netlist: &'n Netlist,
     plan: PlanSource<'n>,
     lanes: Lanes<W>,
-    /// Previous-cycle value per net (for toggle counting).
+    /// Previous-cycle value per net, for toggle counting. Empty (never
+    /// allocated) unless `P` records activity.
     prev_values: Vec<[u64; W]>,
+    /// Toggle counts; empty unless `P` records activity.
     activity: Activity,
     cycle: u64,
     waveform: Option<crate::trace::Waveform>,
     /// Op-level profiling sink. [`NoopProf`] (the default) has
-    /// `ENABLED = false`, so every record call below const-folds away
-    /// and the hot loop is the unprofiled one.
+    /// `ENABLED = false` and `RECORDS_ACTIVITY = false`, so every record
+    /// call and every toggle count below const-folds away and the hot loop
+    /// neither profiles nor counts toggles.
     prof: P,
 }
 
@@ -847,6 +866,27 @@ impl<'n, const W: usize> Simulator<'n, NoopProf, W> {
     }
 }
 
+impl<'n> Simulator<'n, RecordActivity> {
+    /// [`Simulator::new`] over the activity-recording sink: the simulator
+    /// power profiling builds, whose [`Simulator::activity`] counts every
+    /// toggle.
+    ///
+    /// # Errors
+    /// Same as [`Simulator::new`].
+    pub fn recording(netlist: &'n Netlist) -> Result<Self> {
+        Self::new_profiled(netlist, RecordActivity(NoopProf))
+    }
+}
+
+impl<P: ProfSink, const W: usize> Simulator<'_, RecordActivity<P>, W> {
+    /// Accumulated switching activity, summed over the lanes. Only a
+    /// simulator over a [`RecordActivity`] sink counts toggles, so only it
+    /// offers this record.
+    pub fn activity(&self) -> &Activity {
+        &self.activity
+    }
+}
+
 impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
     /// [`Simulator::new`] with an explicit profiling sink (a
     /// [`crate::CountingProf`] records per-op/per-class execution
@@ -887,12 +927,20 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
             external: vec![[0; W]; netlist.nodes().len()],
             fault_masks: Vec::new(),
         };
+        let (prev_values, activity) = if P::RECORDS_ACTIVITY {
+            (
+                vec![[0; W]; nets],
+                Activity::new(nets, netlist.nodes().len()),
+            )
+        } else {
+            (Vec::new(), Activity::default())
+        };
         Simulator {
             netlist,
             plan,
             lanes,
-            prev_values: vec![[0; W]; nets],
-            activity: Activity::new(nets, netlist.nodes().len()),
+            prev_values,
+            activity,
             cycle: 0,
             waveform: None,
             prof,
@@ -980,17 +1028,21 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
     }
 
     /// Executes one clock cycle in every lane: combinational settle,
-    /// activity recording, sequential tick.
+    /// activity recording (on a recording sink), sequential tick.
     pub fn step(&mut self) {
         self.settle();
-        self.activity
-            .record_nets(&mut self.prev_values, &self.lanes.nets);
-        let real = &self.lanes.nets[..self.prev_values.len()];
+        if P::RECORDS_ACTIVITY {
+            self.activity
+                .record_nets(&mut self.prev_values, &self.lanes.nets);
+        }
         if let Some(w) = &mut self.waveform {
+            let real = &self.lanes.nets[..self.plan.get().nets];
             w.capture(real.iter().map(|v| v[0]));
         }
         self.tick();
-        self.activity.end_cycle(W as u64);
+        if P::RECORDS_ACTIVITY {
+            self.activity.end_cycle(W as u64);
+        }
         if P::ENABLED {
             self.prof.record_cycle();
         }
@@ -1018,7 +1070,7 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
     pub fn inject_fault(&mut self, fault: StuckFault) {
         let masks = &mut self.lanes.fault_masks;
         if masks.is_empty() {
-            *masks = vec![FaultMask::CLEAN; self.prev_values.len()];
+            *masks = vec![FaultMask::CLEAN; self.plan.get().nets];
         }
         if let Some(m) = masks.get_mut(fault.net.0 as usize) {
             let bit = 1u64 << fault.bit;
@@ -1047,11 +1099,6 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
     /// Clock cycles (plan sweeps) executed so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Accumulated switching activity, summed over the lanes.
-    pub fn activity(&self) -> &Activity {
-        &self.activity
     }
 
     /// The netlist being simulated.
@@ -1085,8 +1132,8 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
             if P::ENABLED {
                 self.prof.record_op(idx, tick_class(&op));
             }
-            let changed = self.lanes.tick(op);
-            if changed > 0 {
+            let changed = self.lanes.tick::<P>(op);
+            if P::RECORDS_ACTIVITY && changed > 0 {
                 self.activity.credit_node(idx as usize, changed);
             }
         }
@@ -1280,9 +1327,10 @@ impl<const W: usize> Lanes<W> {
     }
 
     /// Clock-edge update of one sequential node in every lane; returns
-    /// the number of lanes whose state changed.
+    /// the number of lanes whose state changed when `P` records activity,
+    /// and 0 otherwise.
     #[inline]
-    fn tick(&mut self, op: TickOp) -> u64 {
+    fn tick<P: ProfSink>(&mut self, op: TickOp) -> u64 {
         let nets = &self.nets;
         let s = &mut self.states;
         match op {
@@ -1294,7 +1342,7 @@ impl<const W: usize> Lanes<W> {
                     (_, 0) => a[l],
                     _ => b[l],
                 });
-                commit(&mut s[st as usize..], [next])
+                commit::<P, _, _>(&mut s[st as usize..], [next])
             }
             TickOp::Acc {
                 a,
@@ -1321,7 +1369,7 @@ impl<const W: usize> Lanes<W> {
                         acc[l]
                     }
                 });
-                commit(&mut s[st as usize..], [next])
+                commit::<P, _, _>(&mut s[st as usize..], [next])
             }
             TickOp::Comp {
                 x,
@@ -1351,7 +1399,7 @@ impl<const W: usize> Lanes<W> {
                         valid[l] = 1;
                     }
                 }
-                commit(&mut s[st..], [best, best_idx, valid])
+                commit::<P, _, _>(&mut s[st..], [best, best_idx, valid])
             }
             TickOp::Carry { a, b, clr, sub, st } => {
                 let (a, b, clr) = (a.read(nets), b.read(nets), clr.read(nets));
@@ -1365,7 +1413,7 @@ impl<const W: usize> Lanes<W> {
                         (a & b) | (a & cin) | (b & cin)
                     }
                 });
-                commit(&mut s[st as usize..], [next])
+                commit::<P, _, _>(&mut s[st as usize..], [next])
             }
             TickOp::SerialReg { d, load, en, st } => {
                 let (d, load, en) = (d.read(nets), load.read(nets), en.read(nets));
@@ -1378,7 +1426,7 @@ impl<const W: usize> Lanes<W> {
                         pos[l] = (pos[l] + 1).min(u64::from(u8::MAX));
                     }
                 }
-                commit(&mut s[st..], [reg, pos])
+                commit::<P, _, _>(&mut s[st..], [reg, pos])
             }
             TickOp::ShiftAcc {
                 d,
@@ -1417,7 +1465,7 @@ impl<const W: usize> Lanes<W> {
                         acc[l]
                     }
                 });
-                commit(&mut s[st as usize..], [next])
+                commit::<P, _, _>(&mut s[st as usize..], [next])
             }
         }
     }

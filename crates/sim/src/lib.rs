@@ -9,7 +9,9 @@
 //!   flip-flops in serial adders, right-shift-accumulate with a subtracting
 //!   sign-bit cycle (White's DA, ref. \[4\] of the paper);
 //! * per-net toggle counting for activity-based power estimation
-//!   (`dsra-tech`);
+//!   (`dsra-tech`), on simulators built over the recording sink
+//!   ([`RecordActivity`], [`Simulator::recording`]) only — served engines
+//!   keep the default sink and count nothing;
 //! * zero-cost-when-disabled op-level profiling ([`prof`]): the
 //!   interpreter is generic over a [`ProfSink`] (default [`NoopProf`],
 //!   monomorphized away) and every plan exposes its static per-cycle
@@ -36,5 +38,5 @@ pub mod trace;
 
 pub use activity::Activity;
 pub use engine::{ExecPlan, InputPort, OutputPort, Simulator, StuckFault};
-pub use prof::{CountingProf, NoopProf, OpClass, OpMix, ProfSink};
+pub use prof::{CountingProf, NoopProf, OpClass, OpMix, ProfSink, RecordActivity};
 pub use trace::Waveform;

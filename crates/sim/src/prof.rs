@@ -8,6 +8,15 @@
 //! pre-profiling one, and simulation results are byte-identical with
 //! profiling on or off (the sink only *observes*).
 //!
+//! ## Activity recording
+//!
+//! Toggle counting rides the same seam. `RECORDS_ACTIVITY` is the second
+//! associated `const`: only [`RecordActivity`] sets it, and only a
+//! simulator over that sink keeps previous net values, counts toggles and
+//! offers [`crate::Simulator::activity`]. Power profiling (the setup-time
+//! `profiling_activity` pass, E4/E5/E9's activity stimuli) builds it;
+//! served engines keep [`NoopProf`], so they count no toggles at all.
+//!
 //! ## The static op mix
 //!
 //! The flat plan executes the same ops every cycle: every node of the
@@ -186,11 +195,19 @@ impl OpMix {
 }
 
 /// Receives op-level execution records from the interpreter. `ENABLED`
-/// is an associated `const` so the disabled sink compiles to nothing.
+/// and `RECORDS_ACTIVITY` are associated `const`s so a disabled sink
+/// compiles to nothing.
 pub trait ProfSink: std::fmt::Debug {
     /// `false` for [`NoopProf`]; the simulator guards every record call
     /// behind `if P::ENABLED`, which const-folds away when `false`.
     const ENABLED: bool;
+
+    /// `true` only for [`RecordActivity`]: whether the simulator counts
+    /// toggles into an [`crate::Activity`] record. Every counting step is
+    /// guarded by `if P::RECORDS_ACTIVITY`, so on any other sink the
+    /// previous-value copy, the per-net toggle sweep and the per-lane
+    /// state-change count compile out.
+    const RECORDS_ACTIVITY: bool;
 
     /// One op executed for `node` this cycle.
     fn record_op(&mut self, node: u32, class: OpClass);
@@ -205,6 +222,7 @@ pub struct NoopProf;
 
 impl ProfSink for NoopProf {
     const ENABLED: bool = false;
+    const RECORDS_ACTIVITY: bool = false;
 
     #[inline]
     fn record_op(&mut self, _node: u32, _class: OpClass) {}
@@ -271,6 +289,7 @@ impl CountingProf {
 
 impl ProfSink for CountingProf {
     const ENABLED: bool = true;
+    const RECORDS_ACTIVITY: bool = false;
 
     #[inline]
     fn record_op(&mut self, node: u32, class: OpClass) {
@@ -285,6 +304,30 @@ impl ProfSink for CountingProf {
     #[inline]
     fn record_cycle(&mut self) {
         self.cycles += 1;
+    }
+}
+
+/// The activity-recording sink: a simulator built over it counts toggles
+/// on every net and every state change, and only such a simulator offers
+/// [`crate::Simulator::activity`]. Op records go to the wrapped sink, so
+/// `RecordActivity(CountingProf::new())` profiles and records at once.
+/// Power profiling builds this type; served engines keep [`NoopProf`] and
+/// pay nothing for toggles they would never read.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RecordActivity<P: ProfSink = NoopProf>(pub P);
+
+impl<P: ProfSink> ProfSink for RecordActivity<P> {
+    const ENABLED: bool = P::ENABLED;
+    const RECORDS_ACTIVITY: bool = true;
+
+    #[inline]
+    fn record_op(&mut self, node: u32, class: OpClass) {
+        self.0.record_op(node, class);
+    }
+
+    #[inline]
+    fn record_cycle(&mut self) {
+        self.0.record_cycle();
     }
 }
 

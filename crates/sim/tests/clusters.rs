@@ -465,7 +465,7 @@ fn activity_counts_toggles_deterministically() {
         &[("y", 8)],
     );
     let run = || {
-        let mut sim = Simulator::new(&nl).unwrap();
+        let mut sim = Simulator::recording(&nl).unwrap();
         for i in 0..32u64 {
             sim.set("i_a", i * 5 % 256).unwrap();
             sim.set("i_b", i * 11 % 256).unwrap();

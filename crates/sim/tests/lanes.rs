@@ -9,7 +9,7 @@ use dsra_core::netlist::{NetId, NodeId, NodeKind, PortDir};
 use dsra_core::prelude::*;
 use dsra_core::rng::SplitMix64;
 use dsra_dct::{BasicDa, Cordic1, Cordic2, DaParams, DctImpl, MixedRom};
-use dsra_sim::{ExecPlan, InputPort, OutputPort, Simulator, StuckFault};
+use dsra_sim::{ExecPlan, InputPort, NoopProf, OutputPort, RecordActivity, Simulator, StuckFault};
 
 const W: usize = 8;
 
@@ -139,8 +139,10 @@ fn ports_of(nl: &Netlist) -> (Vec<InputPort>, Vec<OutputPort>) {
 fn assert_lanes_match_singles(nl: &Netlist, cycles: usize, faults: &[StuckFault], seed: u64) {
     let plan = ExecPlan::compile(nl).unwrap();
     let (ins, outs) = ports_of(nl);
-    let mut wide = Simulator::<_, W>::with_plan_lanes(nl, &plan);
-    let mut singles: Vec<Simulator<'_>> = (0..W).map(|_| Simulator::with_plan(nl, &plan)).collect();
+    let mut wide = Simulator::<_, W>::with_plan_profiled(nl, &plan, RecordActivity(NoopProf));
+    let mut singles: Vec<Simulator<'_, RecordActivity>> = (0..W)
+        .map(|_| Simulator::with_plan_profiled(nl, &plan, RecordActivity(NoopProf)))
+        .collect();
     for &f in faults {
         wide.inject_fault(f);
         for s in &mut singles {
@@ -176,7 +178,8 @@ fn assert_lanes_match_singles(nl: &Netlist, cycles: usize, faults: &[StuckFault]
         }
     }
     let act = wide.activity();
-    let sum = |f: &dyn Fn(&Simulator<'_>) -> u64| singles.iter().map(f).sum::<u64>();
+    let sum =
+        |f: &dyn Fn(&Simulator<'_, RecordActivity>) -> u64| singles.iter().map(f).sum::<u64>();
     assert_eq!(act.cycles(), sum(&|s| s.activity().cycles()));
     assert_eq!(wide.cycle(), cycles as u64);
     for net in 0..nl.nets().len() {
@@ -220,7 +223,7 @@ fn lane_activity_is_the_sum_of_single_lane_runs() {
     let nl = &dct_netlists()[0];
     let plan = ExecPlan::compile(nl).unwrap();
     let (ins, _) = ports_of(nl);
-    let mut wide = Simulator::<_, W>::with_plan_lanes(nl, &plan);
+    let mut wide = Simulator::<_, W>::with_plan_profiled(nl, &plan, RecordActivity(NoopProf));
     let mut rng = SplitMix64::new(3);
     for _ in 0..20 {
         for &pin in &ins {
@@ -256,5 +259,42 @@ fn stuck_faults_hit_every_lane_like_the_faulted_single_lane_run() {
             ];
             assert_lanes_match_singles(nl, 32, &faults, 0xFA17 + (i * 8 + j) as u64);
         }
+    }
+}
+
+#[test]
+fn served_simulators_compute_what_recording_ones_compute() {
+    // Served engines build the default sink, which counts no toggles;
+    // every output of every lane must match the recording simulator's.
+    for (i, nl) in dct_netlists().iter().enumerate() {
+        let plan = ExecPlan::compile(nl).unwrap();
+        let (ins, outs) = ports_of(nl);
+        let mut served = Simulator::<_, W>::with_plan_lanes(nl, &plan);
+        let mut recording =
+            Simulator::<_, W>::with_plan_profiled(nl, &plan, RecordActivity(NoopProf));
+        let mut rng = SplitMix64::new(0x5E7E + i as u64);
+        for cycle in 0..48 {
+            for &pin in &ins {
+                for lane in 0..W {
+                    let v = rng.next_u64();
+                    served.drive_lane(pin, lane, v);
+                    recording.drive_lane(pin, lane, v);
+                }
+            }
+            served.step();
+            recording.step();
+            for (o, &pin) in outs.iter().enumerate() {
+                for lane in 0..W {
+                    assert_eq!(
+                        served.read_lane(pin, lane),
+                        recording.read_lane(pin, lane),
+                        "{}: output #{o}, lane {lane}, cycle {cycle}",
+                        nl.name()
+                    );
+                }
+            }
+        }
+        assert_eq!(served.cycle(), recording.cycle());
+        assert!(recording.activity().total_net_toggles() > 0);
     }
 }

@@ -4,7 +4,7 @@
 //! byte-identical with the sink on or off.
 
 use dsra_core::prelude::*;
-use dsra_sim::{CountingProf, ExecPlan, NoopProf, OpClass, Simulator};
+use dsra_sim::{CountingProf, ExecPlan, NoopProf, OpClass, RecordActivity, Simulator};
 
 /// A small design exercising combinational, sequential and memory ops:
 /// |a - b| accumulated over time, plus a ROM lookup.
@@ -101,8 +101,9 @@ fn counting_prof_matches_static_op_mix() {
 fn profiling_is_a_pure_observer() {
     let nl = mixed_netlist();
     let plan = ExecPlan::compile(&nl).unwrap();
-    let mut plain = Simulator::with_plan_profiled(&nl, &plan, NoopProf);
-    let mut profiled = Simulator::with_plan_profiled(&nl, &plan, CountingProf::new());
+    let mut plain = Simulator::with_plan_profiled(&nl, &plan, RecordActivity(NoopProf));
+    let mut profiled =
+        Simulator::with_plan_profiled(&nl, &plan, RecordActivity(CountingProf::new()));
     for c in 0..200u64 {
         drive_pattern(&mut plain, c);
         drive_pattern(&mut profiled, c);

@@ -116,7 +116,7 @@ mod tests {
     }
 
     fn activity_for(nl: &Netlist, cycles: u64) -> Activity {
-        let mut sim = Simulator::new(nl).unwrap();
+        let mut sim = Simulator::recording(nl).unwrap();
         for c in 0..cycles {
             for i in 0..4 {
                 let _ = sim.set(&format!("a{i}"), (c * 37 + i * 11) % 256);

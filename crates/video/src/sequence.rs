@@ -81,13 +81,18 @@ impl SyntheticSequence {
         for f in 0..config.frames {
             let fx = f as f64 * config.pan.0;
             let fy = f as f64 * config.pan.1;
+            // Smooth textured background, shifted by the pan: one sine per
+            // column and one cosine per row.
+            let col: Vec<f64> = (0..config.width)
+                .map(|x| ((x as f64 + fx) * 0.19).sin())
+                .collect();
+            let row: Vec<f64> = (0..config.height)
+                .map(|y| ((y as f64 + fy) * 0.13).cos())
+                .collect();
             let mut data = Vec::with_capacity(config.width * config.height);
-            for y in 0..config.height {
-                for x in 0..config.width {
-                    // Smooth textured background, shifted by the pan.
-                    let bx = x as f64 + fx;
-                    let by = y as f64 + fy;
-                    let mut v = 120.0 + 50.0 * ((bx * 0.19).sin() + (by * 0.13).cos());
+            for (y, &c) in row.iter().enumerate() {
+                for (x, &s) in col.iter().enumerate() {
+                    let mut v = 120.0 + 50.0 * (s + c);
                     // Foreground objects with their own motion.
                     for (i, o) in objects.iter().enumerate() {
                         let ox = o.x + o.vx * f as f64;

@@ -15,7 +15,7 @@ use dsra::sim::Simulator;
 use dsra::tech::{evaluate_against_fpga, TechModel};
 
 fn me_activity(nl: &dsra::core::Netlist) -> dsra::sim::Activity {
-    let mut sim = Simulator::new(nl).unwrap();
+    let mut sim = Simulator::recording(nl).unwrap();
     for c in 0..256u64 {
         for j in 0..8 {
             sim.set(&format!("cur{j}"), (c * 31 + j * 7) % 256).unwrap();
@@ -31,7 +31,7 @@ fn me_activity(nl: &dsra::core::Netlist) -> dsra::sim::Activity {
 }
 
 fn da_activity(nl: &dsra::core::Netlist) -> dsra::sim::Activity {
-    let mut sim = Simulator::new(nl).unwrap();
+    let mut sim = Simulator::recording(nl).unwrap();
     for c in 0..256u64 {
         for i in 0..8 {
             sim.set(&format!("x{i}"), (c * 97 + i * 55) % 4096).unwrap();
