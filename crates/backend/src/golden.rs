@@ -4,11 +4,14 @@
 //! Every model reproduces its array datapath *bit-for-bit*: samples are
 //! encoded with the same two's-complement widths, ROM words come from the
 //! same [`da_rom_contents`] tables (programmed once per model, as the
-//! arrays' ROMs are at configuration time), and the shift-accumulator
-//! recurrence (add the aligned ROM word, subtract on the sign cycle,
-//! arithmetic-shift right) is replayed in plain integer arithmetic. A golden transform is
-//! therefore byte-equal to the simulated one — not merely close — which is
-//! what lets the differential harness assert checksum equality instead of
+//! arrays' ROMs are at configuration time, and sign-extended then), and the
+//! shift-accumulator recurrence (add the aligned ROM word, subtract on the
+//! sign cycle, arithmetic-shift right, wrap to the accumulator width) is
+//! replayed step for step in plain integer arithmetic on a sign-extended
+//! accumulator. Accumulators decode through the one [`AccDecoder`] a model
+//! builds for its stream length. A golden transform is therefore
+//! byte-equal to the simulated one — not merely close — which is what lets
+//! the differential harness assert checksum equality instead of
 //! tolerances.
 
 use dsra_core::error::{CoreError, Result};
@@ -20,7 +23,7 @@ use dsra_dct::factor::{
 };
 use dsra_dct::reference::{alpha, dct_coeff};
 use dsra_dct::scc::{exponent_of, scc_odd_coeff};
-use dsra_dct::{DaParams, DctImpl};
+use dsra_dct::{AccDecoder, DaParams, DctImpl};
 use dsra_me::reference::candidate_valid;
 use dsra_me::systolic2d::MODULES;
 use dsra_me::{full_search, MeSearchResult, Plane, SearchParams};
@@ -52,32 +55,41 @@ fn serial_addrs<const N: usize>(streams: [u64; N], bits: u8) -> [u8; MAX_SERIAL_
 /// Replays `L` bit-serial DA lanes that read the same streams: at serial
 /// step `t` each lane's ROM word at `addrs[t]` is aligned and accumulated
 /// with a subtracting final cycle, and the accumulator arithmetic-shifts
-/// right each step — exactly the shift-accumulator cluster's update rule.
-/// The lanes step together, so each address is fetched once per block.
+/// right and wraps to `acc_width` each step — exactly the
+/// shift-accumulator cluster's update rule. Accumulators stay
+/// sign-extended, so the result is the accumulator's signed value. The
+/// lanes step together, so each address is fetched once per block.
 fn da_lanes<const L: usize>(
-    roms: &[Vec<u64>; L],
+    roms: &[Rom; L],
     addrs: &[u8; MAX_SERIAL_BITS],
     bits: u8,
     params: &DaParams,
-) -> [u64; L] {
+) -> [i64; L] {
     let align = u32::from(params.align());
-    let mut acc = [0u64; L];
+    // Shifting the unused top bits out and back wraps and sign-extends.
+    let unused = 64 - u32::from(params.acc_width);
+    let mut acc = [0i64; L];
     for t in 0..bits {
         let addr = usize::from(addrs[usize::from(t)]);
         let sgn: i64 = if t + 1 == bits { -1 } else { 1 };
         for (acc, rom) in acc.iter_mut().zip(roms) {
-            let word = to_signed(rom[addr], params.rom_width);
-            let a = to_signed(*acc, params.acc_width) + sgn * (word << align);
-            *acc = from_signed(a >> 1, params.acc_width);
+            let a = *acc + sgn * (rom[addr] << align);
+            *acc = ((a >> 1) << unused) >> unused;
         }
     }
     acc
 }
 
+/// A DA lane's ROM: its words, sign-extended from `rom_width`.
+type Rom = Vec<i64>;
+
 /// The ROM a DA lane programmed with `coeffs` holds. Built once per model,
 /// as the array's ROMs are written once at configuration time.
-fn rom<const N: usize>(coeffs: [f64; N], params: &DaParams) -> Vec<u64> {
+fn rom<const N: usize>(coeffs: [f64; N], params: &DaParams) -> Rom {
     da_rom_contents(&coeffs, params.q())
+        .into_iter()
+        .map(|word| to_signed(word, params.rom_width))
+        .collect()
 }
 
 /// Encodes the input block exactly as the array input pins see it: each
@@ -98,13 +110,14 @@ fn stage(v: i64) -> i64 {
 fn direct_transform(
     x: &[i64; 8],
     params: &DaParams,
+    dec: &AccDecoder,
     perm: &[usize; 8],
-    roms: &[Vec<u64>; 8],
+    roms: &[Rom; 8],
 ) -> [f64; 8] {
     let bits = params.input_bits;
     let xe = encode_block(x, bits);
     let addrs = serial_addrs(perm.map(|i| encode_sample(xe[i], bits)), bits);
-    da_lanes(roms, &addrs, bits, params).map(|raw| params.decode_acc(raw, bits))
+    da_lanes(roms, &addrs, bits, params).map(|acc| dec.value(acc))
 }
 
 /// Even/odd split (Fig. 5 / Fig. 8): 16-bit butterfly sums `a_n` and
@@ -113,8 +126,9 @@ fn direct_transform(
 fn even_odd_transform(
     x: &[i64; 8],
     params: &DaParams,
-    even: &[Vec<u64>; 4],
-    odd: &[Vec<u64>; 4],
+    dec: &AccDecoder,
+    even: &[Rom; 4],
+    odd: &[Rom; 4],
 ) -> [f64; 8] {
     let bits = params.input_bits + 2;
     let xe = encode_block(x, params.input_bits);
@@ -128,10 +142,7 @@ fn even_odd_transform(
     );
     let even = da_lanes(even, &sums, bits, params);
     let odd = da_lanes(odd, &diffs, bits, params);
-    std::array::from_fn(|u| {
-        let raw = if u % 2 == 0 { even[u / 2] } else { odd[u / 2] };
-        params.decode_acc(raw, bits)
-    })
+    std::array::from_fn(|u| dec.value(if u % 2 == 0 { even[u / 2] } else { odd[u / 2] }))
 }
 
 /// Phase schedule of the two-phase CORDIC drivers (mirrors the private
@@ -208,7 +219,7 @@ struct XRotators {
     /// accumulators of the same indices.
     pairs: [(usize, usize); 2],
     /// `roms[i][lane]`, programmed from the rotator blocks.
-    roms: [[Vec<u64>; 2]; 2],
+    roms: [[Rom; 2]; 2],
     /// Butterfly rows as `(c1, c2, subtract)`.
     butterfly: [(usize, usize, bool); 4],
 }
@@ -230,13 +241,12 @@ impl XRotators {
     /// Returns `H_r = A'_{c1} ± A'_{c2}` where `A'` is the presh-discarded
     /// phase-1 accumulator.
     fn h(&self, b: &[u64; 4], params: &DaParams, sched: &Sched) -> [i64; 4] {
-        let mut p = [0u64; 4];
+        let mut p = [0i64; 4];
         for (pair, roms) in self.pairs.iter().zip(&self.roms) {
             let addrs = serial_addrs([b[pair.0], b[pair.1]], sched.b1);
             [p[pair.0], p[pair.1]] = da_lanes(roms, &addrs, sched.b1, params);
         }
-        let ap: [i64; 4] =
-            std::array::from_fn(|r| to_signed(p[r], params.acc_width) >> u32::from(sched.presh));
+        let ap: [i64; 4] = p.map(|acc| acc >> u32::from(sched.presh));
         self.butterfly.map(|(c1, c2, sub)| {
             if sub {
                 ap[c1] - ap[c2]
@@ -253,12 +263,12 @@ impl XRotators {
 struct Cordic1Model {
     sched: Sched,
     /// ROMs of `[X0, X4]` (over `u0`/`u1`) and `[X2, X6]` (over `u2`/`u3`).
-    even: [[Vec<u64>; 2]; 2],
+    even: [[Rom; 2]; 2],
     x: XRotators,
     /// The `H` indices Y rotator `i` reads and the odd rows it produces.
     y_pairs: [(usize, usize); 2],
     /// `y_roms[i][lane]`, programmed from the Y blocks.
-    y_roms: [[Vec<u64>; 2]; 2],
+    y_roms: [[Rom; 2]; 2],
     /// `2^phase2_exp`: the weight of a raw Y-rotator accumulator.
     y_scale: f64,
 }
@@ -286,7 +296,7 @@ impl Cordic1Model {
         }
     }
 
-    fn transform(&self, x: &[i64; 8], params: &DaParams) -> [f64; 8] {
+    fn transform(&self, x: &[i64; 8], params: &DaParams, dec: &AccDecoder) -> [f64; 8] {
         let b1 = self.sched.b1;
         let (b, u) = cordic_front(x, params);
         let su: [u64; 4] = std::array::from_fn(|i| from_signed(u[i], STAGE_WIDTH));
@@ -295,9 +305,9 @@ impl Cordic1Model {
             ([su[0], su[1]], &self.even[0], [0, 4]),
             ([su[2], su[3]], &self.even[1], [2, 6]),
         ] {
-            let raw = da_lanes(roms, &serial_addrs(streams, b1), b1, params);
-            for (out, raw) in outs.into_iter().zip(raw) {
-                y[out] = params.decode_acc(raw, b1);
+            let acc = da_lanes(roms, &serial_addrs(streams, b1), b1, params);
+            for (out, acc) in outs.into_iter().zip(acc) {
+                y[out] = dec.value(acc);
             }
         }
 
@@ -307,9 +317,9 @@ impl Cordic1Model {
             // cycles (sub on the last); H's two's-complement bits are exactly
             // what the serial adders emit.
             let addrs = serial_addrs([h[pair.0] as u64, h[pair.1] as u64], self.sched.b2);
-            let raw = da_lanes(roms, &addrs, self.sched.b2, params);
-            for (out, raw) in [pair.0, pair.1].into_iter().zip(raw) {
-                y[2 * out + 1] = to_signed(raw, params.acc_width) as f64 * self.y_scale;
+            let acc = da_lanes(roms, &addrs, self.sched.b2, params);
+            for (out, acc) in [pair.0, pair.1].into_iter().zip(acc) {
+                y[2 * out + 1] = acc as f64 * self.y_scale;
             }
         }
         y
@@ -321,7 +331,7 @@ impl Cordic1Model {
 struct Cordic2Model {
     sched: Sched,
     /// ROMs of `X2` and `X6` (over `u2`/`u3`).
-    even: [Vec<u64>; 2],
+    even: [Rom; 2],
     x: XRotators,
     post_pair: (usize, usize),
     scales: [f64; 4],
@@ -356,7 +366,7 @@ impl Cordic2Model {
         }
     }
 
-    fn transform(&self, x: &[i64; 8], params: &DaParams) -> [f64; 8] {
+    fn transform(&self, x: &[i64; 8], params: &DaParams, dec: &AccDecoder) -> [f64; 8] {
         let Sched { b1, b2, .. } = self.sched;
         let (b, u) = cordic_front(x, params);
         let mut y = [0.0; 8];
@@ -372,8 +382,8 @@ impl Cordic2Model {
             b1,
         );
         let [x2, x6] = da_lanes(&self.even, &addrs, b1, params);
-        y[2] = params.decode_acc(x2, b1);
-        y[6] = params.decode_acc(x6, b1);
+        y[2] = dec.value(x2);
+        y[6] = dec.value(x6);
 
         let h = self.x.h(&b, params, &self.sched);
         let (pi, pj) = self.post_pair;
@@ -400,16 +410,10 @@ impl Cordic2Model {
 enum Model {
     /// Fig. 4 / Fig. 9 direct DA: `perm[slot]` = input index in that slot,
     /// `roms[u]` = the ROM of output `u`.
-    Direct {
-        perm: [usize; 8],
-        roms: [Vec<u64>; 8],
-    },
+    Direct { perm: [usize; 8], roms: [Rom; 8] },
     /// Fig. 5 / Fig. 8 even/odd split: the odd ROMs hold plain DCT rows
     /// (Mixed-ROM) or the skew-circular rotation (SCC).
-    EvenOdd {
-        even: [Vec<u64>; 4],
-        odd: [Vec<u64>; 4],
-    },
+    EvenOdd { even: [Rom; 4], odd: [Rom; 4] },
     /// Fig. 6 two-phase sandwich factorization.
     Cordic1(Cordic1Model),
     /// Fig. 7 scaled factorization with serial output taps.
@@ -439,27 +443,30 @@ impl Model {
 /// `cycles_per_block`, so encode payloads cost identically). The netlist
 /// is an empty placeholder — there is no hardware here.
 ///
-/// Every DA ROM is built once, in [`GoldenDct::new`]; a block only
-/// serialises its samples and replays the shift-accumulators.
+/// Every DA ROM and the accumulator decoder are built once, in
+/// [`GoldenDct::new`]; a block only serialises its samples and replays the
+/// shift-accumulators.
 pub struct GoldenDct {
     mapping: DctMapping,
     params: DaParams,
     netlist: Netlist,
     cycles: u64,
     model: Model,
+    /// Decodes the accumulators of the model's first (or only) DA phase.
+    dec: AccDecoder,
 }
 
 impl GoldenDct {
     /// Builds the golden model for `mapping`, programming its DA ROMs.
     ///
     /// # Errors
-    /// Fails when `params` need serial streams longer than 64 bits (no
-    /// array can be configured that wide); `Result` also mirrors
-    /// [`DctMapping::build`] so the two construction paths stay
+    /// Fails when `params` need serial streams or accumulators of 64 bits
+    /// or more (no array can be configured that wide); `Result` also
+    /// mirrors [`DctMapping::build`] so the two construction paths stay
     /// interchangeable.
     pub fn new(mapping: DctMapping, params: DaParams) -> Result<Self> {
         if usize::from(params.input_bits) + 2 > MAX_SERIAL_BITS
-            || usize::from(params.acc_width) > MAX_SERIAL_BITS
+            || usize::from(params.acc_width) >= MAX_SERIAL_BITS
         {
             return Err(CoreError::Mismatch(format!(
                 "golden {}: {params:?} needs serial streams over {MAX_SERIAL_BITS} bits",
@@ -472,6 +479,12 @@ impl GoldenDct {
                 .flat_map(|b| b.iter())
                 .map(|row| row[0].abs() + row[1].abs())
                 .fold(0.0f64, f64::max)
+        };
+        // The direct models stream the samples; every other one streams
+        // butterfly outputs, two guard bits wider.
+        let stream_bits = match mapping {
+            DctMapping::BasicDa | DctMapping::SccFull => params.input_bits,
+            _ => params.input_bits + 2,
         };
         let (model, cycles) = match mapping {
             DctMapping::BasicDa => (
@@ -525,6 +538,7 @@ impl GoldenDct {
             netlist: Netlist::new("golden"),
             cycles,
             model,
+            dec: params.decoder(stream_bits),
         })
     }
 
@@ -549,13 +563,13 @@ impl DctImpl for GoldenDct {
 
     fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
         assert_eq!(xs.len(), out.len(), "one output row per block");
-        let params = &self.params;
+        let (params, dec) = (&self.params, &self.dec);
         for (x, o) in xs.iter().zip(out) {
             *o = match &self.model {
-                Model::Direct { perm, roms } => direct_transform(x, params, perm, roms),
-                Model::EvenOdd { even, odd } => even_odd_transform(x, params, even, odd),
-                Model::Cordic1(m) => m.transform(x, params),
-                Model::Cordic2(m) => m.transform(x, params),
+                Model::Direct { perm, roms } => direct_transform(x, params, dec, perm, roms),
+                Model::EvenOdd { even, odd } => even_odd_transform(x, params, dec, even, odd),
+                Model::Cordic1(m) => m.transform(x, params, dec),
+                Model::Cordic2(m) => m.transform(x, params, dec),
             };
         }
         Ok(())

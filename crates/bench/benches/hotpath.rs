@@ -1,7 +1,7 @@
 //! Hot-path micro-benchmarks gating the zero-allocation serving work:
-//! the flat-plan cycle engine, one encode GOP on each backend, the
-//! annealing placer that runtime setup pays per kernel, and the packed
-//! bitstream diff. CI runs this file as a smoke pass so regressions in any
+//! the flat-plan cycle engine, one 8-row DCT batch per served DA mapping,
+//! one encode GOP on each backend, the annealing placer that runtime setup
+//! pays per kernel, and the packed bitstream diff. CI runs this file as a smoke pass so regressions in any
 //! of them surface before they reach the `soc_serve` numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -12,7 +12,7 @@ use dsra_core::bitstream::Bitstream;
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::place::{place, PlacerOptions};
 use dsra_core::route::{route, RouterOptions};
-use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl, LANES};
+use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl, MixedRom, LANES};
 use dsra_me::{MeEngine, Systolic2d};
 use dsra_platform::standard_da_fabric;
 use dsra_runtime::{me_fabric_for, DctMapping, RuntimeConfig, SocRuntime};
@@ -22,7 +22,7 @@ use dsra_video::{generate_job_mix, JobMixConfig, JobPayload, JobSpec, ServiceCla
 
 /// `engine_step`: raw cycles/second of the flat-plan simulator on the two
 /// array archetypes — the bit-serial DA datapath and the 2-D systolic ME
-/// array — plus the 8-lane DA sweep the DCT drivers run, both as served
+/// array, at 16×16 and at the served 8×8 — plus the 8-lane DA sweep the DCT drivers run, both as served
 /// (no toggle counting) and on the activity-recording sink power
 /// profiling builds. Rows report ns per block-cycle (one lane for one
 /// clock). Steady-state stepping performs zero heap allocations.
@@ -68,6 +68,15 @@ fn bench_engine_step(c: &mut Criterion) {
             me_sim.cycle()
         })
     });
+    let me8 = Systolic2d::new(8).unwrap();
+    let me8_plan = ExecPlan::compile(me8.netlist()).unwrap();
+    let mut me8_sim = Simulator::with_plan(me8.netlist(), &me8_plan);
+    g.bench_function("systolic8_1k_cycles", |b| {
+        b.iter(|| {
+            me8_sim.run(1000);
+            me8_sim.cycle()
+        })
+    });
 
     // Per-search construction over a shared plan (what the ME worker pays
     // per job): must stay cheap — buffers only, no graph walk.
@@ -75,6 +84,35 @@ fn bench_engine_step(c: &mut Criterion) {
     g.bench_function("with_plan_construction", |b| {
         b.iter(|| Simulator::with_plan(me.netlist(), &me_plan).cycle())
     });
+    g.finish();
+}
+
+/// `dct_batch`: one `transform_batch` of the eight rows of an 8×8 block —
+/// the call the encode loop makes twice per block — on the two DA mappings
+/// the served job mix runs. Rows report ns per row; the batch fills one
+/// 8-lane sweep and includes encoding the samples and decoding the
+/// accumulators.
+fn bench_dct_batch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dct_batch");
+    g.sample_size(10).measurement_time(Duration::from_secs(3));
+    g.throughput(Throughput::Elements(LANES as u64));
+    let rows: Vec<[i64; 8]> = (0..LANES as i64)
+        .map(|r| std::array::from_fn(|i| (r * 37 + i as i64 * 11) % 255 - 127))
+        .collect();
+    let mut out = vec![[0.0; 8]; LANES];
+    let params = DaParams::precise();
+    let mappings: [(&str, Box<dyn DctImpl>); 2] = [
+        ("basic_da_8_rows", Box::new(BasicDa::new(params).unwrap())),
+        ("mix_rom_8_rows", Box::new(MixedRom::new(params).unwrap())),
+    ];
+    for (name, imp) in &mappings {
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                imp.transform_batch(&rows, &mut out).unwrap();
+                out[0][0]
+            })
+        });
+    }
     g.finish();
 }
 
@@ -217,6 +255,6 @@ fn bench_trace_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_engine_step, bench_encode_gop, bench_place, bench_diff_bits, bench_trace_overhead
+    targets = bench_engine_step, bench_dct_batch, bench_encode_gop, bench_place, bench_diff_bits, bench_trace_overhead
 }
 criterion_main!(benches);

@@ -32,7 +32,8 @@ pub enum CoreError {
     Unconnected { node: String, port: String },
     /// The combinational part of the netlist contains a cycle.
     CombinationalLoop { involving: String },
-    /// A cluster width is outside the supported range (1..=32).
+    /// A width is outside its supported range: 1..=32 for a cluster
+    /// datapath, 1..=63 for pins, constants and wiring.
     InvalidWidth { node: String, width: u8 },
     /// Memory geometry is unsupported (zero words, too many address bits...).
     InvalidGeometry { node: String, detail: String },
@@ -76,7 +77,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidWidth { node, width } => {
                 write!(
                     f,
-                    "node `{node}` has unsupported width {width} (must be 1..=32)"
+                    "node `{node}` has unsupported width {width} (clusters take 1..=32, pins and wiring 1..=63)"
                 )
             }
             CoreError::InvalidGeometry { node, detail } => {

@@ -5,9 +5,14 @@
 //! between raw bus words and signed integers, and between signed fixed-point
 //! (`Qm.f`) values and `f64`.
 //!
-//! Widths of 1..=63 bits are supported; the fabric limits cluster datapaths
-//! to 32 bits (cascaded 4-bit elements), but intermediate arithmetic inside
-//! the simulator uses the full range.
+//! Widths of 1..=[`MAX_WORD_WIDTH`] bits are supported; the fabric limits
+//! cluster datapaths to 32 bits (cascaded 4-bit elements), but pins,
+//! wiring and intermediate arithmetic inside the simulator use the full
+//! range.
+
+/// Widest two's-complement word the helpers (and every bus) support: one
+/// bit short of `u64`, so sign extension never overflows.
+pub const MAX_WORD_WIDTH: u8 = 63;
 
 /// Masks `value` to the low `width` bits.
 ///
@@ -15,7 +20,10 @@
 /// Panics if `width` is 0 or greater than 63.
 #[inline]
 pub fn mask(value: u64, width: u8) -> u64 {
-    assert!((1..=63).contains(&width), "width out of range: {width}");
+    assert!(
+        (1..=MAX_WORD_WIDTH).contains(&width),
+        "width out of range: {width}"
+    );
     value & ((1u64 << width) - 1)
 }
 
@@ -83,7 +91,10 @@ impl Q {
     /// # Panics
     /// Panics if `width` is not in 1..=63 or `frac >= width`.
     pub fn new(width: u8, frac: u8) -> Self {
-        assert!((1..=63).contains(&width), "width out of range: {width}");
+        assert!(
+            (1..=MAX_WORD_WIDTH).contains(&width),
+            "width out of range: {width}"
+        );
         assert!(frac < width, "frac bits must leave room for the sign");
         Q { width, frac }
     }

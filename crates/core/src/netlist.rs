@@ -17,6 +17,7 @@ use std::fmt;
 
 use crate::cluster::{addr_width, AddShiftCfg, ClusterCfg, ClusterKind, CompMode};
 use crate::error::{CoreError, Result};
+use crate::fixed::MAX_WORD_WIDTH;
 use crate::report::ResourceReport;
 
 /// Stable content hash of a netlist or bitstream (FNV-1a, 128-bit).
@@ -490,17 +491,31 @@ impl Netlist {
     }
 
     /// Adds a top-level input of the given width.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidWidth`] unless `width` is in
+    /// `1..=`[`MAX_WORD_WIDTH`]; [`CoreError::DuplicateNode`] on a reused
+    /// name.
     pub fn input(&mut self, name: impl Into<String>, width: u8) -> Result<NodeId> {
+        let name = word_width(name.into(), width)?;
         self.add_node(name, NodeKind::Input { width })
     }
 
     /// Adds a top-level output of the given width.
+    ///
+    /// # Errors
+    /// Same as [`Netlist::input`].
     pub fn output(&mut self, name: impl Into<String>, width: u8) -> Result<NodeId> {
+        let name = word_width(name.into(), width)?;
         self.add_node(name, NodeKind::Output { width })
     }
 
     /// Adds a constant driver.
+    ///
+    /// # Errors
+    /// Same as [`Netlist::input`].
     pub fn constant(&mut self, name: impl Into<String>, value: u64, width: u8) -> Result<NodeId> {
+        let name = word_width(name.into(), width)?;
         self.add_node(name, NodeKind::Const { value, width })
     }
 
@@ -953,6 +968,17 @@ pub struct PhysNet {
     pub width: u8,
 }
 
+/// Passes `name` through when `width` fits a raw bus word
+/// (`1..=`[`MAX_WORD_WIDTH`]), the widths the simulator's word arithmetic
+/// supports.
+fn word_width(name: String, width: u8) -> Result<String> {
+    if (1..=MAX_WORD_WIDTH).contains(&width) {
+        Ok(name)
+    } else {
+        Err(CoreError::InvalidWidth { node: name, width })
+    }
+}
+
 impl fmt::Display for Netlist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -1105,6 +1131,39 @@ mod tests {
         let mut nl = Netlist::new("t");
         nl.input("a", 8).unwrap();
         assert!(matches!(nl.input("a", 8), Err(CoreError::DuplicateNode(_))));
+    }
+
+    /// Asserts a pin builder rejects widths 0 and 64 and accepts the
+    /// range's two ends, adding no node for a rejected width.
+    fn assert_word_widths(add: impl Fn(&mut Netlist, &str, u8) -> Result<NodeId>) {
+        let mut nl = Netlist::new("t");
+        for width in [0, MAX_WORD_WIDTH + 1] {
+            assert!(
+                matches!(
+                    add(&mut nl, "bad", width),
+                    Err(CoreError::InvalidWidth { ref node, width: w }) if node == "bad" && w == width
+                ),
+                "width {width} accepted"
+            );
+        }
+        assert!(nl.nodes().is_empty());
+        add(&mut nl, "narrow", 1).unwrap();
+        add(&mut nl, "wide", MAX_WORD_WIDTH).unwrap();
+    }
+
+    #[test]
+    fn input_rejects_widths_outside_a_word() {
+        assert_word_widths(|nl, name, w| nl.input(name, w));
+    }
+
+    #[test]
+    fn output_rejects_widths_outside_a_word() {
+        assert_word_widths(|nl, name, w| nl.output(name, w));
+    }
+
+    #[test]
+    fn constant_rejects_widths_outside_a_word() {
+        assert_word_widths(|nl, name, w| nl.constant(name, 1, w));
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl BasicDa {
             let y = nl.output(format!("y{u}"), params.acc_width)?;
             nl.connect((acc, "y"), (y, "in"))?;
         }
-        let io = BlockIo::standard(&nl)?;
+        let io = BlockIo::standard(&nl, &params, params.input_bits)?;
         Ok(BasicDa {
             netlist: nl,
             params,
@@ -83,9 +83,8 @@ impl DctImpl for BasicDa {
     }
 
     fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
-        let bits = self.params.input_bits;
         self.io
-            .single_phase_batch(&self.netlist, &self.params, bits, xs, out);
+            .single_phase_batch(&self.netlist, self.params.input_bits, xs, out);
         Ok(())
     }
 

@@ -407,7 +407,6 @@ impl Cordic1 {
                 nl.connect((acc, "y"), (y, "in"))?;
             }
         }
-        let io = BlockIo::standard(&nl)?;
         let p2 = Phase2Ports::resolve(&nl)?;
         let max_row_norm = fact
             .x_blocks
@@ -416,6 +415,7 @@ impl Cordic1 {
             .map(|row| row[0].abs() + row[1].abs())
             .fold(0.0f64, f64::max);
         let sched = Schedule::for_params(&params, max_row_norm);
+        let io = BlockIo::standard(&nl, &params, sched.b1)?;
         let cycles = 1 + u64::from(sched.b1) + u64::from(sched.presh) + u64::from(sched.b2) + 1;
         Ok(Cordic1 {
             netlist: nl,
@@ -465,14 +465,14 @@ impl LaneSchedule for Cordic1 {
         sim.drive(p2.sub2, 0);
         sim.drive(p2.sh, 0);
         sim.step();
-        let exp = sched.phase2_exp(params);
+        let odd_scale = 2f64.powi(sched.phase2_exp(params));
         for (lane, row) in rows.iter_mut().enumerate() {
             for (u, o) in row.iter_mut().enumerate() {
                 let raw = sim.read_lane(io.ys[u], lane);
                 *o = if u % 2 == 0 {
-                    params.decode_acc(raw, sched.b1)
+                    io.dec.decode(raw)
                 } else {
-                    to_signed(raw, params.acc_width) as f64 * 2f64.powi(exp)
+                    io.dec.signed(raw) as f64 * odd_scale
                 };
             }
         }
@@ -630,7 +630,6 @@ impl Cordic2 {
             let y = nl.output(format!("so{}", 2 * r + 1), 1)?;
             nl.connect(src, (y, "in"))?;
         }
-        let io = BlockIo::new(&nl, ["y0", "so1", "y2", "so3", "y4", "so5", "y6", "so7"])?;
         let p2 = Phase2Ports::resolve(&nl)?;
         let max_row_norm = fact
             .x_blocks
@@ -641,6 +640,11 @@ impl Cordic2 {
         let mut sched = Schedule::for_params(&params, max_row_norm);
         // Streams pass two serial levels: one extra guard bit.
         sched.presh += 1;
+        let io = BlockIo::new(
+            &nl,
+            ["y0", "so1", "y2", "so3", "y4", "so5", "y6", "so7"],
+            params.decoder(sched.b1),
+        )?;
         let cycles = 1 + u64::from(sched.b1) + u64::from(sched.presh) + u64::from(sched.b2) + 1;
         Ok(Cordic2 {
             netlist: nl,
@@ -701,7 +705,7 @@ impl LaneSchedule for Cordic2 {
         sim.drive(p2.sh, 0);
         sim.step();
         let c4 = (std::f64::consts::PI / 4.0).cos();
-        let exp = sched.stream_exp(params);
+        let stream_scale = 2f64.powi(sched.stream_exp(params));
         for (lane, (row, lane_streams)) in rows.iter_mut().zip(&streams).enumerate() {
             let even = |u: usize| sim.read_lane(io.ys[u], lane);
             // Parallel scaled outputs.
@@ -709,11 +713,11 @@ impl LaneSchedule for Cordic2 {
             row[4] = to_signed(even(4), STAGE_WIDTH) as f64 * alpha() * c4;
             // Even rotator outputs.
             for u in [2usize, 6] {
-                row[u] = params.decode_acc(even(u), sched.b1);
+                row[u] = io.dec.decode(even(u));
             }
             // Odd serial streams, with the quantiser-side scale factors.
             for (s, stream) in lane_streams.iter().enumerate() {
-                let v = to_signed(*stream, sched.b2) as f64 * 2f64.powi(exp);
+                let v = to_signed(*stream, sched.b2) as f64 * stream_scale;
                 row[2 * s + 1] = v * self.scales[s];
             }
         }

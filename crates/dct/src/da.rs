@@ -8,7 +8,9 @@
 
 use dsra_core::cluster::{AddShiftCfg, ClusterCfg};
 use dsra_core::error::Result;
-use dsra_core::fixed::{from_signed, to_signed, Q};
+#[cfg(test)]
+use dsra_core::fixed::to_signed;
+use dsra_core::fixed::{from_signed, MAX_WORD_WIDTH, Q};
 use dsra_core::netlist::{Netlist, NodeId};
 
 /// Fixed-point parameters of a DA datapath.
@@ -69,11 +71,73 @@ impl DaParams {
     ///
     /// After `B` accumulate cycles the register holds
     /// `Σ s_t·rom_t·2^(t + A - B)`; undoing the `2^(A-B)` alignment and the
-    /// ROM fraction yields the mathematical dot product.
+    /// ROM fraction yields the mathematical dot product. Drivers that
+    /// decode many words build [`DaParams::decoder`] once instead.
+    ///
+    /// # Panics
+    /// Same as [`DaParams::decoder`].
     pub fn decode_acc(&self, raw: u64, stream_bits: u8) -> f64 {
-        let v = to_signed(raw, self.acc_width) as f64;
+        self.decoder(stream_bits).decode(raw)
+    }
+
+    /// The decoder of accumulator words after `stream_bits` serial cycles:
+    /// [`DaParams::decode_acc`] with the accumulator width checked and the
+    /// alignment and fraction scales computed once.
+    ///
+    /// # Panics
+    /// Panics if `acc_width` is not in 1..=63 or `rom_frac >= rom_width`.
+    pub fn decoder(&self, stream_bits: u8) -> AccDecoder {
+        assert!(
+            (1..=MAX_WORD_WIDTH).contains(&self.acc_width),
+            "width out of range: {}",
+            self.acc_width
+        );
         let shift = f64::from(self.align() as i32 - i32::from(stream_bits));
-        v / 2f64.powf(shift) / self.q().scale()
+        AccDecoder {
+            stream_bits,
+            unused: 64 - u32::from(self.acc_width),
+            align_scale: 2f64.powf(shift),
+            frac_scale: self.q().scale(),
+        }
+    }
+}
+
+/// Decodes the shift-accumulator words of one `(DaParams, stream_bits)`
+/// pair — the hoisted form of [`DaParams::decode_acc`], with the same f64
+/// operations in the same order, so every decoded value is bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AccDecoder {
+    stream_bits: u8,
+    /// `64 - acc_width`: the shift that sign-extends an accumulator word.
+    unused: u32,
+    /// `2^(align - stream_bits)`.
+    align_scale: f64,
+    /// `2^rom_frac`.
+    frac_scale: f64,
+}
+
+impl AccDecoder {
+    /// The serial stream length the decoded accumulators ran for.
+    pub fn stream_bits(&self) -> u8 {
+        self.stream_bits
+    }
+
+    /// A raw accumulator word read as a signed integer.
+    #[inline]
+    pub fn signed(&self, raw: u64) -> i64 {
+        ((raw << self.unused) as i64) >> self.unused
+    }
+
+    /// The real value of a raw accumulator word.
+    #[inline]
+    pub fn decode(&self, raw: u64) -> f64 {
+        self.value(self.signed(raw))
+    }
+
+    /// The real value of an accumulator already read as a signed integer.
+    #[inline]
+    pub fn value(&self, acc: i64) -> f64 {
+        acc as f64 / self.align_scale / self.frac_scale
     }
 }
 
@@ -224,6 +288,35 @@ mod tests {
         let aligned = fixed << (i32::from(p.align()) - 12);
         let raw = from_signed(aligned, p.acc_width);
         assert!((p.decode_acc(raw, 12) - real).abs() < 1e-9);
+    }
+
+    #[test]
+    fn decoder_matches_the_per_word_decode() {
+        let mut rng = dsra_core::rng::SplitMix64::new(0xDEC0);
+        for p in [DaParams::precise(), DaParams::paper()] {
+            for bits in [p.input_bits, p.input_bits + 2, p.align()] {
+                let dec = p.decoder(bits);
+                assert_eq!(dec.stream_bits(), bits);
+                for _ in 0..256 {
+                    let raw = rng.next_u64();
+                    let v = to_signed(raw, p.acc_width) as f64;
+                    let shift = f64::from(p.align() as i32 - i32::from(bits));
+                    let old = v / 2f64.powf(shift) / p.q().scale();
+                    assert_eq!(dec.decode(raw).to_bits(), old.to_bits());
+                    assert_eq!(dec.signed(raw), to_signed(raw, p.acc_width));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "width out of range")]
+    fn decoder_rejects_a_64_bit_accumulator() {
+        DaParams {
+            acc_width: 64,
+            ..DaParams::precise()
+        }
+        .decoder(12);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use dsra_core::report::ResourceReport;
 use dsra_core::rng::SplitMix64;
 use dsra_sim::{ExecPlan, InputPort, NoopProf, OutputPort, Simulator};
 
-use crate::da::{encode_sample, DaParams};
+use crate::da::{encode_sample, AccDecoder, DaParams};
 use crate::reference;
 
 /// Blocks one lane sweep evaluates: the eight rows (or columns) of one
@@ -50,20 +50,22 @@ impl CtlPorts {
 }
 
 /// Per-mapping simulation assets compiled once at construction: the flat
-/// execution plan plus resolved sample pins `x0..x7`, output pins (one
-/// per coefficient, in coefficient order) and control pins.
+/// execution plan, resolved sample pins `x0..x7`, output pins (one per
+/// coefficient, in coefficient order) and control pins, and the decoder of
+/// the accumulator words the outputs carry.
 #[derive(Debug)]
 pub(crate) struct BlockIo {
     plan: ExecPlan,
     xs: [InputPort; 8],
     pub(crate) ys: [OutputPort; 8],
     pub(crate) ctl: CtlPorts,
+    pub(crate) dec: AccDecoder,
 }
 
 impl BlockIo {
     /// Compiles the plan and resolves the block pins; `outputs[u]` names
-    /// the pin carrying coefficient `u`.
-    pub(crate) fn new(netlist: &Netlist, outputs: [&str; 8]) -> Result<Self> {
+    /// the pin carrying coefficient `u`, and `dec` decodes its accumulator.
+    pub(crate) fn new(netlist: &Netlist, outputs: [&str; 8], dec: AccDecoder) -> Result<Self> {
         let plan = ExecPlan::compile(netlist)?;
         let mut xs = [InputPort::resolve(netlist, "x0")?; 8];
         let mut ys = [OutputPort::resolve(netlist, outputs[0])?; 8];
@@ -76,12 +78,18 @@ impl BlockIo {
             xs,
             ys,
             ctl: CtlPorts::resolve(netlist)?,
+            dec,
         })
     }
 
-    /// The standard pins `y0..y7`.
-    pub(crate) fn standard(netlist: &Netlist) -> Result<Self> {
-        Self::new(netlist, ["y0", "y1", "y2", "y3", "y4", "y5", "y6", "y7"])
+    /// The standard pins `y0..y7`, each a DA accumulator of
+    /// `params` after `stream_bits` serial cycles.
+    pub(crate) fn standard(netlist: &Netlist, params: &DaParams, stream_bits: u8) -> Result<Self> {
+        Self::new(
+            netlist,
+            ["y0", "y1", "y2", "y3", "y4", "y5", "y6", "y7"],
+            params.decoder(stream_bits),
+        )
     }
 
     /// The one driver loop every mapping shares: blocks go through in
@@ -131,33 +139,24 @@ impl BlockIo {
     pub(crate) fn single_phase_batch(
         &self,
         netlist: &Netlist,
-        params: &DaParams,
-        stream_bits: u8,
+        input_bits: u8,
         xs: &[[i64; 8]],
         out: &mut [[f64; 8]],
     ) {
-        let schedule = SinglePhase {
-            io: self,
-            params,
-            stream_bits,
-        };
-        self.run_batch(netlist, params.input_bits, xs, out, &schedule);
+        self.run_batch(netlist, input_bits, xs, out, &SinglePhase(self));
     }
 }
 
-/// The single-phase DA schedule: load cycle, `stream_bits` accumulate
-/// cycles with a subtracting sign cycle, one flush cycle
-/// (`stream_bits + 2` cycles); then every output is decoded as a
-/// shift-accumulator word.
-struct SinglePhase<'a> {
-    io: &'a BlockIo,
-    params: &'a DaParams,
-    stream_bits: u8,
-}
+/// The single-phase DA schedule: load cycle, one accumulate cycle per
+/// serial bit of the block decoder's stream with a subtracting sign cycle,
+/// one flush cycle (`stream_bits + 2` cycles); then every output is
+/// decoded as a shift-accumulator word.
+struct SinglePhase<'a>(&'a BlockIo);
 
 impl LaneSchedule for SinglePhase<'_> {
     fn run<const W: usize>(&self, sim: &mut Simulator<'_, NoopProf, W>, rows: &mut [[f64; 8]]) {
-        let (ctl, bits) = (&self.io.ctl, self.stream_bits);
+        let io = self.0;
+        let (ctl, bits) = (&io.ctl, io.dec.stream_bits());
         sim.drive(ctl.load, 1);
         sim.drive(ctl.clr, 1);
         sim.drive(ctl.sren, 0);
@@ -177,8 +176,8 @@ impl LaneSchedule for SinglePhase<'_> {
         sim.drive(ctl.sub, 0);
         sim.step();
         for (lane, row) in rows.iter_mut().enumerate() {
-            for (o, &pin) in row.iter_mut().zip(&self.io.ys) {
-                *o = self.params.decode_acc(sim.read_lane(pin, lane), bits);
+            for (o, &pin) in row.iter_mut().zip(&io.ys) {
+                *o = io.dec.decode(sim.read_lane(pin, lane));
             }
         }
     }

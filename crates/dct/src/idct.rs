@@ -62,7 +62,7 @@ impl BasicIdct {
             let y = nl.output(format!("y{i}"), params.acc_width)?;
             nl.connect((acc, "y"), (y, "in"))?;
         }
-        let io = BlockIo::standard(&nl)?;
+        let io = BlockIo::standard(&nl, &params, params.input_bits)?;
         Ok(BasicIdct {
             netlist: nl,
             params,
@@ -94,9 +94,8 @@ impl DctImpl for BasicIdct {
     }
 
     fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
-        let bits = self.params.input_bits;
         self.io
-            .single_phase_batch(&self.netlist, &self.params, bits, xs, out);
+            .single_phase_batch(&self.netlist, self.params.input_bits, xs, out);
         Ok(())
     }
 

@@ -21,7 +21,7 @@ pub mod twod;
 
 pub use basic_da::BasicDa;
 pub use cordic::{Cordic1, Cordic2};
-pub use da::DaParams;
+pub use da::{AccDecoder, DaParams};
 pub use harness::{all_impls, measure_accuracy, transform_random_blocks, Accuracy, DctImpl, LANES};
 pub use idct::BasicIdct;
 pub use mixed_rom::MixedRom;

@@ -23,7 +23,6 @@ pub(crate) const STAGE_WIDTH: u8 = 16;
 pub struct MixedRom {
     netlist: Netlist,
     params: DaParams,
-    stream_bits: u8,
     cycles: u64,
     io: BlockIo,
 }
@@ -146,13 +145,12 @@ impl MixedRom {
             let y = nl.output(format!("y{}", 2 * k + 1), params.acc_width)?;
             nl.connect((acc, "y"), (y, "in"))?;
         }
-        let io = BlockIo::standard(&nl)?;
         // Butterfly sums occupy one extra bit: stream two guard cycles.
         let stream_bits = params.input_bits + 2;
+        let io = BlockIo::standard(&nl, &params, stream_bits)?;
         Ok(MixedRom {
             netlist: nl,
             params,
-            stream_bits,
             cycles: u64::from(stream_bits) + 2,
             io,
         })
@@ -174,7 +172,7 @@ impl DctImpl for MixedRom {
 
     fn transform_batch(&self, xs: &[[i64; 8]], out: &mut [[f64; 8]]) -> Result<()> {
         self.io
-            .single_phase_batch(&self.netlist, &self.params, self.stream_bits, xs, out);
+            .single_phase_batch(&self.netlist, self.params.input_bits, xs, out);
         Ok(())
     }
 

@@ -10,11 +10,22 @@
 //! [`Simulator::new`] time, and lowered into a flat plan: every node becomes
 //! one enum-dispatched op with its input ports resolved to net slots (an
 //! unconnected port reads a constant slot holding its default), its output
-//! ports resolved to the nets they drive, its sequential state resolved to
-//! a run of state slots, and its memory contents pre-masked. The settle
-//! sweep is stored as `(node, op)` pairs in execution order. The per-cycle
-//! loops then touch only dense `Vec`s — no port-name lookups, no adjacency
-//! chasing and **zero heap allocations per simulated cycle**.
+//! ports resolved to the nets they drive, and its sequential state resolved
+//! to a run of state slots. The settle sweep is stored as `(node, op)`
+//! pairs in execution order. The per-cycle loops then touch only dense
+//! `Vec`s — no port-name lookups, no adjacency chasing and **zero heap
+//! allocations per simulated cycle**.
+//!
+//! ## Checked once, at compile
+//!
+//! Compiling validates every width an op computes with (`1..=63`, see
+//! [`dsra_core::fixed::MAX_WORD_WIDTH`]) and returns
+//! [`CoreError::InvalidWidth`] for any other, so the sweep never checks a
+//! width: its masks and sign extensions are branch-free shifts, and the
+//! sequential ticks select their next state instead of branching per lane.
+//! Each ROM is lowered to a table of `2^addr_bits` pre-masked words with
+//! `table[a] = contents[a % words]`, so a read is `table[a & (len - 1)]`:
+//! one path, no divide.
 //!
 //! ## Lanes
 //!
@@ -49,11 +60,37 @@
 
 use dsra_core::cluster::{AbsDiffMode, AddOp, AddShiftCfg, ClusterCfg, CompMode};
 use dsra_core::error::{CoreError, Result};
-use dsra_core::fixed::{from_signed, mask, to_signed};
+use dsra_core::fixed::MAX_WORD_WIDTH;
 use dsra_core::netlist::{Netlist, NodeId, NodeKind, PortDir, PortRef};
 
 use crate::activity::Activity;
 use crate::prof::{NoopProf, OpClass, OpMix, ProfSink, RecordActivity};
+
+/// Word arithmetic for widths [`ExecPlan::compile`] has validated
+/// (`1..=MAX_WORD_WIDTH`): the results of [`dsra_core::fixed`]'s helpers of
+/// the same names, as plain shifts without their per-call range assert.
+mod word {
+    /// The low `width` bits of `value`.
+    #[inline(always)]
+    pub(crate) fn mask(value: u64, width: u8) -> u64 {
+        value & (u64::MAX >> (64 - u32::from(width)))
+    }
+
+    /// The low `width` bits of `raw`, sign-extended.
+    #[inline(always)]
+    pub(crate) fn to_signed(raw: u64, width: u8) -> i64 {
+        let unused = 64 - u32::from(width);
+        ((raw << unused) as i64) >> unused
+    }
+
+    /// `value` wrapped to a `width`-bit two's-complement word.
+    #[inline(always)]
+    pub(crate) fn from_signed(value: i64, width: u8) -> u64 {
+        mask(value as u64, width)
+    }
+}
+
+use word::{from_signed, mask, to_signed};
 
 /// Sentinel for "no net" in the compiled plan: an undriven output port (its
 /// writes are dropped) or an unconnected top-level output (reads as 0).
@@ -188,13 +225,9 @@ enum EvalOp {
         out_qs: u32,
         st: u32,
     },
-    /// Asynchronous-read memory; contents pre-masked in the plan's pool.
-    Memory {
-        addr: InSlot,
-        mem: u32,
-        words: u16,
-        out: u32,
-    },
+    /// Asynchronous-read memory, lowered to a table of the plan's pool
+    /// whose length is a power of two.
+    Memory { addr: InSlot, table: u32, out: u32 },
 }
 
 /// Clock-edge update of one sequential node, with resolved control ports
@@ -269,8 +302,8 @@ pub struct ExecPlan {
     ticks: Vec<(u32, TickOp)>,
     /// CSR pool of concat parts: (slot, part width, shift).
     concat_parts: Vec<(InSlot, u8, u32)>,
-    /// Pre-masked memory contents.
-    mems: Vec<Vec<u64>>,
+    /// ROM tables: `2^addr_bits` pre-masked words each (see [`rom_table`]).
+    tables: Vec<Vec<u64>>,
     /// Power-on value of every state slot (sequential nodes own
     /// consecutive runs of slots, in node order).
     initial_state: Vec<u64>,
@@ -281,11 +314,13 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Compiles a netlist into its flat execution plan, validating it
-    /// (`check()`) along the way.
+    /// (`check()`) and every width its ops compute with along the way.
     ///
     /// # Errors
     /// Propagates netlist validation failures (unconnected mandatory
-    /// inputs, combinational loops).
+    /// inputs, combinational loops); [`CoreError::InvalidWidth`] for a width
+    /// outside `1..=63`, a concatenation wider than that, a slice reaching
+    /// past its input bus or a shift-accumulator narrower than its data.
     pub fn compile(netlist: &Netlist) -> Result<Self> {
         let order = netlist.check()?;
         let mut plan = ExecPlan {
@@ -294,7 +329,7 @@ impl ExecPlan {
             sweep: Vec::new(),
             ticks: Vec::new(),
             concat_parts: Vec::new(),
-            mems: Vec::new(),
+            tables: Vec::new(),
             initial_state: Vec::new(),
             consts: Vec::new(),
         };
@@ -321,12 +356,12 @@ impl ExecPlan {
             let st = plan.initial_state.len() as u32;
             plan.initial_state
                 .extend_from_slice(initial_state(&node.kind));
-            let op = plan.lower(netlist, id, st);
+            let op = plan.lower(netlist, id, st)?;
             if !matches!(op, EvalOp::Sink) && !node.kind.comb_output() {
                 plan.sweep.push((idx as u32, op));
             }
             if node.kind.sequential() {
-                let tick = lower_tick(netlist, id, st, &plan.consts);
+                let tick = lower_tick(netlist, id, st, &plan.consts)?;
                 plan.ticks.push((idx as u32, tick));
             }
             ops.push(op);
@@ -359,47 +394,65 @@ impl ExecPlan {
         mix
     }
 
-    /// Lowers one node, resolving every port it reads or drives; `st` is
-    /// the node's first state slot.
-    fn lower(&mut self, netlist: &Netlist, id: NodeId, st: u32) -> EvalOp {
+    /// Lowers one node, resolving every port it reads or drives and
+    /// validating every width it computes with; `st` is the node's first
+    /// state slot.
+    fn lower(&mut self, netlist: &Netlist, id: NodeId, st: u32) -> Result<EvalOp> {
         let node = netlist.node(id);
         let consts = &self.consts;
         let slot = |name: &str| in_slot(netlist, id, name, consts);
         let out = |name: &str| out_net(netlist, id, name);
-        match &node.kind {
+        let w = |width: u8| word_width(netlist, id, width);
+        Ok(match &node.kind {
             NodeKind::Input { width } => EvalOp::Input {
                 ext: id.0,
-                width: *width,
+                width: w(*width)?,
                 out: out("out"),
             },
             NodeKind::Output { .. } => EvalOp::Sink,
             NodeKind::Const { value, width } => EvalOp::Const {
-                value: mask(*value, *width),
+                value: mask(*value, w(*width)?),
                 out: out("out"),
             },
             NodeKind::Concat { parts } => {
                 let start = self.concat_parts.len() as u32;
                 let mut shift = 0u32;
-                for (i, w) in parts.iter().enumerate() {
-                    self.concat_parts.push((slot(&format!("in{i}")), *w, shift));
-                    shift += u32::from(*w);
+                for (i, part) in parts.iter().enumerate() {
+                    self.concat_parts
+                        .push((slot(&format!("in{i}")), w(*part)?, shift));
+                    shift += u32::from(*part);
                 }
+                // Every part's shift must stay inside one word.
+                w(u8::try_from(shift).unwrap_or(u8::MAX))?;
                 EvalOp::Concat {
                     start,
                     len: parts.len() as u32,
                     out: out("out"),
                 }
             }
-            NodeKind::Slice { offset, width, .. } => EvalOp::Slice {
-                a: slot("in"),
-                offset: *offset,
-                width: *width,
-                out: out("out"),
-            },
+            NodeKind::Slice {
+                in_width,
+                offset,
+                width,
+            } => {
+                let end = offset.saturating_add(*width);
+                if end > w(*in_width)? {
+                    return Err(CoreError::InvalidWidth {
+                        node: node.name.clone(),
+                        width: end,
+                    });
+                }
+                EvalOp::Slice {
+                    a: slot("in"),
+                    offset: *offset,
+                    width: w(*width)?,
+                    out: out("out"),
+                }
+            }
             NodeKind::SignExtend { in_width, width } => EvalOp::SignExtend {
                 a: slot("in"),
-                in_width: *in_width,
-                width: *width,
+                in_width: w(*in_width)?,
+                width: w(*width)?,
                 out: out("out"),
             },
             NodeKind::Cluster(cfg) => match cfg {
@@ -408,7 +461,7 @@ impl ExecPlan {
                 } => {
                     if *registered {
                         EvalOp::RegOut {
-                            width: *width,
+                            width: w(*width)?,
                             out: out("y"),
                             st,
                         }
@@ -424,7 +477,7 @@ impl ExecPlan {
                 ClusterCfg::AbsDiff { width, mode } => EvalOp::AbsDiff {
                     a: slot("a"),
                     b: slot("b"),
-                    width: *width,
+                    width: w(*width)?,
                     mode: *mode,
                     out: out("y"),
                 },
@@ -435,7 +488,7 @@ impl ExecPlan {
                 } => {
                     if *accumulate {
                         EvalOp::AccOut {
-                            width: *width,
+                            width: w(*width)?,
                             out: out("y"),
                             st,
                         }
@@ -443,7 +496,7 @@ impl ExecPlan {
                         EvalOp::AddSub {
                             a: slot("a"),
                             b: slot("b"),
-                            width: *width,
+                            width: w(*width)?,
                             sub: matches!(op, AddOp::Sub),
                             out: out("y"),
                         }
@@ -478,42 +531,64 @@ impl ExecPlan {
                             EvalOp::AddSub {
                                 a: slot("a"),
                                 b: slot("b"),
-                                width: *width,
+                                width: w(*width)?,
                                 sub,
                                 out: out("y"),
                             }
                         }
                     }
                     AddShiftCfg::SerialReg { width } => EvalOp::SerialRegOut {
-                        width: *width,
+                        width: w(*width)?,
                         out: out("q"),
                         st,
                     },
                     AddShiftCfg::ShiftAcc { acc_width, .. } => EvalOp::ShiftAccOut {
-                        acc_width: *acc_width,
+                        acc_width: w(*acc_width)?,
                         out_y: out("y"),
                         out_qs: out("qs"),
                         st,
                     },
                 },
                 ClusterCfg::Memory {
-                    words,
-                    width,
-                    contents,
+                    width, contents, ..
                 } => {
-                    let mem = self.mems.len() as u32;
-                    self.mems
-                        .push(contents.iter().map(|&w| mask(w, *width)).collect());
+                    let addr = node.port_index("addr").expect("memory has an address port");
+                    let addr_bits = node.ports[usize::from(addr)].width;
+                    let table = self.tables.len() as u32;
+                    self.tables
+                        .push(rom_table(contents, w(*width)?, w(addr_bits)?));
                     EvalOp::Memory {
                         addr: slot("addr"),
-                        mem,
-                        words: *words,
+                        table,
                         out: out("dout"),
                     }
                 }
             },
-        }
+        })
     }
+}
+
+/// Passes `width` through when the word arithmetic supports it
+/// (`1..=MAX_WORD_WIDTH`); [`CoreError::InvalidWidth`] names the node
+/// otherwise.
+fn word_width(netlist: &Netlist, id: NodeId, width: u8) -> Result<u8> {
+    if (1..=MAX_WORD_WIDTH).contains(&width) {
+        Ok(width)
+    } else {
+        Err(CoreError::InvalidWidth {
+            node: netlist.node(id).name.clone(),
+            width,
+        })
+    }
+}
+
+/// Lowers a ROM to a table of `2^addr_bits` words masked to `width`,
+/// `table[a] = contents[a % contents.len()]`: every address the port can
+/// carry reads its word with `table[a & (len - 1)]`, without a divide.
+fn rom_table(contents: &[u64], width: u8, addr_bits: u8) -> Vec<u64> {
+    (0..1usize << addr_bits)
+        .map(|a| mask(contents[a % contents.len()], width))
+        .collect()
 }
 
 /// Resolves an input port to the net it reads, or to the constant slot
@@ -547,12 +622,15 @@ fn out_net(netlist: &Netlist, id: NodeId, name: &str) -> u32 {
     }
 }
 
-fn lower_tick(netlist: &Netlist, id: NodeId, st: u32, consts: &[u64]) -> TickOp {
+/// Lowers one sequential node's clock-edge update, validating its widths
+/// as [`ExecPlan::lower`] does.
+fn lower_tick(netlist: &Netlist, id: NodeId, st: u32, consts: &[u64]) -> Result<TickOp> {
     let slot = |name: &str| in_slot(netlist, id, name, consts);
+    let w = |width: u8| word_width(netlist, id, width);
     let NodeKind::Cluster(cfg) = &netlist.node(id).kind else {
         unreachable!("only clusters are sequential");
     };
-    match cfg {
+    Ok(match cfg {
         ClusterCfg::RegMux { .. } => TickOp::Reg {
             a: slot("a"),
             b: slot("b"),
@@ -565,7 +643,7 @@ fn lower_tick(netlist: &Netlist, id: NodeId, st: u32, consts: &[u64]) -> TickOp 
             b: slot("b"),
             en: slot("en"),
             clr: slot("clr"),
-            width: *width,
+            width: w(*width)?,
             sub: matches!(op, AddOp::Sub),
             st,
         },
@@ -594,19 +672,28 @@ fn lower_tick(netlist: &Netlist, id: NodeId, st: u32, consts: &[u64]) -> TickOp 
             AddShiftCfg::ShiftAcc {
                 acc_width,
                 data_width,
-            } => TickOp::ShiftAcc {
-                d: slot("d"),
-                en: slot("en"),
-                clr: slot("clr"),
-                sub: slot("sub"),
-                sh: slot("sh"),
-                acc_width: *acc_width,
-                data_width: *data_width,
-                st,
-            },
+            } => {
+                // The data word aligns to the accumulator's top bits.
+                if data_width > acc_width {
+                    return Err(CoreError::InvalidWidth {
+                        node: netlist.node(id).name.clone(),
+                        width: *data_width,
+                    });
+                }
+                TickOp::ShiftAcc {
+                    d: slot("d"),
+                    en: slot("en"),
+                    clr: slot("clr"),
+                    sub: slot("sub"),
+                    sh: slot("sh"),
+                    acc_width: w(*acc_width)?,
+                    data_width: w(*data_width)?,
+                    st,
+                }
+            }
         },
         _ => unreachable!("state/config mismatch"),
-    }
+    })
 }
 
 /// Profiling class of one settle-phase op (`None` for pure sinks, which
@@ -1312,15 +1399,10 @@ impl<const W: usize> Lanes<W> {
                 self.write(out_y, y);
                 self.write(out_qs, qs);
             }
-            EvalOp::Memory {
-                addr,
-                mem,
-                words,
-                out,
-            } => {
-                let a = addr.read(nets);
-                let contents = &plan.mems[mem as usize];
-                let v = map1(a, |a| contents[(a as usize) % usize::from(words)]);
+            EvalOp::Memory { addr, table, out } => {
+                let table = &plan.tables[table as usize];
+                let last = table.len() - 1;
+                let v = map1(addr.read(nets), |a| table[a as usize & last]);
                 self.write(out, v);
             }
         }
@@ -1418,15 +1500,19 @@ impl<const W: usize> Lanes<W> {
             TickOp::SerialReg { d, load, en, st } => {
                 let (d, load, en) = (d.read(nets), load.read(nets), en.read(nets));
                 let st = st as usize;
-                let (mut reg, mut pos) = (s[st], s[st + 1]);
+                let (reg, pos) = (s[st], s[st + 1]);
+                let (mut next_reg, mut next_pos) = (reg, pos);
                 for l in 0..W {
-                    if load[l] & 1 == 1 {
-                        (reg[l], pos[l]) = (d[l], 0);
-                    } else if en[l] & 1 == 1 {
-                        pos[l] = (pos[l] + 1).min(u64::from(u8::MAX));
-                    }
+                    let loading = load[l] & 1 == 1;
+                    let advanced = if en[l] & 1 == 1 {
+                        (pos[l] + 1).min(u64::from(u8::MAX))
+                    } else {
+                        pos[l]
+                    };
+                    next_reg[l] = if loading { d[l] } else { reg[l] };
+                    next_pos[l] = if loading { 0 } else { advanced };
                 }
-                commit::<P, _, _>(&mut s[st..], [reg, pos])
+                commit::<P, _, _>(&mut s[st..], [next_reg, next_pos])
             }
             TickOp::ShiftAcc {
                 d,
@@ -1448,21 +1534,24 @@ impl<const W: usize> Lanes<W> {
                 let acc = s[st as usize];
                 let align = u32::from(acc_width - data_width);
                 let next = std::array::from_fn(|l| {
-                    if clr[l] & 1 == 1 {
-                        0
-                    } else if en[l] & 1 == 1 {
-                        let sa = to_signed(acc[l], acc_width);
-                        let term = to_signed(d[l], data_width) << align;
-                        let sum = if sub[l] & 1 == 1 {
-                            sa - term
-                        } else {
-                            sa + term
-                        };
-                        from_signed(sum >> 1, acc_width)
-                    } else if sh[l] & 1 == 1 {
-                        from_signed(to_signed(acc[l], acc_width) >> 1, acc_width)
+                    // Accumulate (`en`) adds the aligned data word, negated
+                    // on the sign cycle (`sub`); accumulate and shift (`sh`)
+                    // both shift right; clear wins over everything.
+                    let en_mask = -((en[l] & 1) as i64);
+                    let negate = -((sub[l] & 1) as i64);
+                    let term = to_signed(d[l], data_width) << align;
+                    let term = ((term ^ negate) - negate) & en_mask;
+                    let shifted =
+                        from_signed((to_signed(acc[l], acc_width) + term) >> 1, acc_width);
+                    let moved = if (en[l] | sh[l]) & 1 == 1 {
+                        shifted
                     } else {
                         acc[l]
+                    };
+                    if clr[l] & 1 == 1 {
+                        0
+                    } else {
+                        moved
                     }
                 });
                 commit::<P, _, _>(&mut s[st as usize..], [next])
@@ -1498,5 +1587,116 @@ fn initial_state(kind: &NodeKind) -> &'static [u64] {
             _ => &[],
         },
         _ => &[],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsra_core::cluster::AddShiftCfg;
+    use dsra_core::fixed;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn word_helpers_match_fixed_at_every_width(raw: u64, value: i64) {
+            for width in 1..=MAX_WORD_WIDTH {
+                prop_assert_eq!(word::mask(raw, width), fixed::mask(raw, width));
+                prop_assert_eq!(word::to_signed(raw, width), fixed::to_signed(raw, width));
+                prop_assert_eq!(word::from_signed(value, width), fixed::from_signed(value, width));
+            }
+        }
+    }
+
+    /// An 8-word ROM (3-bit address) fed from a top-level input.
+    fn rom8() -> Netlist {
+        let mut nl = Netlist::new("rom");
+        let addr = nl.input("addr", 3).unwrap();
+        let rom = nl
+            .cluster(
+                "rom",
+                ClusterCfg::Memory {
+                    words: 8,
+                    width: 8,
+                    contents: vec![0; 8],
+                },
+            )
+            .unwrap();
+        let dout = nl.output("dout", 8).unwrap();
+        nl.connect((addr, "out"), (rom, "addr")).unwrap();
+        nl.connect((rom, "dout"), (dout, "in")).unwrap();
+        nl
+    }
+
+    /// `ClusterCfg::validate` admits only power-of-two ROMs, so a 5-word
+    /// ROM on a 3-bit address is lowered directly into an 8-word ROM's
+    /// plan: every address reads `contents[a % 5]`, on one lane and on
+    /// eight.
+    #[test]
+    fn rom_table_wraps_a_non_power_of_two_rom() {
+        let contents = [11, 22, 33, 44, 0x1FF];
+        let nl = rom8();
+        let mut plan = ExecPlan::compile(&nl).unwrap();
+        plan.tables[0] = rom_table(&contents, 8, 3);
+        let expect = |a: u64| contents[a as usize % 5] & 0xFF;
+
+        let mut one = Simulator::with_plan(&nl, &plan);
+        let (addr, dout) = (
+            one.input_port("addr").unwrap(),
+            one.output_port("dout").unwrap(),
+        );
+        for a in 0..8 {
+            one.drive(addr, a);
+            one.step();
+            assert_eq!(one.read(dout), expect(a), "address {a}");
+        }
+
+        let mut lanes = Simulator::<_, 8>::with_plan_lanes(&nl, &plan);
+        for lane in 0..8 {
+            lanes.drive_lane(addr, lane, lane as u64);
+        }
+        lanes.step();
+        for lane in 0..8 {
+            assert_eq!(
+                lanes.read_lane(dout, lane),
+                expect(lane as u64),
+                "lane {lane}"
+            );
+        }
+    }
+
+    #[test]
+    fn shift_acc_narrower_than_its_data_is_a_width_error() {
+        let mut nl = Netlist::new("acc");
+        let d = nl.input("d", 16).unwrap();
+        let acc = nl
+            .cluster(
+                "acc",
+                ClusterCfg::AddShift(AddShiftCfg::ShiftAcc {
+                    acc_width: 8,
+                    data_width: 16,
+                }),
+            )
+            .unwrap();
+        nl.connect((d, "out"), (acc, "d")).unwrap();
+        let err = ExecPlan::compile(&nl).unwrap_err();
+        assert!(
+            matches!(err, CoreError::InvalidWidth { ref node, width: 16 } if node == "acc"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn slice_past_its_bus_is_a_width_error() {
+        let mut nl = Netlist::new("slice");
+        let a = nl.input("a", 8).unwrap();
+        let sl = nl.slice("sl", (a, "out"), 6, 4).unwrap();
+        let y = nl.output("y", 4).unwrap();
+        nl.connect((sl, "out"), (y, "in")).unwrap();
+        let err = ExecPlan::compile(&nl).unwrap_err();
+        assert!(
+            matches!(err, CoreError::InvalidWidth { ref node, width: 10 } if node == "sl"),
+            "{err}"
+        );
     }
 }
