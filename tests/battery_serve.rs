@@ -7,10 +7,11 @@
 //! executes, so this gate and the E12 artifact cannot measure different
 //! things.
 
+use dsra::core::rng::fnv1a_fold;
 use dsra::power::Battery;
 use dsra::runtime::{
-    DctMapping, EnergyAwarePolicy, NaivePolicy, PowerConfig, RuntimeConfig, SchedulePolicy,
-    SocRuntime,
+    DctMapping, DefaultPolicy, EnergyAwarePolicy, NaivePolicy, PowerConfig, RuntimeConfig,
+    SchedulePolicy, SocRuntime,
 };
 use dsra::video::{generate_job_mix, JobMixConfig};
 use dsra_bench::{discharge_battery, DischargeOutcome};
@@ -92,6 +93,43 @@ fn energy_aware_policy_serves_more_jobs_per_charge() {
             );
         }
     }
+}
+
+/// E12 pin: per policy, the jobs served on one charge and a fold of every
+/// chunk report's digest. The energy-aware policy's placement weights are
+/// constants that no other pinned digest covers; any change to them, to
+/// the power model or to the discharge loop moves these numbers.
+#[test]
+fn discharge_outcomes_are_pinned_per_policy() {
+    let policies: [Box<dyn SchedulePolicy>; 3] = [
+        Box::new(NaivePolicy),
+        Box::new(DefaultPolicy),
+        Box::new(EnergyAwarePolicy::default()),
+    ];
+    let pins: Vec<(&str, usize, u64)> = policies
+        .into_iter()
+        .map(|policy| {
+            let base = JobMixConfig {
+                jobs: CHUNK_JOBS,
+                ..Default::default()
+            };
+            let out =
+                discharge_battery(config(), policy, base, MAX_SERVES).expect("discharge run");
+            let fold = out
+                .reports
+                .iter()
+                .fold(0xCBF2_9CE4_8422_2325u64, |h, r| fnv1a_fold(h, r.digest()));
+            (out.policy, out.jobs_served, fold)
+        })
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            ("naive", 70, 0x1e7f_fab8_97a4_a711),
+            ("diff-aware", 70, 0xf633_ec59_8a2b_6aaf),
+            ("energy-aware", 109, 0x58e3_0205_c5d4_0bc7),
+        ]
+    );
 }
 
 #[test]
