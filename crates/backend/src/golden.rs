@@ -460,14 +460,13 @@ impl GoldenDct {
     /// Builds the golden model for `mapping`, programming its DA ROMs.
     ///
     /// # Errors
-    /// Fails when `params` need serial streams or accumulators of 64 bits
-    /// or more (no array can be configured that wide); `Result` also
-    /// mirrors [`DctMapping::build`] so the two construction paths stay
-    /// interchangeable.
+    /// [`CoreError::InvalidWidth`] when `params` fail
+    /// [`DaParams::validate`], as [`DctMapping::build`] does;
+    /// [`CoreError::Mismatch`] when they need serial streams of 64 bits or
+    /// more (no array can be configured that wide).
     pub fn new(mapping: DctMapping, params: DaParams) -> Result<Self> {
-        if usize::from(params.input_bits) + 2 > MAX_SERIAL_BITS
-            || usize::from(params.acc_width) >= MAX_SERIAL_BITS
-        {
+        params.validate()?;
+        if usize::from(params.input_bits) + 2 > MAX_SERIAL_BITS {
             return Err(CoreError::Mismatch(format!(
                 "golden {}: {params:?} needs serial streams over {MAX_SERIAL_BITS} bits",
                 mapping.name()
@@ -643,6 +642,36 @@ pub fn golden_me_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An accumulator narrower than its ROM words would underflow the
+    /// alignment shift (`acc_width - rom_width`), and one wider than a
+    /// cluster datapath (32 bits) cannot be configured, so every mapping
+    /// and the golden model reject both before building anything, in
+    /// debug and release builds alike.
+    #[test]
+    fn accumulator_outside_the_rom_and_cluster_widths_is_a_width_error() {
+        for acc_width in [12, 40] {
+            let params = DaParams {
+                acc_width,
+                rom_width: 16,
+                ..DaParams::precise()
+            };
+            for mapping in DctMapping::ALL {
+                for err in [
+                    mapping.build(params).err().expect("mapping rejects"),
+                    GoldenDct::new(mapping, params)
+                        .err()
+                        .expect("golden rejects"),
+                ] {
+                    assert!(
+                        matches!(err, CoreError::InvalidWidth { width, .. } if width == acc_width),
+                        "{}: {err}",
+                        mapping.name()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn streams_wider_than_a_word_are_rejected() {

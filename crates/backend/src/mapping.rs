@@ -57,7 +57,8 @@ impl DctMapping {
     /// Builds the cycle-accurate implementation.
     ///
     /// # Errors
-    /// Propagates netlist construction errors.
+    /// `CoreError::InvalidWidth` when `params` fail [`DaParams::validate`];
+    /// otherwise netlist construction errors.
     pub fn build(self, params: DaParams) -> Result<Box<dyn DctImpl>> {
         Ok(match self {
             DctMapping::BasicDa => Box::new(BasicDa::new(params)?),

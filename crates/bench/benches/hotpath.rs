@@ -10,8 +10,8 @@ use std::time::Duration;
 use dsra_backend::{ArrayBackend, Backend, GoldenBackend};
 use dsra_core::bitstream::Bitstream;
 use dsra_core::fabric::{Fabric, MeshSpec};
-use dsra_core::place::{place, PlacerOptions};
-use dsra_core::route::{route, RouterOptions};
+use dsra_core::place::place;
+use dsra_core::route::route;
 use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl, MixedRom, LANES};
 use dsra_me::{MeEngine, Systolic2d};
 use dsra_platform::standard_da_fabric;
@@ -158,20 +158,12 @@ fn bench_place(c: &mut Criterion) {
     let da = BasicDa::new(DaParams::precise()).unwrap();
     let da_fabric = standard_da_fabric();
     g.bench_function("basic_da", |b| {
-        b.iter(|| {
-            place(da.netlist(), &da_fabric, PlacerOptions::default())
-                .unwrap()
-                .hpwl()
-        })
+        b.iter(|| place(da.netlist(), &da_fabric).unwrap().hpwl())
     });
     let me = Systolic2d::new(8).unwrap();
     let me_fabric = me_fabric_for(me.netlist());
     g.bench_function("systolic8", |b| {
-        b.iter(|| {
-            place(me.netlist(), &me_fabric, PlacerOptions::default())
-                .unwrap()
-                .hpwl()
-        })
+        b.iter(|| place(me.netlist(), &me_fabric).unwrap().hpwl())
     });
     g.finish();
 }
@@ -187,8 +179,8 @@ fn bench_diff_bits(c: &mut Criterion) {
         .unwrap()
         .iter()
         .map(|imp| {
-            let p = place(imp.netlist(), &fabric, PlacerOptions::default()).unwrap();
-            let r = route(imp.netlist(), &fabric, &p, RouterOptions::default()).unwrap();
+            let p = place(imp.netlist(), &fabric).unwrap();
+            let r = route(imp.netlist(), &fabric, &p).unwrap();
             Bitstream::generate(imp.netlist(), &fabric, &p, &r)
         })
         .collect();

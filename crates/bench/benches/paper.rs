@@ -8,8 +8,8 @@ use std::time::Duration;
 use dsra_backend::{DctMapping, GoldenDct};
 use dsra_bench::{da_activity, me_activity, shifted_planes};
 use dsra_core::fabric::{Fabric, MeshSpec};
-use dsra_core::place::{place, PlacerOptions};
-use dsra_core::route::{route, RouterOptions};
+use dsra_core::place::place;
+use dsra_core::route::route;
 use dsra_dct::{all_impls, BasicDa, DaParams, DctImpl, LANES};
 use dsra_me::{MeEngine, SearchParams, Sequential, Systolic1d, Systolic2d};
 use dsra_tech::{evaluate_against_fpga, TechModel};
@@ -96,8 +96,8 @@ fn bench_mesh(c: &mut Criterion) {
         let fabric = Fabric::da_array(16, 12, mesh);
         g.bench_function(name, |b| {
             b.iter(|| {
-                let p = place(imp.netlist(), &fabric, PlacerOptions::default()).unwrap();
-                route(imp.netlist(), &fabric, &p, RouterOptions::default()).unwrap()
+                let p = place(imp.netlist(), &fabric).unwrap();
+                route(imp.netlist(), &fabric, &p).unwrap()
             })
         });
     }
@@ -134,8 +134,8 @@ fn bench_reconfig(c: &mut Criterion) {
     let bitstreams: Vec<Bitstream> = impls
         .iter()
         .map(|imp| {
-            let p = place(imp.netlist(), &fabric, PlacerOptions::default()).unwrap();
-            let r = route(imp.netlist(), &fabric, &p, RouterOptions::default()).unwrap();
+            let p = place(imp.netlist(), &fabric).unwrap();
+            let r = route(imp.netlist(), &fabric, &p).unwrap();
             Bitstream::generate(imp.netlist(), &fabric, &p, &r)
         })
         .collect();

@@ -52,7 +52,6 @@ fn main() {
         power: PowerConfig {
             battery_capacity_j: capacity,
             low_battery_pct: low_pct,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -64,7 +63,7 @@ fn main() {
     let policies: Vec<Box<dyn SchedulePolicy>> = vec![
         Box::new(NaivePolicy),
         Box::new(DefaultPolicy),
-        Box::new(EnergyAwarePolicy::default()),
+        Box::new(EnergyAwarePolicy),
     ];
     let mut runs: Vec<DischargeOutcome> = Vec::new();
     let count = policies.len();

@@ -57,7 +57,6 @@ fn main() {
         seed,
         duration_us,
         arrays: da + me,
-        ..Default::default()
     });
     println!("fault plan         : {} events", plan.len());
     for e in plan.events() {
@@ -67,7 +66,7 @@ fn main() {
 
     let arms = [
         ("recovery", RecoveryConfig::default()),
-        ("oblivious", RecoveryConfig::oblivious()),
+        ("oblivious", RecoveryConfig::Oblivious),
     ];
     let mut reports: Vec<ChaosReport> = Vec::new();
     for (i, (tag, recovery)) in arms.iter().enumerate() {

@@ -9,8 +9,8 @@
 
 use dsra_bench::{banner, json_flag, write_json_summary, JsonValue};
 use dsra_core::fabric::{Fabric, MeshSpec};
-use dsra_core::place::{place, PlacerOptions};
-use dsra_core::route::{route, RouterOptions};
+use dsra_core::place::place;
+use dsra_core::route::route;
 use dsra_dct::{all_impls, measure_accuracy, DaParams};
 use dsra_platform::profiling_activity;
 use dsra_power::{energy_per_block, OperatingPoint};
@@ -30,8 +30,8 @@ fn main() {
     let mut rows = Vec::new();
     for imp in all_impls(DaParams::precise()).unwrap() {
         let nl = imp.netlist();
-        let placement = place(nl, &fabric, PlacerOptions::default()).unwrap();
-        let routing = route(nl, &fabric, &placement, RouterOptions::default()).unwrap();
+        let placement = place(nl, &fabric).unwrap();
+        let routing = route(nl, &fabric, &placement).unwrap();
         // Static + dynamic through the power subsystem's single
         // energy-per-block producer, fed the same profiling stimulus
         // `profile_impl` measures under — formula *and* activity input

@@ -540,7 +540,6 @@ fn chaos_metrics_and_chrome_instants_carry_the_bench_chaos_contract() {
         seed: 7,
         duration_us: trace.duration_us,
         arrays: 4,
-        ..Default::default()
     });
     let session = |recovery: RecoveryConfig, record: bool| {
         let mut rt = SocRuntime::new(RuntimeConfig {
@@ -560,7 +559,7 @@ fn chaos_metrics_and_chrome_instants_carry_the_bench_chaos_contract() {
     };
 
     let (recovered, log) = session(RecoveryConfig::default(), true);
-    let (oblivious, _) = session(RecoveryConfig::oblivious(), false);
+    let (oblivious, _) = session(RecoveryConfig::Oblivious, false);
 
     // The chaos instants pass the pinned Chrome schema and actually occur.
     let doc = chrome_trace(&log.expect("recorded"));

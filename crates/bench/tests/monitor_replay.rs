@@ -55,7 +55,7 @@ fn online() -> &'static OnlineRun {
             ..Default::default()
         })
         .expect("runtime");
-        let mut cfg = monitor_config_for(&trace.tenants, 100);
+        let mut cfg = monitor_config_for(&trace.tenants);
         cfg.keep_timeline = true;
         let handle = install_monitor_with(&mut rt, cfg.clone(), Box::new(EventLog::new()));
         serve_trace(
@@ -167,7 +167,6 @@ fn chaos_log() -> &'static EventLog {
             seed: 7,
             duration_us: trace.duration_us,
             arrays: 2,
-            ..Default::default()
         });
         let mut rt = SocRuntime::new(RuntimeConfig {
             da_arrays: 1,

@@ -85,7 +85,6 @@ proptest! {
             seed,
             duration_us: trace.duration_us,
             arrays: 2,
-            ..Default::default()
         });
         let mut bare = small_runtime();
         let bare_digest = serve_with_chaos(

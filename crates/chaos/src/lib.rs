@@ -6,24 +6,26 @@
 //! brown out. This crate makes the streaming stack *survive* that, and
 //! proves it deterministically (DESIGN.md §13):
 //!
-//! * a **fault plan** ([`FaultPlan`]): a seeded schedule of virtual-time
-//!   faults — stuck-at lanes with self-clearing windows, single-execution
-//!   transients, corrupted configuration writes, array death, battery
-//!   brownout steps — the same seed always breaks the same things at the
-//!   same instants;
+//! * a **fault plan** ([`FaultPlan`]): a seeded schedule of eight
+//!   virtual-time faults — two stuck-at lanes with self-clearing windows,
+//!   three single-execution transients, one corrupted configuration
+//!   write, one array death, one battery brownout step — the same seed
+//!   always breaks the same things at the same instants;
 //! * an **injector** ([`ChaosBackend`] via [`install_chaos`]): a
 //!   [`dsra_backend::Backend`] decorator corrupting result checksums with
 //!   the simulator's stuck-at or/and mask semantics, while timing stays
 //!   honest — silent data corruption, exactly the failure detection has
 //!   to earn its keep against;
-//! * **detection** ([`ChaosHook`]): golden spot checks — every Nth served
-//!   job is re-verified against [`dsra_backend::GoldenBackend`] and any
+//! * **detection** ([`ChaosHook`]): golden spot checks — every served job
+//!   is re-verified against [`dsra_backend::GoldenBackend`] and any
 //!   mismatch becomes a structured [`dsra_backend::Divergence`];
-//! * **recovery**: bounded virtual-time retry with backoff on a
-//!   *different* array, K-consecutive-divergence quarantine (bitstream
-//!   evicted, placement excluded, the online monitor alerted through the
-//!   `ArrayQuarantine` trace event) and periodic probes that re-admit
-//!   arrays once healthy;
+//! * **recovery**: up to 3 virtual-time retries with a 20 µs × attempt
+//!   backoff on a *different* array, quarantine after 2 consecutive
+//!   divergences (bitstream evicted, placement excluded, the online
+//!   monitor alerted through the `ArrayQuarantine` trace event) and
+//!   probes every 500 µs that re-admit arrays once healthy. Detection and
+//!   recovery are on ([`RecoveryConfig::Full`], the default) or all off
+//!   ([`RecoveryConfig::Oblivious`]);
 //! * the **E15 experiment** ([`serve_with_chaos`]): the E13 stream under
 //!   a fault plan, recovery-on vs fault-oblivious — corrupt results
 //!   served, useful goodput, recovery overhead — byte-deterministic per

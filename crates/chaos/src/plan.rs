@@ -86,7 +86,20 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// What a [`FaultPlan`] should contain.
+/// Stuck-at faults per plan (each with a self-clearing window).
+const STUCK_AT: usize = 2;
+/// Transient single-execution bit flips per plan.
+const TRANSIENTS: usize = 3;
+/// Corrupted configuration writes per plan.
+const RECONFIG: usize = 1;
+/// Array deaths per plan.
+const DEATHS: usize = 1;
+/// Battery brownout steps per plan.
+const BROWNOUTS: usize = 1;
+
+/// Where and when a [`FaultPlan`] lands its faults. Every plan holds the
+/// same eight: two stuck-at windows, three transient flips, one corrupted
+/// configuration write, one array death and one battery brownout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Plan seed; same seed, same plan, byte for byte.
@@ -96,16 +109,6 @@ pub struct ChaosConfig {
     pub duration_us: u64,
     /// Pool size faults draw targets from.
     pub arrays: usize,
-    /// Stuck-at faults to schedule (each with a self-clearing window).
-    pub stuck_at: usize,
-    /// Transient single-execution bit flips to schedule.
-    pub transients: usize,
-    /// Corrupted configuration writes to schedule.
-    pub reconfig: usize,
-    /// Array deaths to schedule.
-    pub deaths: usize,
-    /// Battery brownout steps to schedule.
-    pub brownouts: usize,
 }
 
 impl Default for ChaosConfig {
@@ -114,11 +117,6 @@ impl Default for ChaosConfig {
             seed: 7,
             duration_us: 6_000,
             arrays: 4,
-            stuck_at: 2,
-            transients: 3,
-            reconfig: 1,
-            deaths: 1,
-            brownouts: 1,
         }
     }
 }
@@ -138,7 +136,7 @@ impl FaultPlan {
         let at = |rng: &mut SplitMix64| lo + rng.next_below(span);
         let array = |rng: &mut SplitMix64| rng.next_below(cfg.arrays.max(1) as u64) as usize;
         let mut events = Vec::new();
-        for _ in 0..cfg.stuck_at {
+        for _ in 0..STUCK_AT {
             let at_us = at(&mut rng);
             events.push(FaultEvent {
                 at_us,
@@ -152,7 +150,7 @@ impl FaultPlan {
                 },
             });
         }
-        for _ in 0..cfg.transients {
+        for _ in 0..TRANSIENTS {
             events.push(FaultEvent {
                 at_us: at(&mut rng),
                 array: array(&mut rng),
@@ -163,21 +161,21 @@ impl FaultPlan {
                 },
             });
         }
-        for _ in 0..cfg.reconfig {
+        for _ in 0..RECONFIG {
             events.push(FaultEvent {
                 at_us: at(&mut rng),
                 array: array(&mut rng),
                 kind: FaultKind::ReconfigCorrupt,
             });
         }
-        for _ in 0..cfg.deaths {
+        for _ in 0..DEATHS {
             events.push(FaultEvent {
                 at_us: at(&mut rng),
                 array: array(&mut rng),
                 kind: FaultKind::Death,
             });
         }
-        for i in 0..cfg.brownouts {
+        for i in 0..BROWNOUTS {
             events.push(FaultEvent {
                 at_us: at(&mut rng),
                 array: i,
@@ -218,7 +216,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(
             a.len(),
-            cfg.stuck_at + cfg.transients + cfg.reconfig + cfg.deaths + cfg.brownouts
+            STUCK_AT + TRANSIENTS + RECONFIG + DEATHS + BROWNOUTS
         );
         assert!(a.events().windows(2).all(|w| w[0].at_us <= w[1].at_us));
         let c = FaultPlan::generate(&ChaosConfig {

@@ -12,60 +12,38 @@
 
 use dsra_backend::{Backend, Divergence, GoldenBackend};
 use dsra_core::error::Result;
-use dsra_runtime::{SocRuntime, StreamedJob};
-use dsra_service::{cycles_per_us, pool_for, DispatchHook};
+use dsra_runtime::{SocRuntime, StreamedJob, CYCLES_PER_US};
+use dsra_service::{pool_for, DispatchHook};
 use dsra_trace::TraceEvent;
 use dsra_video::JobSpec;
 
 use crate::fault::ChaosState;
 use crate::plan::{FaultKind, FaultPlan};
 
-/// Recovery knobs. [`RecoveryConfig::default`] is the full recovery
-/// stack; [`RecoveryConfig::oblivious`] switches every mechanism off —
-/// the fault-*oblivious* baseline E15 compares against, which serves
-/// whatever the arrays produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Re-verify every Nth served job against the golden reference
-    /// (1 = every job); 0 disables detection entirely. Retries, when
-    /// they happen, are always verified regardless of the cadence.
-    pub spot_check_every: u64,
-    /// Retry budget per job after a detected divergence.
-    pub max_retries: u32,
-    /// Virtual-µs backoff before a retry re-dispatches (scales linearly
-    /// with the attempt number).
-    pub retry_backoff_us: u64,
-    /// Consecutive divergences on one array before it is quarantined;
-    /// 0 disables quarantine.
-    pub quarantine_strikes: u32,
-    /// Virtual µs between probes of a quarantined array.
-    pub probe_interval_us: u64,
-}
+/// Retry budget per job after a detected divergence.
+const MAX_RETRIES: u32 = 3;
+/// Virtual-µs backoff before a retry re-dispatches (scaled linearly by
+/// the attempt number).
+const RETRY_BACKOFF_US: u64 = 20;
+/// Consecutive divergences on one array before it is quarantined.
+const QUARANTINE_STRIKES: u32 = 2;
+/// Virtual µs between probes of a quarantined array.
+const PROBE_INTERVAL_US: u64 = 500;
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            spot_check_every: 1,
-            max_retries: 3,
-            retry_backoff_us: 20,
-            quarantine_strikes: 2,
-            probe_interval_us: 500,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// No detection, no retries, no quarantine: serve whatever comes
-    /// out of the arrays.
-    pub fn oblivious() -> Self {
-        RecoveryConfig {
-            spot_check_every: 0,
-            max_retries: 0,
-            retry_backoff_us: 0,
-            quarantine_strikes: 0,
-            probe_interval_us: 0,
-        }
-    }
+/// Whether a chaos session recovers. [`RecoveryConfig::Full`] (the
+/// default) verifies every served job against the golden reference,
+/// retries a diverged job up to 3 times on another array after a
+/// 20 µs × attempt backoff, quarantines an array after 2 consecutive
+/// divergences and probes it every 500 µs. [`RecoveryConfig::Oblivious`]
+/// switches every mechanism off — the fault-*oblivious* baseline E15
+/// compares against, which serves whatever the arrays produce.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum RecoveryConfig {
+    /// Detection, retries, quarantine and probes.
+    #[default]
+    Full,
+    /// No detection, no retries, no quarantine.
+    Oblivious,
 }
 
 /// Recovery-side tallies (the trace carries the same story as events).
@@ -98,8 +76,6 @@ pub struct ChaosHook {
     /// Next probe instant per quarantined array (µs) — only a schedule:
     /// whether an array is quarantined is read from the runtime.
     probe_at: Vec<Option<u64>>,
-    /// First-attempt dispatches seen, for the spot-check cadence.
-    dispatched: u64,
     counts: RecoveryCounts,
 }
 
@@ -120,7 +96,6 @@ impl ChaosHook {
             golden: GoldenBackend::default(),
             strikes: vec![0; arrays],
             probe_at: vec![None; arrays],
-            dispatched: 0,
             counts: RecoveryCounts::default(),
         }
     }
@@ -159,7 +134,6 @@ impl ChaosHook {
 
 impl DispatchHook for ChaosHook {
     fn on_tick(&mut self, runtime: &mut SocRuntime, now_us: u64) {
-        let cyc = cycles_per_us(runtime);
         self.state.set_now(now_us);
         // Land every fault scheduled at or before this instant. The
         // dispatcher's clock visits each fault instant exactly (they are
@@ -179,7 +153,7 @@ impl DispatchHook for ChaosHook {
             }
             if runtime.trace_sink().enabled() {
                 runtime.trace_sink().emit(TraceEvent::FaultInjected {
-                    t: ev.at_us * cyc,
+                    t: ev.at_us * CYCLES_PER_US,
                     array: ev.array as u32,
                     kind: ev.kind.tag(),
                 });
@@ -193,14 +167,13 @@ impl DispatchHook for ChaosHook {
                 continue;
             }
             let faulty = self.state.is_faulty(array, now_us);
-            self.probe_at[array] =
-                faulty.then_some(now_us + self.recovery.probe_interval_us.max(1));
-            if !faulty && runtime.stream_restore(array, now_us * cyc) {
+            self.probe_at[array] = faulty.then_some(now_us + PROBE_INTERVAL_US);
+            if !faulty && runtime.stream_restore(array, now_us * CYCLES_PER_US) {
                 self.strikes[array] = 0;
                 self.counts.restores += 1;
                 if runtime.trace_sink().enabled() {
                     runtime.trace_sink().emit(TraceEvent::ArrayRestore {
-                        t: now_us * cyc,
+                        t: now_us * CYCLES_PER_US,
                         array: array as u32,
                     });
                 }
@@ -232,14 +205,11 @@ impl DispatchHook for ChaosHook {
         job: &JobSpec,
         now_us: u64,
     ) -> Result<Option<StreamedJob>> {
-        let cyc = cycles_per_us(runtime);
         let kind = pool_for(&job.payload);
-        self.dispatched += 1;
-        let cadence = self.recovery.spot_check_every;
-        let check_first = cadence > 0 && self.dispatched.is_multiple_of(cadence);
+        let verify = self.recovery == RecoveryConfig::Full;
         let mut exclude: Option<usize> = None;
         let mut arrival_cycle = job.arrival_cycle;
-        for attempt in 0..=self.recovery.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             // A fully-quarantined pool cannot place the job at all.
             if !runtime
                 .stream_arrays()
@@ -253,22 +223,23 @@ impl DispatchHook for ChaosHook {
                 ..*job
             };
             let served = runtime.stream_serve_job_excluding(&attempt_spec, exclude)?;
-            // Detection: golden spot-check on the cadence; every retry is
-            // verified (the retry only exists because of a divergence).
-            if !(check_first || attempt > 0) {
-                self.strikes[served.array] = 0;
-                return Ok(Some(served));
-            }
-            let expected =
-                self.golden
-                    .execute(runtime.config().da_params, &attempt_spec, &served.kernel)?;
-            let got = dsra_core::report::ExecOutcome {
-                exec_cycles: expected.exec_cycles,
-                checksum: served.checksum,
-            };
-            let Some(divergence) =
+            // Detection: every served job is checked against golden under
+            // full recovery, none when oblivious.
+            let divergence = if verify {
+                let expected = self.golden.execute(
+                    runtime.config().da_params,
+                    &attempt_spec,
+                    &served.kernel,
+                )?;
+                let got = dsra_core::report::ExecOutcome {
+                    exec_cycles: expected.exec_cycles,
+                    checksum: served.checksum,
+                };
                 Divergence::compare(&attempt_spec, &served.kernel, expected, got)
-            else {
+            } else {
+                None
+            };
+            let Some(divergence) = divergence else {
                 self.strikes[served.array] = 0;
                 return Ok(Some(served));
             };
@@ -283,19 +254,16 @@ impl DispatchHook for ChaosHook {
                     array: served.array as u32,
                 });
             }
-            let strikes = self.recovery.quarantine_strikes;
-            if strikes > 0
-                && self.strikes[served.array] >= strikes
+            if self.strikes[served.array] >= QUARANTINE_STRIKES
                 && self.try_quarantine(runtime, served.array, served.end_cycle)
             {
-                self.probe_at[served.array] = Some(
-                    now_us.max(served.end_cycle / cyc) + self.recovery.probe_interval_us.max(1),
-                );
+                self.probe_at[served.array] =
+                    Some(now_us.max(served.end_cycle / CYCLES_PER_US) + PROBE_INTERVAL_US);
             }
-            if attempt == self.recovery.max_retries {
+            if attempt == MAX_RETRIES {
                 break;
             }
-            let backoff = self.recovery.retry_backoff_us * u64::from(attempt + 1) * cyc;
+            let backoff = RETRY_BACKOFF_US * u64::from(attempt + 1) * CYCLES_PER_US;
             arrival_cycle = served.end_cycle + backoff;
             self.counts.retries += 1;
             if runtime.trace_sink().enabled() {

@@ -35,7 +35,6 @@ fn plan(seed: u64, duration_us: u64) -> FaultPlan {
         seed,
         duration_us,
         arrays: 4,
-        ..Default::default()
     })
 }
 
@@ -85,7 +84,7 @@ fn recovery_serves_no_corrupt_results_and_beats_oblivious_goodput() {
         &trace,
         &service,
         &plan,
-        RecoveryConfig::oblivious(),
+        RecoveryConfig::Oblivious,
     )
     .unwrap();
     // The oblivious arm serves silently corrupt results; recovery

@@ -368,8 +368,8 @@ mod tests {
     use super::*;
     use crate::cluster::{AbsDiffMode, ClusterCfg};
     use crate::fabric::MeshSpec;
-    use crate::place::{place, PlacerOptions};
-    use crate::route::{route, RouterOptions};
+    use crate::place::place;
+    use crate::route::route;
 
     fn build(mode: AbsDiffMode) -> (Netlist, Fabric, Placement, Routing) {
         let mut nl = Netlist::new("b");
@@ -383,8 +383,8 @@ mod tests {
         nl.connect((b, "out"), (ad, "b")).unwrap();
         nl.connect((ad, "y"), (y, "in")).unwrap();
         let f = Fabric::me_array(8, 8, MeshSpec::mixed());
-        let p = place(&nl, &f, PlacerOptions::default()).unwrap();
-        let r = route(&nl, &f, &p, RouterOptions::default()).unwrap();
+        let p = place(&nl, &f).unwrap();
+        let r = route(&nl, &f, &p).unwrap();
         (nl, f, p, r)
     }
 
@@ -430,8 +430,8 @@ mod tests {
             nl.connect((a, "out"), (rom, "addr")).unwrap();
             nl.connect((rom, "dout"), (y, "in")).unwrap();
             let f = Fabric::da_array(8, 8, MeshSpec::mixed());
-            let p = place(&nl, &f, PlacerOptions::default()).unwrap();
-            let r = route(&nl, &f, &p, RouterOptions::default()).unwrap();
+            let p = place(&nl, &f).unwrap();
+            let r = route(&nl, &f, &p).unwrap();
             Bitstream::generate(&nl, &f, &p, &r)
         };
         let b0 = mk(0x00);

@@ -208,14 +208,6 @@ impl Fabric {
         (0..self.height).flat_map(move |y| (0..self.width).map(move |x| (x, y, self.site(x, y))))
     }
 
-    /// All coordinates holding sites of a given cluster kind.
-    pub fn sites_of(&self, kind: ClusterKind) -> Vec<(u16, u16)> {
-        self.iter_sites()
-            .filter(|&(_, _, s)| s == SiteKind::Cluster(kind))
-            .map(|(x, y, _)| (x, y))
-            .collect()
-    }
-
     /// All I/O pad coordinates, clockwise from the origin.
     pub fn io_sites(&self) -> Vec<(u16, u16)> {
         self.iter_sites()
@@ -258,15 +250,6 @@ impl Fabric {
             }
         }
         Ok(())
-    }
-
-    /// Total switch points in the mesh (static fabric property):
-    /// one switch per track per switchbox edge.
-    pub fn total_switches(&self) -> u64 {
-        let w = u64::from(self.width);
-        let h = u64::from(self.height);
-        let edges = (w - 1) * h + w * (h - 1);
-        edges * u64::from(self.mesh.bus_tracks + self.mesh.bit_tracks)
     }
 }
 

@@ -29,9 +29,11 @@
 //! nl.check()?;
 //!
 //! // Map it onto the motion-estimation array and count everything.
+//! // Placement and routing take no options: the annealer's seed, its
+//! // 20 000 moves and the router's 40 iterations are constants.
 //! let fabric = Fabric::me_array(8, 8, MeshSpec::mixed());
-//! let placement = place(&nl, &fabric, PlacerOptions::default())?;
-//! let routing = route(&nl, &fabric, &placement, RouterOptions::default())?;
+//! let placement = place(&nl, &fabric)?;
+//! let routing = route(&nl, &fabric, &placement)?;
 //! let bits = Bitstream::generate(&nl, &fabric, &placement, &routing);
 //! assert!(bits.total_bits() > 0);
 //! # Ok(())
@@ -65,9 +67,9 @@ pub mod prelude {
     pub use crate::netlist::{
         Fingerprint, Net, NetId, Netlist, Node, NodeId, NodeKind, PhysNet, PortRef,
     };
-    pub use crate::place::{place, Placement, PlacerOptions};
+    pub use crate::place::{place, Placement};
     pub use crate::report::{table1, ExecOutcome, ResourceReport};
-    pub use crate::route::{route, RouterOptions, Routing, RoutingStats, TrackClass};
+    pub use crate::route::{route, Routing, RoutingStats, TrackClass};
 }
 
 pub use prelude::*;

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::cluster::{addr_width, AddShiftCfg, ClusterCfg, ClusterKind, CompMode};
+use crate::cluster::{addr_width, AddShiftCfg, ClusterCfg, CompMode};
 use crate::error::{CoreError, Result};
 use crate::fixed::MAX_WORD_WIDTH;
 use crate::report::ResourceReport;
@@ -846,14 +846,6 @@ impl Netlist {
                 _ => None,
             })
             .sum()
-    }
-
-    /// Number of cluster instances of a given kind.
-    pub fn count_kind(&self, kind: ClusterKind) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(&n.kind, NodeKind::Cluster(c) if c.kind() == kind))
-            .count()
     }
 
     /// Collapses wiring pseudo-nodes (concat / slice / const) and returns the

@@ -3,7 +3,7 @@
 //! A greedy constructive pass (each node goes to the free compatible site
 //! nearest the centroid of its already-placed neighbours) is refined by
 //! simulated annealing over swap/move proposals, minimising width-weighted
-//! half-perimeter wirelength (HPWL). Deterministic for a given seed.
+//! half-perimeter wirelength (HPWL). Deterministic: the seed is fixed.
 //!
 //! **The draw order is the placement contract.** Every compiled kernel,
 //! bitstream fingerprint and diff cost downstream follows from which sites
@@ -21,26 +21,12 @@ use crate::fabric::{Fabric, SiteKind};
 use crate::netlist::{Netlist, NodeId, NodeKind, PhysNet};
 use crate::rng::SplitMix64;
 
-/// Placement parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct PlacerOptions {
-    /// RNG seed (placement is deterministic per seed).
-    pub seed: u64,
-    /// Annealing move budget.
-    pub sa_moves: u32,
-    /// Initial temperature, in HPWL units.
-    pub initial_temperature: f64,
-}
-
-impl Default for PlacerOptions {
-    fn default() -> Self {
-        PlacerOptions {
-            seed: 0xD5EA_2004,
-            sa_moves: 20_000,
-            initial_temperature: 8.0,
-        }
-    }
-}
+/// Annealer RNG seed: every placement draws the same sequence.
+const SEED: u64 = 0xD5EA_2004;
+/// Annealing move budget.
+const SA_MOVES: u32 = 20_000;
+/// Initial annealing temperature, in HPWL units.
+const INITIAL_TEMPERATURE: f64 = 8.0;
 
 /// A site, or `None` for an unplaced (wiring) node, indexed by node id.
 type Sites = [Option<(u16, u16)>];
@@ -96,12 +82,23 @@ fn net_hpwl(net: &PhysNet, loc: &Sites) -> f64 {
     hp * f64::from(net.width).sqrt()
 }
 
-/// Places `netlist` on `fabric`.
+/// Places `netlist` on `fabric`: the greedy pass, then 20 000 annealing
+/// moves from temperature 8.0 with a fixed seed.
 ///
 /// # Errors
 /// [`CoreError::PlacementFull`] when the fabric lacks sites of a needed kind
 /// (including I/O pads).
-pub fn place(netlist: &Netlist, fabric: &Fabric, opts: PlacerOptions) -> Result<Placement> {
+pub fn place(netlist: &Netlist, fabric: &Fabric) -> Result<Placement> {
+    place_with_moves(netlist, fabric, SA_MOVES)
+}
+
+/// [`place`] with an explicit annealing budget (0 keeps the greedy
+/// placement).
+pub(crate) fn place_with_moves(
+    netlist: &Netlist,
+    fabric: &Fabric,
+    moves: u32,
+) -> Result<Placement> {
     fabric.check_capacity(&netlist.resource_report())?;
 
     // Free sites per kind, in fabric scan order.
@@ -169,7 +166,7 @@ pub fn place(netlist: &Netlist, fabric: &Fabric, opts: PlacerOptions) -> Result<
     }
 
     // Simulated-annealing refinement over cluster nodes.
-    anneal(netlist, &phys, &mut loc, &mut free, opts);
+    anneal(netlist, &phys, &mut loc, &mut free, moves);
 
     let hpwl = phys.iter().map(|n| net_hpwl(n, &loc)).sum();
     Ok(Placement { loc, hpwl })
@@ -199,7 +196,7 @@ fn anneal(
     phys: &[PhysNet],
     loc: &mut Sites,
     free: &mut [Vec<(u16, u16)>],
-    opts: PlacerOptions,
+    moves: u32,
 ) {
     // Nets touching each node, for incremental cost evaluation.
     let mut nets_of: Vec<Vec<usize>> = vec![Vec::new(); loc.len()];
@@ -232,16 +229,16 @@ fn anneal(
             members[slot].len() - 1
         })
         .collect();
-    let mut rng = SplitMix64::new(opts.seed);
-    let mut temp = opts.initial_temperature;
-    let decay = (0.01f64 / opts.initial_temperature).powf(1.0 / f64::from(opts.sa_moves.max(1)));
+    let mut rng = SplitMix64::new(SEED);
+    let mut temp = INITIAL_TEMPERATURE;
+    let decay = (0.01f64 / INITIAL_TEMPERATURE).powf(1.0 / f64::from(moves.max(1)));
     // Each net's HPWL under the current placement: a move re-prices only
     // the nets it touches, and writes them back only when accepted.
     let mut net_cost: Vec<f64> = phys.iter().map(|n| net_hpwl(n, loc)).collect();
     let mut touched: Vec<usize> = Vec::new();
     let mut moved_cost: Vec<f64> = Vec::new();
 
-    for _ in 0..opts.sa_moves {
+    for _ in 0..moves {
         let m = rng.next_below(movable.len() as u64) as usize;
         let (node, slot) = movable[m];
         let cur = loc[node].expect("every cluster node is placed greedily");
@@ -345,7 +342,7 @@ mod tests {
     fn places_all_placeable_nodes() {
         let nl = chain_netlist(6);
         let f = Fabric::me_array(12, 12, MeshSpec::mixed());
-        let p = place(&nl, &f, PlacerOptions::default()).unwrap();
+        let p = place(&nl, &f).unwrap();
         // 6 clusters + 2 inputs + 1 output
         assert_eq!(p.len(), 9);
         assert!(!p.is_empty());
@@ -355,8 +352,8 @@ mod tests {
     fn placement_is_deterministic() {
         let nl = chain_netlist(5);
         let f = Fabric::me_array(10, 10, MeshSpec::mixed());
-        let p1 = place(&nl, &f, PlacerOptions::default()).unwrap();
-        let p2 = place(&nl, &f, PlacerOptions::default()).unwrap();
+        let p1 = place(&nl, &f).unwrap();
+        let p2 = place(&nl, &f).unwrap();
         for id in nl.cluster_nodes() {
             assert_eq!(p1.loc(id), p2.loc(id));
         }
@@ -366,7 +363,7 @@ mod tests {
     fn no_two_nodes_share_a_site() {
         let nl = chain_netlist(8);
         let f = Fabric::me_array(14, 14, MeshSpec::mixed());
-        let p = place(&nl, &f, PlacerOptions::default()).unwrap();
+        let p = place(&nl, &f).unwrap();
         let mut seen = std::collections::HashSet::new();
         for idx in 0..nl.nodes().len() {
             if let Some(site) = p.loc(NodeId(idx as u32)) {
@@ -379,16 +376,8 @@ mod tests {
     fn annealing_does_not_worsen_tiny_designs_catastrophically() {
         let nl = chain_netlist(4);
         let f = Fabric::me_array(20, 20, MeshSpec::mixed());
-        let quick = place(
-            &nl,
-            &f,
-            PlacerOptions {
-                sa_moves: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let refined = place(&nl, &f, PlacerOptions::default()).unwrap();
+        let quick = place_with_moves(&nl, &f, 0).unwrap();
+        let refined = place(&nl, &f).unwrap();
         assert!(refined.hpwl() <= quick.hpwl() * 1.5 + 8.0);
     }
 
@@ -397,7 +386,7 @@ mod tests {
         let nl = chain_netlist(2); // uses AbsDiff
         let f = Fabric::da_array(10, 10, MeshSpec::mixed()); // no AbsDiff sites
         assert!(matches!(
-            place(&nl, &f, PlacerOptions::default()),
+            place(&nl, &f),
             Err(CoreError::PlacementFull { .. })
         ));
     }

@@ -28,26 +28,12 @@ pub enum TrackClass {
     Bit,
 }
 
-/// Routing parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct RouterOptions {
-    /// Maximum negotiation iterations before giving up.
-    pub max_iterations: u32,
-    /// History cost increment per over-used edge per iteration.
-    pub history_increment: f64,
-    /// Present-congestion multiplier.
-    pub present_factor: f64,
-}
-
-impl Default for RouterOptions {
-    fn default() -> Self {
-        RouterOptions {
-            max_iterations: 40,
-            history_increment: 0.5,
-            present_factor: 2.0,
-        }
-    }
-}
+/// Maximum negotiation iterations before giving up.
+const MAX_ITERATIONS: u32 = 40;
+/// History cost increment per over-used edge per iteration.
+const HISTORY_INCREMENT: f64 = 0.5;
+/// Present-congestion multiplier.
+const PRESENT_FACTOR: f64 = 2.0;
 
 /// The realised route of one physical net.
 #[derive(Debug, Clone)]
@@ -170,15 +156,10 @@ impl PartialOrd for HeapEntry {
 /// Routes all physical nets of a placed netlist.
 ///
 /// # Errors
-/// [`CoreError::Unroutable`] if congestion cannot be resolved within the
-/// iteration budget, [`CoreError::Mismatch`] if a net endpoint was never
-/// placed.
-pub fn route(
-    netlist: &Netlist,
-    fabric: &Fabric,
-    placement: &Placement,
-    opts: RouterOptions,
-) -> Result<Routing> {
+/// [`CoreError::Unroutable`] if congestion cannot be resolved within 40
+/// negotiation iterations, [`CoreError::Mismatch`] if a net endpoint was
+/// never placed.
+pub fn route(netlist: &Netlist, fabric: &Fabric, placement: &Placement) -> Result<Routing> {
     let mesh = fabric.mesh();
     let grid = Grid::new(fabric.width(), fabric.height());
     let phys = netlist.physical_nets();
@@ -207,7 +188,7 @@ pub fn route(
     let mut hist_bit = vec![0.0f64; ec];
     let mut routes: Vec<NetRoute> = Vec::new();
 
-    for iteration in 0..opts.max_iterations {
+    for iteration in 0..MAX_ITERATIONS {
         let mut use_bus = vec![0.0f64; ec];
         let mut use_bit = vec![0.0f64; ec];
         routes.clear();
@@ -219,7 +200,7 @@ pub fn route(
             };
             let capacity = cap(*class);
             let lanes_f = f64::from(*lanes);
-            let route = route_net(&grid, *src, sinks, lanes_f, capacity, usage, hist, &opts);
+            let route = route_net(&grid, *src, sinks, lanes_f, capacity, usage, hist);
             let mut edges: Vec<EdgeId> = route.edges.iter().map(|&e| EdgeId(e)).collect();
             edges.sort_unstable();
             edges.dedup();
@@ -239,11 +220,11 @@ pub fn route(
         let mut over = false;
         for e in 0..ec {
             if use_bus[e] > cap(TrackClass::Bus) + 1e-9 {
-                hist_bus[e] += opts.history_increment * (use_bus[e] - cap(TrackClass::Bus));
+                hist_bus[e] += HISTORY_INCREMENT * (use_bus[e] - cap(TrackClass::Bus));
                 over = true;
             }
             if use_bit[e] > cap(TrackClass::Bit) + 1e-9 {
-                hist_bit[e] += opts.history_increment * (use_bit[e] - cap(TrackClass::Bit));
+                hist_bit[e] += HISTORY_INCREMENT * (use_bit[e] - cap(TrackClass::Bit));
                 over = true;
             }
         }
@@ -288,7 +269,6 @@ struct TreeRoute {
     max_hops: u32,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn route_net(
     grid: &Grid,
     src: u32,
@@ -297,7 +277,6 @@ fn route_net(
     capacity: f64,
     usage: &[f64],
     hist: &[f64],
-    opts: &RouterOptions,
 ) -> TreeRoute {
     let cells = grid.adj.len();
     let mut in_tree = vec![false; cells];
@@ -335,7 +314,7 @@ fn route_net(
             for &(next, edge) in &grid.adj[cell as usize] {
                 let e = edge as usize;
                 let congestion = if usage[e] + lanes > capacity {
-                    opts.present_factor * (usage[e] + lanes - capacity + 1.0)
+                    PRESENT_FACTOR * (usage[e] + lanes - capacity + 1.0)
                 } else {
                     0.0
                 };
@@ -427,7 +406,7 @@ mod tests {
     use super::*;
     use crate::cluster::{AbsDiffMode, ClusterCfg};
     use crate::fabric::MeshSpec;
-    use crate::place::{place, PlacerOptions};
+    use crate::place::place;
 
     fn small_design() -> Netlist {
         let mut nl = Netlist::new("r");
@@ -453,8 +432,8 @@ mod tests {
     fn routes_simple_design() {
         let nl = small_design();
         let f = Fabric::me_array(8, 8, MeshSpec::mixed());
-        let p = place(&nl, &f, PlacerOptions::default()).unwrap();
-        let r = route(&nl, &f, &p, RouterOptions::default()).unwrap();
+        let p = place(&nl, &f).unwrap();
+        let r = route(&nl, &f, &p).unwrap();
         assert_eq!(r.routes.len(), 3);
         assert!(r.stats.config_bits > 0);
         assert!(r.stats.switch_points > 0);
@@ -465,10 +444,10 @@ mod tests {
         let nl = small_design();
         let mixed = Fabric::me_array(8, 8, MeshSpec::mixed());
         let fine = mixed.with_mesh(MeshSpec::fine_grain());
-        let pm = place(&nl, &mixed, PlacerOptions::default()).unwrap();
-        let rm = route(&nl, &mixed, &pm, RouterOptions::default()).unwrap();
-        let pf = place(&nl, &fine, PlacerOptions::default()).unwrap();
-        let rf = route(&nl, &fine, &pf, RouterOptions::default()).unwrap();
+        let pm = place(&nl, &mixed).unwrap();
+        let rm = route(&nl, &mixed, &pm).unwrap();
+        let pf = place(&nl, &fine).unwrap();
+        let rf = route(&nl, &fine, &pf).unwrap();
         assert!(
             rf.stats.config_bits > rm.stats.config_bits,
             "fine {} should exceed mixed {}",
@@ -509,8 +488,8 @@ mod tests {
             sinks.push(ad);
         }
         let f = Fabric::me_array(10, 10, MeshSpec::mixed());
-        let p = place(&nl, &f, PlacerOptions::default()).unwrap();
-        let r = route(&nl, &f, &p, RouterOptions::default()).unwrap();
+        let p = place(&nl, &f).unwrap();
+        let r = route(&nl, &f, &p).unwrap();
         // Net from `a` must reach all four sinks.
         let a_route = &r.routes[0];
         assert!(!a_route.edges.is_empty());

@@ -57,8 +57,8 @@ fn build(width: u8, mode_sel: u8, rom_word: u64) -> Netlist {
 
 fn compile(nl: &Netlist) -> Bitstream {
     let fabric = Fabric::da_array(10, 10, MeshSpec::mixed());
-    let p = place(nl, &fabric, PlacerOptions::default()).unwrap();
-    let r = route(nl, &fabric, &p, RouterOptions::default()).unwrap();
+    let p = place(nl, &fabric).unwrap();
+    let r = route(nl, &fabric, &p).unwrap();
     Bitstream::generate(nl, &fabric, &p, &r)
 }
 

@@ -25,9 +25,11 @@ impl BasicDa {
     /// Builds the mapping with the given fixed-point parameters.
     ///
     /// # Errors
-    /// Fails only on internal netlist inconsistencies (a bug), surfaced as
-    /// [`dsra_core::error::CoreError`].
+    /// [`dsra_core::error::CoreError::InvalidWidth`] when `params` fail
+    /// [`DaParams::validate`]; otherwise only internal netlist
+    /// inconsistencies (a bug).
     pub fn new(params: DaParams) -> Result<Self> {
+        params.validate()?;
         let mut nl = Netlist::new("basic-da");
         let ctl = add_controls(&mut nl)?;
         let mut srs: Vec<NodeId> = Vec::with_capacity(8);

@@ -300,8 +300,11 @@ impl Cordic1 {
     /// (deterministically) and asserted exact.
     ///
     /// # Errors
-    /// Internal netlist inconsistencies only.
+    /// [`dsra_core::error::CoreError::InvalidWidth`] when `params` fail
+    /// [`DaParams::validate`]; otherwise internal netlist inconsistencies
+    /// only.
     pub fn new(params: DaParams) -> Result<Self> {
+        params.validate()?;
         let fact: Sandwich = solve_sandwich(&crate::factor::odd_target());
         assert!(
             fact.residual < 1e-7,
@@ -506,8 +509,11 @@ impl Cordic2 {
     /// the fly and asserted exact.
     ///
     /// # Errors
-    /// Internal netlist inconsistencies only.
+    /// [`dsra_core::error::CoreError::InvalidWidth`] when `params` fail
+    /// [`DaParams::validate`]; otherwise internal netlist inconsistencies
+    /// only.
     pub fn new(params: DaParams) -> Result<Self> {
+        params.validate()?;
         let fact: ScaledSandwich = solve_scaled_sandwich(&crate::factor::odd_target());
         assert!(
             fact.residual < 1e-7,
@@ -655,12 +661,6 @@ impl Cordic2 {
             io,
             p2,
         })
-    }
-
-    /// The per-output scale factors folded into the quantiser (odd outputs,
-    /// ordered X1, X3, X5, X7).
-    pub fn odd_scales(&self) -> [f64; 4] {
-        self.scales
     }
 }
 

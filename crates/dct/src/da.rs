@@ -6,8 +6,8 @@
 //! form a ROM address, and a shift-accumulator sums the ROM words with a
 //! subtracting final (sign-bit) cycle.
 
-use dsra_core::cluster::{AddShiftCfg, ClusterCfg};
-use dsra_core::error::Result;
+use dsra_core::cluster::{AddShiftCfg, ClusterCfg, MAX_WIDTH};
+use dsra_core::error::{CoreError, Result};
 #[cfg(test)]
 use dsra_core::fixed::to_signed;
 use dsra_core::fixed::{from_signed, MAX_WORD_WIDTH, Q};
@@ -50,12 +50,39 @@ impl DaParams {
         }
     }
 
+    /// Checks the widths every mapping and the golden model build from,
+    /// against the cluster datapath range 1..=32: a ROM word with its
+    /// fraction below the sign bit, and an accumulator at least as wide
+    /// as a ROM word (so [`DaParams::align`] cannot underflow).
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidWidth`] naming the first width out of range.
+    pub fn validate(&self) -> Result<()> {
+        let bad = |field: &str, width: u8| {
+            Err(CoreError::InvalidWidth {
+                node: format!("DaParams::{field}"),
+                width,
+            })
+        };
+        if !(1..=MAX_WIDTH).contains(&self.rom_width) {
+            return bad("rom_width", self.rom_width);
+        }
+        if self.rom_frac >= self.rom_width {
+            return bad("rom_frac", self.rom_frac);
+        }
+        if !(self.rom_width..=MAX_WIDTH).contains(&self.acc_width) {
+            return bad("acc_width", self.acc_width);
+        }
+        Ok(())
+    }
+
     /// ROM word fixed-point format.
     pub fn q(&self) -> Q {
         Q::new(self.rom_width, self.rom_frac)
     }
 
     /// Alignment shift of the accumulator (`A = acc_width - rom_width`).
+    /// Only meaningful for parameters that pass [`DaParams::validate`].
     pub fn align(&self) -> u8 {
         self.acc_width - self.rom_width
     }

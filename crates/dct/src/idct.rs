@@ -29,8 +29,11 @@ impl BasicIdct {
     /// Builds the inverse mapping.
     ///
     /// # Errors
-    /// Internal netlist inconsistencies only.
+    /// [`dsra_core::error::CoreError::InvalidWidth`] when `params` fail
+    /// [`DaParams::validate`]; otherwise internal netlist inconsistencies
+    /// only.
     pub fn new(params: DaParams) -> Result<Self> {
+        params.validate()?;
         let mut nl = Netlist::new("basic-idct");
         let ctl = add_controls(&mut nl)?;
         let mut srs: Vec<NodeId> = Vec::with_capacity(8);
@@ -154,8 +157,8 @@ mod tests {
         let inv = BasicIdct::new(DaParams::precise()).unwrap();
         let fabric = Fabric::da_array(16, 12, MeshSpec::mixed());
         let bs = |nl: &Netlist| {
-            let p = place(nl, &fabric, PlacerOptions::default()).unwrap();
-            let r = route(nl, &fabric, &p, RouterOptions::default()).unwrap();
+            let p = place(nl, &fabric).unwrap();
+            let r = route(nl, &fabric, &p).unwrap();
             Bitstream::generate(nl, &fabric, &p, &r)
         };
         let bf = bs(fwd.netlist());

@@ -71,7 +71,9 @@ impl MixedRom {
     /// Builds the mapping.
     ///
     /// # Errors
-    /// Internal netlist inconsistencies only.
+    /// [`dsra_core::error::CoreError::InvalidWidth`] when `params` fail
+    /// [`DaParams::validate`]; otherwise internal netlist inconsistencies
+    /// only.
     pub fn new(params: DaParams) -> Result<Self> {
         Self::with_odd_coeffs(
             params,
@@ -87,6 +89,7 @@ impl MixedRom {
         odd_coeff: impl Fn(usize, usize) -> f64,
         name: &str,
     ) -> Result<Self> {
+        params.validate()?;
         let mut nl = Netlist::new(name);
         let ctl = add_controls(&mut nl)?;
         let (adds, subs) = build_butterfly_stage(&mut nl, params.input_bits)?;

@@ -78,7 +78,7 @@ impl SccEvenOdd {
     /// Builds the mapping.
     ///
     /// # Errors
-    /// Internal netlist inconsistencies only.
+    /// As [`MixedRom::new`].
     pub fn new(params: DaParams) -> Result<Self> {
         Ok(SccEvenOdd {
             inner: MixedRom::with_odd_coeffs(params, scc_odd_coeff, "scc-even-odd")?,
@@ -125,8 +125,11 @@ impl SccFull {
     /// Builds the mapping.
     ///
     /// # Errors
-    /// Internal netlist inconsistencies only.
+    /// [`dsra_core::error::CoreError::InvalidWidth`] when `params` fail
+    /// [`DaParams::validate`]; otherwise internal netlist inconsistencies
+    /// only.
     pub fn new(params: DaParams) -> Result<Self> {
+        params.validate()?;
         let mut nl = Netlist::new("scc-full");
         let ctl = add_controls(&mut nl)?;
         // Input i = x_i with (2i+1) ≡ ±3^e (mod 32); e is a bijection onto
@@ -180,11 +183,6 @@ impl SccFull {
             slot_of_input,
             io,
         })
-    }
-
-    /// The exponent-order slot of each input (Li's input reordering).
-    pub fn input_reordering(&self) -> [usize; 8] {
-        self.slot_of_input
     }
 
     /// Coefficient vector (slot order) of one output lane — used by the

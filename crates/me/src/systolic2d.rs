@@ -292,11 +292,6 @@ impl Systolic2d {
         })
     }
 
-    /// Block edge this array was built for.
-    pub fn block_size(&self) -> usize {
-        self.n
-    }
-
     /// Cycles until the first SAD of a batch is available (§4: "The first
     /// round of SAD calculations would take 16 clock cycles").
     pub fn first_sad_latency(&self) -> u64 {

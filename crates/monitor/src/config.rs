@@ -40,6 +40,10 @@ impl Default for BurnRateConfig {
     }
 }
 
+/// Error budget (percent of decided requests allowed to go bad) of a
+/// tenant not listed in [`MonitorConfig::tenant_budgets`].
+const DEFAULT_BUDGET_PCT: f64 = 5.0;
+
 /// Full monitor configuration. All geometry is in virtual cycles; the
 /// monitor never reads a wall clock.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,11 +62,9 @@ pub struct MonitorConfig {
     pub hist_buckets: usize,
     /// Burn-rate alerter parameters.
     pub alert: BurnRateConfig,
-    /// Error budget (percent of decided requests allowed to go bad) for
-    /// tenants not listed in [`tenant_budgets`](MonitorConfig::tenant_budgets).
-    pub default_budget_pct: f64,
     /// Per-tenant error budgets `(tenant, budget_pct)`. Listed tenants
-    /// are registered up front so their alert windows span the whole run.
+    /// are registered up front so their alert windows span the whole run;
+    /// any other tenant gets a 5 % budget.
     pub tenant_budgets: Vec<(u32, f64)>,
     /// Extra cycles the watermark must pass a window's end before it
     /// seals. Producers whose "now" stamps are coarser than event
@@ -86,7 +88,6 @@ impl Default for MonitorConfig {
             hist_bucket_cycles: 2_500,
             hist_buckets: 2_048,
             alert: BurnRateConfig::default(),
-            default_budget_pct: 5.0,
             tenant_budgets: Vec::new(),
             seal_grace_cycles: 0,
             keep_timeline: false,
@@ -101,7 +102,7 @@ impl MonitorConfig {
             .tenant_budgets
             .iter()
             .find(|(t, _)| *t == tenant)
-            .map_or(self.default_budget_pct, |(_, b)| *b);
+            .map_or(DEFAULT_BUDGET_PCT, |(_, b)| *b);
         (pct / 100.0).clamp(1e-9, 1.0)
     }
 }

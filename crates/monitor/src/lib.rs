@@ -12,7 +12,8 @@
 //! * battery burn rate with a projected time-to-empty;
 //! * per-tenant shed and SLO-violation rates feeding a multi-window
 //!   **error-budget burn-rate alerter** (fast/slow window pair, latched
-//!   with hysteresis) that emits a structured [`AlertLog`].
+//!   with hysteresis) that emits a structured [`AlertLog`]; a tenant
+//!   without a configured budget gets 5 %.
 //!
 //! Everything is stamped in virtual cycles only, so same-seed runs are
 //! byte-identical, and window accumulation is order-insensitive, so

@@ -12,14 +12,13 @@ use std::collections::BTreeMap;
 
 use dsra_core::bitstream::Bitstream;
 use dsra_core::error::{CoreError, Result};
+use dsra_power::NOMINAL_FREQ_MHZ;
 
 /// SoC-level constants for the configuration path.
 #[derive(Debug, Clone, Copy)]
 pub struct SocConfig {
     /// Configuration bits written per clock cycle (config-bus width).
     pub cfg_bus_bits_per_cycle: u32,
-    /// Array clock in MHz (for wall-clock reporting).
-    pub clock_mhz: f64,
     /// `true` if the fabric supports partial reconfiguration (only
     /// differing frames are rewritten).
     pub partial_reconfig: bool,
@@ -29,7 +28,6 @@ impl Default for SocConfig {
     fn default() -> Self {
         SocConfig {
             cfg_bus_bits_per_cycle: 32,
-            clock_mhz: 100.0,
             partial_reconfig: true,
         }
     }
@@ -42,7 +40,8 @@ pub struct ReconfigReport {
     pub bits_written: u64,
     /// Cycles on the configuration bus.
     pub cycles: u64,
-    /// Wall-clock microseconds at the configured clock.
+    /// Wall-clock microseconds at the nominal array clock
+    /// ([`NOMINAL_FREQ_MHZ`], 100 MHz).
     pub micros: f64,
 }
 
@@ -127,7 +126,7 @@ impl ReconfigManager {
         let report = ReconfigReport {
             bits_written,
             cycles,
-            micros: cycles as f64 / self.soc.clock_mhz,
+            micros: cycles as f64 / NOMINAL_FREQ_MHZ,
         };
         self.current = Some(name.to_owned());
         self.history.push((name.to_owned(), report));
@@ -152,8 +151,8 @@ mod tests {
         nl.connect((b, "out"), (ad, "b")).unwrap();
         nl.connect((ad, "y"), (y, "in")).unwrap();
         let f = Fabric::me_array(8, 8, MeshSpec::mixed());
-        let p = place(&nl, &f, PlacerOptions::default()).unwrap();
-        let r = route(&nl, &f, &p, RouterOptions::default()).unwrap();
+        let p = place(&nl, &f).unwrap();
+        let r = route(&nl, &f, &p).unwrap();
         Bitstream::generate(&nl, &f, &p, &r)
     }
 

@@ -9,8 +9,8 @@
 use dsra_core::bitstream::Bitstream;
 use dsra_core::error::{CoreError, Result};
 use dsra_core::fabric::{Fabric, MeshSpec};
-use dsra_core::place::{place, PlacerOptions};
-use dsra_core::route::{route, RouterOptions};
+use dsra_core::place::place;
+use dsra_core::route::route;
 use dsra_dct::{all_impls, measure_accuracy, DaParams, DctImpl};
 use dsra_me::Plane;
 use dsra_sim::Simulator;
@@ -51,8 +51,8 @@ pub fn compile_netlist(
     nl: &dsra_core::netlist::Netlist,
     fabric: &Fabric,
 ) -> Result<CompiledArtifact> {
-    let placement = place(nl, fabric, PlacerOptions::default())?;
-    let routing = route(nl, fabric, &placement, RouterOptions::default())?;
+    let placement = place(nl, fabric)?;
+    let routing = route(nl, fabric, &placement)?;
     let bitstream = Bitstream::generate(nl, fabric, &placement, &routing);
     Ok(CompiledArtifact {
         placement,

@@ -11,8 +11,9 @@
 /// calibrated at (arbitrary volts; only ratios matter, DESIGN.md §2).
 pub const NOMINAL_VOLTAGE: f64 = 1.2;
 
-/// Nominal array clock — matches `dsra_platform::SocConfig::clock_mhz`,
-/// so one simulated cycle is one time unit at this point.
+/// Nominal array clock, the one clock every layer converts cycles with:
+/// reconfiguration µs, the streaming frontends' cycles per virtual µs, and
+/// one simulated cycle as one time unit at this point.
 pub const NOMINAL_FREQ_MHZ: f64 = 100.0;
 
 /// One voltage/frequency operating point of the array power domain.

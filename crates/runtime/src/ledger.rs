@@ -22,7 +22,13 @@ use crate::cache::CompiledKernel;
 use crate::kernel::ArrayKind;
 use crate::report::ArrayReport;
 use crate::scheduler::{Candidate, PlannedSlot};
-use crate::{PowerConfig, StreamArrayStatus};
+use crate::StreamArrayStatus;
+
+/// The operating point every array runs at.
+const POINT: OperatingPoint = OperatingPoint::NOMINAL;
+/// Energy per configuration bit written (dynamic, V²-scaled), in the
+/// technology model's energy units.
+const RECONFIG_ENERGY_PER_BIT: f64 = 2.0;
 
 /// Resident plane, energy, timeline cursor and tallies of one array over
 /// one serve or streaming session.
@@ -47,14 +53,12 @@ pub(crate) struct ArrayLedger {
     reconfig_bits: u64,
     reconfig_cycles: u64,
     exec_cycles: u64,
-    point: OperatingPoint,
-    energy_per_bit: f64,
 }
 
 impl ArrayLedger {
     /// One cold, zeroed ledger per array of a pool of `da` DA arrays
     /// followed by `me` ME arrays, in id order.
-    pub(crate) fn pool(da: usize, me: usize, power: &PowerConfig) -> Vec<Self> {
+    pub(crate) fn pool(da: usize, me: usize) -> Vec<Self> {
         std::iter::repeat_n(ArrayKind::Da, da)
             .chain(std::iter::repeat_n(ArrayKind::Me, me))
             .enumerate()
@@ -71,8 +75,6 @@ impl ArrayLedger {
                 reconfig_bits: 0,
                 reconfig_cycles: 0,
                 exec_cycles: 0,
-                point: power.dvfs,
-                energy_per_bit: power.reconfig_energy_per_bit,
             })
             .collect()
     }
@@ -134,7 +136,7 @@ impl ArrayLedger {
         let before = self.account.total_j();
         let leak = self.resident.as_ref().map_or(0.0, |k| k.split.leak_power);
         self.account
-            .charge_idle(t - self.free_at, leak, &self.point, gated);
+            .charge_idle(t - self.free_at, leak, &POINT, gated);
         if sink.enabled() {
             sink.emit(TraceEvent::ArrayInterval {
                 array: self.id as u32,
@@ -199,11 +201,11 @@ impl ArrayLedger {
         let split = &kernel.split;
         let before = self.account.totals();
         self.account
-            .charge_reconfig(slot.reconfig_bits, self.energy_per_bit, &self.point);
+            .charge_reconfig(slot.reconfig_bits, RECONFIG_ENERGY_PER_BIT, &POINT);
         self.account
-            .charge_idle(slot.reconfig_cycles, split.leak_power, &self.point, false);
+            .charge_idle(slot.reconfig_cycles, split.leak_power, &POINT, false);
         self.account
-            .charge_active(outcome.exec_cycles, split, &self.point);
+            .charge_active(outcome.exec_cycles, split, &POINT);
         let energy_j = self.account.total_j() - before.total_j();
         if sink.enabled() {
             if slot.reconfig_cycles > 0 {

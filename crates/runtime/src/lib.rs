@@ -36,6 +36,10 @@
 //! thread — so the report, including its `digest()`, is byte-identical
 //! across runs regardless of thread interleaving.
 //!
+//! The arrays run at the nominal operating point, 100 MHz
+//! ([`CYCLES_PER_US`] = 100), and every configuration bit written costs
+//! 2.0 energy units; neither is a setting.
+//!
 //! ## Quick tour
 //!
 //! ```
@@ -80,7 +84,7 @@ use dsra_core::netlist::{Fingerprint, Netlist};
 use dsra_core::report::ExecOutcome;
 use dsra_dct::DaParams;
 use dsra_platform::{profile_impl, standard_da_fabric, Condition, ImplProfile, SocConfig};
-use dsra_power::{Battery, OperatingPoint};
+use dsra_power::{Battery, OperatingPoint, NOMINAL_FREQ_MHZ};
 use dsra_tech::TechModel;
 use dsra_trace::{HealthSnapshot, NoopSink, TraceEvent, TraceSink};
 use dsra_video::{JobPayload, JobSpec};
@@ -110,31 +114,30 @@ pub struct PhaseTimings {
     pub exec_ms: f64,
 }
 
+/// Sim-cycles per virtual µs at the nominal 100 MHz array clock
+/// ([`NOMINAL_FREQ_MHZ`]): the one conversion every streaming frontend
+/// stamps its µs clock with.
+pub const CYCLES_PER_US: u64 = NOMINAL_FREQ_MHZ as u64;
+
 /// Power-domain configuration of a [`SocRuntime`]: the battery the pool
-/// serves from, the DVFS point it runs at, and the constants the energy
-/// accounts integrate with.
+/// serves from. The arrays always run at [`OperatingPoint::NOMINAL`] and
+/// every configuration bit written costs 2.0 energy units.
 #[derive(Debug, Clone, Copy)]
 pub struct PowerConfig {
-    /// DVFS operating point the arrays run at.
-    pub dvfs: OperatingPoint,
     /// Battery capacity in the technology model's (arbitrary) joules.
     pub battery_capacity_j: f64,
     /// Battery percentage at or below which energy-aware policies switch
     /// to battery-stretching behaviour.
     pub low_battery_pct: u8,
-    /// Energy per configuration bit written (dynamic, V²-scaled).
-    pub reconfig_energy_per_bit: f64,
 }
 
 impl Default for PowerConfig {
     fn default() -> Self {
         PowerConfig {
-            dvfs: OperatingPoint::NOMINAL,
             // Roughly ten default 1000-job serves at nominal — enough for
             // E12's discharge loop to see the low-battery phase kick in.
             battery_capacity_j: 2.0e10,
             low_battery_pct: 20,
-            reconfig_energy_per_bit: 2.0,
         }
     }
 }
@@ -152,7 +155,7 @@ pub struct RuntimeConfig {
     pub da_params: DaParams,
     /// DCT mappings the runtime offers for policy selection.
     pub mappings: Vec<DctMapping>,
-    /// Battery, DVFS and energy-accounting constants.
+    /// Battery capacity and low-battery threshold.
     pub power: PowerConfig,
     /// Execution backend the worker threads run payloads on: the
     /// cycle-level array simulator (default), the pure-software golden
@@ -516,11 +519,7 @@ impl SocRuntime {
         // this per-array (resident kernel, estimated busy-until) vector is
         // the runtime's only estimate clock.
         let plan_start = std::time::Instant::now();
-        let mut ledgers = ArrayLedger::pool(
-            self.config.da_arrays,
-            self.config.me_arrays,
-            &self.config.power,
-        );
+        let mut ledgers = ArrayLedger::pool(self.config.da_arrays, self.config.me_arrays);
         let mut planned: Vec<(Option<Arc<CompiledKernel>>, u64)> = vec![(None, 0); ledgers.len()];
         let mut plans: Vec<Vec<Assignment>> = vec![Vec::new(); ledgers.len()];
         for job in order {
@@ -655,11 +654,7 @@ impl SocRuntime {
             self.emit_session_meta("stream");
         }
         self.stream = Some(StreamState {
-            ledgers: ArrayLedger::pool(
-                self.config.da_arrays,
-                self.config.me_arrays,
-                &self.config.power,
-            ),
+            ledgers: ArrayLedger::pool(self.config.da_arrays, self.config.me_arrays),
             gate_events: 0,
             wakes: 0,
             cache_before: self.cache.stats(),
@@ -1035,7 +1030,7 @@ impl SocRuntime {
             total_reconfig_bits: arrays.iter().map(|a| a.reconfig_bits).sum(),
             reconfig_events: arrays.iter().map(|a| a.reconfig_events).sum(),
             energy: EnergyReport {
-                point: self.config.power.dvfs,
+                point: OperatingPoint::NOMINAL,
                 dynamic_j,
                 static_j,
                 reconfig_j,
@@ -1084,7 +1079,6 @@ impl SocRuntime {
         PowerSnapshot {
             battery_charge_pct: self.battery.charge_pct(),
             low_battery_pct: self.config.power.low_battery_pct,
-            dvfs: self.config.power.dvfs,
         }
     }
 

@@ -18,7 +18,6 @@ use std::collections::HashMap;
 
 use dsra_core::netlist::Fingerprint;
 use dsra_platform::{select, Condition, ImplProfile, SocConfig};
-use dsra_power::OperatingPoint;
 use dsra_video::ServiceClass;
 
 use crate::cache::CompiledKernel;
@@ -113,8 +112,8 @@ impl DiffMatrix {
 }
 
 /// Power state the runtime exposes to scheduling decisions: the battery
-/// reading at serve start, the configured low-battery threshold and the
-/// DVFS point in force. Policies that ignore it behave exactly as before
+/// reading at serve start and the configured low-battery threshold.
+/// Policies that ignore it behave exactly as before
 /// the power subsystem existed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSnapshot {
@@ -123,8 +122,6 @@ pub struct PowerSnapshot {
     /// Threshold (percent) below which energy-aware policies switch to
     /// battery-stretching behaviour.
     pub low_battery_pct: u8,
-    /// Operating point the arrays run at.
-    pub dvfs: OperatingPoint,
 }
 
 impl PowerSnapshot {
@@ -139,7 +136,6 @@ impl Default for PowerSnapshot {
         PowerSnapshot {
             battery_charge_pct: 100,
             low_battery_pct: 20,
-            dvfs: OperatingPoint::NOMINAL,
         }
     }
 }
@@ -250,6 +246,13 @@ impl SchedulePolicy for NaivePolicy {
     }
 }
 
+/// Cost weight of one reconfiguration cycle vs. one wait cycle under
+/// [`EnergyAwarePolicy`] while the battery is healthy.
+const RECONFIG_WEIGHT: u64 = 4;
+/// The multiplier [`EnergyAwarePolicy`] applies to that weight once the
+/// battery is low.
+const LOW_BATTERY_FACTOR: u64 = 2;
+
 /// The energy-aware policy (E12): trades joules against deadline slack.
 ///
 /// * Below the low-battery threshold every non-deadline job is served as
@@ -258,26 +261,11 @@ impl SchedulePolicy for NaivePolicy {
 ///   budget; `select` already minimises energy within it).
 /// * Reconfiguration writes are weighted above queueing delay in the
 ///   placement cost — a configuration bit written is joules gone, while
-///   waiting merely spends slack — and the weight doubles once the
-///   battery is low.
+///   waiting merely spends slack: one reconfiguration cycle costs four
+///   wait cycles, and eight once the battery is low.
 /// * Idle arrays are power-gated.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyAwarePolicy {
-    /// Cost weight of one reconfiguration cycle vs. one wait cycle while
-    /// the battery is healthy.
-    pub reconfig_weight: u64,
-    /// The multiplier applied to that weight once the battery is low.
-    pub low_battery_factor: u64,
-}
-
-impl Default for EnergyAwarePolicy {
-    fn default() -> Self {
-        EnergyAwarePolicy {
-            reconfig_weight: 4,
-            low_battery_factor: 2,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EnergyAwarePolicy;
 
 impl SchedulePolicy for EnergyAwarePolicy {
     fn name(&self) -> &'static str {
@@ -305,9 +293,9 @@ impl SchedulePolicy for EnergyAwarePolicy {
         wait_cycles: u64,
         power: &PowerSnapshot,
     ) -> u64 {
-        let weight = self.reconfig_weight
+        let weight = RECONFIG_WEIGHT
             * if power.is_low() {
-                self.low_battery_factor
+                LOW_BATTERY_FACTOR
             } else {
                 1
             };
@@ -571,14 +559,12 @@ mod tests {
                     .map(|m| kernel_of_width(m, w))
             })
             .collect();
-        let policies: [&dyn SchedulePolicy; 3] =
-            [&DefaultPolicy, &NaivePolicy, &EnergyAwarePolicy::default()];
+        let policies: [&dyn SchedulePolicy; 3] = [&DefaultPolicy, &NaivePolicy, &EnergyAwarePolicy];
         let mut rng = SplitMix64::new(0x5107_C057);
         for case in 0..48 {
             let soc = SocConfig {
                 partial_reconfig: case % 2 == 0,
                 cfg_bus_bits_per_cycle: [8, 32, 64][rng.next_below(3) as usize],
-                ..Default::default()
             };
             let size = 1 + rng.next_below(4) as usize;
             let policy = policies[rng.next_below(3) as usize];
@@ -694,7 +680,7 @@ mod tests {
     #[test]
     fn energy_aware_policy_reacts_to_the_battery() {
         use dsra_video::ServiceClass;
-        let policy = EnergyAwarePolicy::default();
+        let policy = EnergyAwarePolicy;
         let healthy = PowerSnapshot {
             battery_charge_pct: 80,
             ..Default::default()

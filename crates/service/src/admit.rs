@@ -94,12 +94,6 @@ impl MonitorAwareAdmission {
         MonitorAwareAdmission { monitor }
     }
 
-    /// `true` when the request's class is in the shed-first tier
-    /// (background and battery-saver work).
-    pub fn is_sheddable_class(class: ServiceClass) -> bool {
-        matches!(class, ServiceClass::Background | ServiceClass::LowPower)
-    }
-
     /// The latched-alert count at which arrivals of `class` are shed:
     /// best-effort work goes at the first alert, quality-tier work once
     /// the burn is systemic (two tenants alerting), deadline-tier work

@@ -17,7 +17,7 @@
 
 use dsra_core::error::{CoreError, Result};
 use dsra_monitor::{Monitor, MonitorConfig, MonitorHandle, MonitorSink};
-use dsra_runtime::{ArrayKind, SocRuntime, StreamArrayStatus, StreamedJob};
+use dsra_runtime::{ArrayKind, SocRuntime, StreamArrayStatus, StreamedJob, CYCLES_PER_US};
 use dsra_trace::{TraceEvent, TraceSink};
 use dsra_video::JobSpec;
 
@@ -123,27 +123,20 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Sim-cycles per virtual µs: one µs is one clock-MHz worth of cycles
-/// (exact at the default 100 MHz; rounded otherwise). The one conversion
-/// every streaming frontend stamps its µs clock with.
-pub fn cycles_per_us(runtime: &SocRuntime) -> u64 {
-    (runtime.config().soc.clock_mhz.round() as u64).max(1)
-}
-
 /// Builds a [`MonitorConfig`] for a tenant set: each tenant's error
-/// budget is its SLO shed tolerance, and the window geometry is scaled
-/// from the runtime's µs↔cycle factor (250 µs windows by default). The
-/// seal grace is one µs-quantum minus one cycle: the dispatcher's clock
-/// rounds cycles *up* to µs, so a job dispatched at instant `now` can
-/// complete up to `cycles_per_us − 1` cycles behind the watermark, and
-/// the grace keeps such completions inside their window — the monitor
-/// drops nothing, and time-ordered replay (`trace_report --slo`)
-/// reproduces the online state exactly.
-pub fn monitor_config_for(tenants: &[TenantSpec], cycles_per_us: u64) -> MonitorConfig {
+/// budget is its SLO shed tolerance, and the window geometry is 250 µs
+/// windows with 25 µs histogram buckets. The seal grace is one µs-quantum
+/// minus one cycle (99): the dispatcher's clock rounds cycles *up* to µs,
+/// so a job dispatched at instant `now` can complete up to
+/// `CYCLES_PER_US − 1` cycles behind the watermark, and the grace keeps
+/// such completions inside their window — the monitor drops nothing, and
+/// time-ordered replay (`trace_report --slo`) reproduces the online state
+/// exactly.
+pub fn monitor_config_for(tenants: &[TenantSpec]) -> MonitorConfig {
     MonitorConfig {
-        window_cycles: 250 * cycles_per_us.max(1),
-        hist_bucket_cycles: 25 * cycles_per_us.max(1),
-        seal_grace_cycles: cycles_per_us.max(1) - 1,
+        window_cycles: 250 * CYCLES_PER_US,
+        hist_bucket_cycles: 25 * CYCLES_PER_US,
+        seal_grace_cycles: CYCLES_PER_US - 1,
         tenant_budgets: tenants
             .iter()
             .map(|t| (u32::from(t.id), f64::from(t.slo.shed_tolerance_pct)))
@@ -163,7 +156,7 @@ pub fn install_monitor(
     tenants: &[TenantSpec],
     inner: Box<dyn TraceSink>,
 ) -> MonitorHandle {
-    let cfg = monitor_config_for(tenants, cycles_per_us(runtime));
+    let cfg = monitor_config_for(tenants);
     install_monitor_with(runtime, cfg, inner)
 }
 
@@ -204,14 +197,14 @@ fn unserved(r: &Request, now_us: u64, shed: bool) -> RequestOutcome {
 }
 
 /// Sheds `r` at `now_us`: traces the decision and returns its outcome.
-fn shed(runtime: &mut SocRuntime, r: &Request, now_us: u64, cyc: u64) -> RequestOutcome {
+fn shed(runtime: &mut SocRuntime, r: &Request, now_us: u64) -> RequestOutcome {
     let outcome = unserved(r, now_us, true);
     if runtime.trace_sink().enabled() {
         runtime.trace_sink().emit(TraceEvent::JobShed {
-            t: now_us * cyc,
+            t: now_us * CYCLES_PER_US,
             job: r.id,
             tenant: r.tenant.into(),
-            queued: outcome.shed_wait_us * cyc,
+            queued: outcome.shed_wait_us * CYCLES_PER_US,
         });
     }
     outcome
@@ -298,8 +291,7 @@ pub fn serve_requests_with_hook(
             )));
         }
     }
-    let cyc = cycles_per_us(runtime);
-    let us_of = |cycle: u64| cycle.div_ceil(cyc);
+    let us_of = |cycle: u64| cycle.div_ceil(CYCLES_PER_US);
 
     // The health-driven control hook: only the monitor-shed policy acts
     // on alerts, and it cannot work without the monitor that raises them.
@@ -372,22 +364,22 @@ pub fn serve_requests_with_hook(
             if runtime.trace_sink().enabled() {
                 let sink = runtime.trace_sink();
                 sink.emit(TraceEvent::JobEnqueue {
-                    t: r.arrival_us * cyc,
+                    t: r.arrival_us * CYCLES_PER_US,
                     job: r.id,
                     tenant: r.tenant.into(),
                     class: r.class.tag(),
                     kind: r.payload.tag(),
-                    deadline: r.deadline_us * cyc,
+                    deadline: r.deadline_us * CYCLES_PER_US,
                 });
                 sink.emit(TraceEvent::JobAdmit {
-                    t: now_us * cyc,
+                    t: now_us * CYCLES_PER_US,
                     job: r.id,
                 });
             }
             next += 1;
             if let Some(gate) = &early {
-                if gate.shed_early(&r, now_us * cyc) {
-                    outcomes[r.id as usize] = Some(shed(runtime, &r, now_us, cyc));
+                if gate.shed_early(&r, now_us * CYCLES_PER_US) {
+                    outcomes[r.id as usize] = Some(shed(runtime, &r, now_us));
                     continue;
                 }
             }
@@ -396,7 +388,7 @@ pub fn serve_requests_with_hook(
 
         // 2 — shedding: queued requests whose budget is already blown.
         for r in queue.shed_blown(now_us) {
-            outcomes[r.id as usize] = Some(shed(runtime, &r, now_us, cyc));
+            outcomes[r.id as usize] = Some(shed(runtime, &r, now_us));
         }
 
         // 3 — elastic pool control: gate long-idle arrays with no queued
@@ -404,7 +396,7 @@ pub fn serve_requests_with_hook(
         // threshold (and always keep at least one array of a kind with
         // queued work awake). Every decision reads the runtime's ledgers
         // at the moment it is made, so a gate or wake is seen at once.
-        let at = now_us * cyc;
+        let at = now_us * CYCLES_PER_US;
         if service.pool.elastic {
             let idle = |a: StreamArrayStatus| {
                 !a.gated
@@ -448,7 +440,7 @@ pub fn serve_requests_with_hook(
         if let Some(r) = queue.pop_available(free) {
             let job = JobSpec {
                 id: r.id,
-                arrival_cycle: r.arrival_us * cyc,
+                arrival_cycle: r.arrival_us * CYCLES_PER_US,
                 class: r.class,
                 payload: r.payload,
                 seed: r.seed,
@@ -513,12 +505,12 @@ pub fn serve_requests_with_hook(
     // window, so tail idle leakage (or gating) through the window is paid.
     let end_us = makespan_us.max(duration_us);
     let summary = runtime
-        .stream_end(end_us * cyc)
+        .stream_end(end_us * CYCLES_PER_US)
         .expect("session opened above");
     // Close the monitor's stream too: every resident window seals, so the
     // alert log and final snapshot are complete and replay-identical.
     let health = service.monitor.as_ref().map(|handle| {
-        handle.finalize(end_us * cyc);
+        handle.finalize(end_us * CYCLES_PER_US);
         handle.final_snapshot()
     });
 

@@ -13,7 +13,8 @@
 //!   an [`SloSpec`] (latency budget + shed tolerance) per tenant;
 //! * an **admission queue** ([`admit`]): the FIFO-unbounded baseline vs.
 //!   deadline-EDF with shedding of requests whose budget is already blown;
-//! * a **dispatcher** ([`dispatch`]): a virtual-time event loop that
+//! * a **dispatcher** ([`dispatch`]): a virtual-time event loop, stamped
+//!   at `dsra_runtime::CYCLES_PER_US` (100) cycles per µs, that
 //!   admits, sheds, dispatches through the runtime's streaming hooks
 //!   (placement stays with the existing `SchedulePolicy`/`DiffMatrix`
 //!   machinery) and scales the pool elastically — idle arrays power-gate
@@ -61,7 +62,7 @@ pub mod trace;
 
 pub use admit::{AdmissionQueue, AdmitPolicy, MonitorAwareAdmission};
 pub use dispatch::{
-    cycles_per_us, install_monitor, install_monitor_with, monitor_config_for, serve_requests,
+    install_monitor, install_monitor_with, monitor_config_for, serve_requests,
     serve_requests_with_hook, serve_trace, DispatchHook, NoopDispatch, PoolConfig, ServiceConfig,
 };
 pub use report::{RequestOutcome, ServiceReport, TenantReport};

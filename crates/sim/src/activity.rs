@@ -13,7 +13,7 @@
 //! setup, so the engines that serve jobs keep the default sink and pay
 //! nothing for activity no caller would read.
 
-use dsra_core::netlist::{NetId, Netlist};
+use dsra_core::netlist::NetId;
 
 /// Per-net and per-node toggle counters accumulated over a recording
 /// simulation run (summed over every lane of a lane-batched simulator).
@@ -96,15 +96,5 @@ impl Activity {
     /// Total node output toggles.
     pub fn total_node_toggles(&self) -> u64 {
         self.node_output_toggles.iter().sum()
-    }
-
-    /// Mean toggles per net per cycle — the classic switching-activity
-    /// factor, weighted by net count.
-    pub fn mean_activity(&self, netlist: &Netlist) -> f64 {
-        if self.cycles == 0 || netlist.nets().is_empty() {
-            return 0.0;
-        }
-        let bits: u64 = netlist.nets().iter().map(|n| u64::from(n.width)).sum();
-        self.total_net_toggles() as f64 / (bits as f64 * self.cycles as f64)
     }
 }

@@ -1154,21 +1154,42 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
     /// injected (the common case) the write path skips fault handling
     /// entirely; with faults present each write costs one indexed mask
     /// load, not a list scan.
-    pub fn inject_fault(&mut self, fault: StuckFault) {
+    ///
+    /// # Errors
+    /// [`CoreError::Mismatch`] when the net is not one of this netlist's,
+    /// or the bit lies outside the net's width; nothing is injected then.
+    pub fn inject_fault(&mut self, fault: StuckFault) -> Result<()> {
+        let net = self
+            .netlist
+            .nets()
+            .get(fault.net.0 as usize)
+            .ok_or_else(|| {
+                CoreError::Mismatch(format!(
+                    "fault on net {} of a {}-net netlist",
+                    fault.net.0,
+                    self.netlist.nets().len()
+                ))
+            })?;
+        if fault.bit >= net.width {
+            return Err(CoreError::Mismatch(format!(
+                "fault on bit {} of {}-bit net `{}`",
+                fault.bit, net.width, net.name
+            )));
+        }
         let masks = &mut self.lanes.fault_masks;
         if masks.is_empty() {
             *masks = vec![FaultMask::CLEAN; self.plan.get().nets];
         }
-        if let Some(m) = masks.get_mut(fault.net.0 as usize) {
-            let bit = 1u64 << fault.bit;
-            if fault.stuck_high {
-                m.or |= bit;
-                m.and |= bit;
-            } else {
-                m.and &= !bit;
-                m.or &= !bit;
-            }
+        let m = &mut masks[fault.net.0 as usize];
+        let bit = 1u64 << fault.bit;
+        if fault.stuck_high {
+            m.or |= bit;
+            m.and |= bit;
+        } else {
+            m.and &= !bit;
+            m.or &= !bit;
         }
+        Ok(())
     }
 
     /// Removes all injected faults.
@@ -1663,6 +1684,36 @@ mod tests {
                 "lane {lane}"
             );
         }
+    }
+
+    /// A fault must name a real net and a bit inside its width: bit 64
+    /// would overflow the mask shift, and bit 5 of the 3-bit ROM address
+    /// would write a value the net cannot carry. Each bad fault, and one
+    /// on an unknown net, is an error that leaves no fault armed.
+    #[test]
+    fn inject_fault_rejects_bits_past_the_net_and_unknown_nets() {
+        use dsra_core::netlist::NetId;
+        let nl = rom8();
+        let addr = NetId(nl.nets().iter().position(|n| n.width == 3).unwrap() as u32);
+        let mut sim = Simulator::new(&nl).unwrap();
+        for (net, bit) in [(addr, 64), (addr, 5), (addr, 3), (NetId(99), 0)] {
+            let err = sim
+                .inject_fault(StuckFault {
+                    net,
+                    bit,
+                    stuck_high: true,
+                })
+                .unwrap_err();
+            assert!(matches!(err, CoreError::Mismatch(_)), "{err}");
+        }
+        assert!(sim.lanes.fault_masks.is_empty(), "nothing was injected");
+        sim.inject_fault(StuckFault {
+            net: addr,
+            bit: 2,
+            stuck_high: true,
+        })
+        .unwrap();
+        assert_eq!(sim.lanes.fault_masks[addr.0 as usize].or, 4);
     }
 
     #[test]

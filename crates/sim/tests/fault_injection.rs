@@ -59,7 +59,7 @@ fn ad_output_net(nl: &Netlist) -> dsra_core::netlist::NetId {
 fn run_plan(nl: &Netlist, plan: &ExecPlan, fault: Option<StuckFault>) -> u64 {
     let mut sim = Simulator::with_plan(nl, plan);
     if let Some(f) = fault {
-        sim.inject_fault(f);
+        sim.inject_fault(f).unwrap();
     }
     sim.set("a", 0x40).unwrap();
     sim.set("b", 0x41).unwrap(); // |diff| = 1: only the LSB carries signal
@@ -106,7 +106,7 @@ fn clearing_faults_restores_the_clean_output() {
     // clear_faults() the write path is back on the fast path and the run
     // must be byte-identical to one that never saw a fault.
     let mut sim = Simulator::with_plan(&nl, &plan);
-    sim.inject_fault(fault);
+    sim.inject_fault(fault).unwrap();
     sim.clear_faults();
     sim.set("a", 0x40).unwrap();
     sim.set("b", 0x41).unwrap();
@@ -175,7 +175,7 @@ proptest! {
         let settled = |fs: &[StuckFault]| -> u64 {
             let mut sim = Simulator::with_plan(&nl, &plan);
             for f in fs {
-                sim.inject_fault(*f);
+                sim.inject_fault(*f).unwrap();
             }
             sim.set("a", a).unwrap();
             sim.set("b", b).unwrap();

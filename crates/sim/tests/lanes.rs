@@ -144,9 +144,9 @@ fn assert_lanes_match_singles(nl: &Netlist, cycles: usize, faults: &[StuckFault]
         .map(|_| Simulator::with_plan_profiled(nl, &plan, RecordActivity(NoopProf)))
         .collect();
     for &f in faults {
-        wide.inject_fault(f);
+        wide.inject_fault(f).unwrap();
         for s in &mut singles {
-            s.inject_fault(f);
+            s.inject_fault(f).unwrap();
         }
     }
     let mut rng = SplitMix64::new(seed);

@@ -79,7 +79,7 @@ fn stuck_at_fault_corrupts_the_output_observably() {
     let run = |fault: Option<StuckFault>| -> u64 {
         let mut sim = Simulator::new(&nl).unwrap();
         if let Some(f) = fault {
-            sim.inject_fault(f);
+            sim.inject_fault(f).unwrap();
         }
         sim.set("a", 0x40).unwrap();
         sim.set("b", 0x41).unwrap(); // |diff| = 1 -> LSB exercised
@@ -109,7 +109,7 @@ fn fault_on_masked_bit_is_undetectable() {
     let run = |fault: Option<StuckFault>| -> u64 {
         let mut sim = Simulator::new(&nl).unwrap();
         if let Some(f) = fault {
-            sim.inject_fault(f);
+            sim.inject_fault(f).unwrap();
         }
         sim.set("a", 0x81).unwrap();
         sim.set("b", 0x01).unwrap(); // |diff| = 0x80: bit 7 set
@@ -138,7 +138,8 @@ fn clearing_faults_restores_behaviour() {
         net: ad_y,
         bit: 0,
         stuck_high: true,
-    });
+    })
+    .unwrap();
     sim.clear_faults();
     sim.set("a", 8).unwrap();
     sim.set("b", 8).unwrap();
@@ -177,7 +178,7 @@ fn dct_fault_campaign_detects_most_rom_faults() {
     let run_y0 = |fault: Option<StuckFault>, x: &[i64; 8]| -> f64 {
         let mut sim = Simulator::new(nl).unwrap();
         if let Some(f) = fault {
-            sim.inject_fault(f);
+            sim.inject_fault(f).unwrap();
         }
         for (i, &v) in x.iter().enumerate() {
             sim.set_signed(&format!("x{i}"), v).unwrap();

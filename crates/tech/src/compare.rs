@@ -4,8 +4,8 @@
 use dsra_core::error::Result;
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::netlist::Netlist;
-use dsra_core::place::{place, PlacerOptions};
-use dsra_core::route::{route, RouterOptions, RoutingStats};
+use dsra_core::place::place;
+use dsra_core::route::{route, RoutingStats};
 use dsra_sim::Activity;
 
 use crate::model::{compare, dsra_cost, fpga_cost, Comparison, ImplCost, TechModel};
@@ -39,9 +39,9 @@ pub fn evaluate_against_fpga(
 ) -> Result<Evaluation> {
     let mixed = fabric.with_mesh(MeshSpec::mixed());
     let fine = fabric.with_mesh(MeshSpec::fine_grain());
-    let placement = place(netlist, &mixed, PlacerOptions::default())?;
-    let routing_mixed = route(netlist, &mixed, &placement, RouterOptions::default())?;
-    let routing_fine = route(netlist, &fine, &placement, RouterOptions::default())?;
+    let placement = place(netlist, &mixed)?;
+    let routing_mixed = route(netlist, &mixed, &placement)?;
+    let routing_fine = route(netlist, &fine, &placement)?;
     let dsra = dsra_cost(netlist, &routing_mixed.stats, activity, model);
     let fpga = fpga_cost(netlist, &routing_fine.stats, activity, model);
     Ok(Evaluation {
@@ -63,9 +63,9 @@ pub fn evaluate_against_fpga(
 pub fn mesh_ablation(netlist: &Netlist, fabric: &Fabric) -> Result<(RoutingStats, RoutingStats)> {
     let mixed = fabric.with_mesh(MeshSpec::mixed());
     let fine = fabric.with_mesh(MeshSpec::fine_grain());
-    let placement = place(netlist, &mixed, PlacerOptions::default())?;
-    let rm = route(netlist, &mixed, &placement, RouterOptions::default())?;
-    let rf = route(netlist, &fine, &placement, RouterOptions::default())?;
+    let placement = place(netlist, &mixed)?;
+    let rm = route(netlist, &mixed, &placement)?;
+    let rf = route(netlist, &fine, &placement)?;
     Ok((rm.stats, rf.stats))
 }
 

@@ -429,8 +429,8 @@ mod tests {
         // ImplCost::leak_power, exactly (same constants, same quantities).
         use dsra_core::fabric::{Fabric, MeshSpec};
         use dsra_core::netlist::{Netlist, NodeKind};
-        use dsra_core::place::{place, PlacerOptions};
-        use dsra_core::route::{route, RouterOptions};
+        use dsra_core::place::place;
+        use dsra_core::route::route;
 
         let mut nl = Netlist::new("leak");
         let addr = nl.input("addr", 4).unwrap();
@@ -461,8 +461,8 @@ mod tests {
         nl.connect((add, "y"), (y, "in")).unwrap();
 
         let fabric = Fabric::da_array(8, 8, MeshSpec::mixed());
-        let placement = place(&nl, &fabric, PlacerOptions::default()).unwrap();
-        let routing = route(&nl, &fabric, &placement, RouterOptions::default()).unwrap();
+        let placement = place(&nl, &fabric).unwrap();
+        let routing = route(&nl, &fabric, &placement).unwrap();
         let model = TechModel::default();
         let activity =
             dsra_sim::Activity::synthetic(vec![0; nl.nets().len()], vec![0; nl.nodes().len()], 1);

@@ -136,9 +136,11 @@ pub struct JobMixConfig {
     pub seed: u64,
     /// Payload-kind weights.
     pub weights: JobMixWeights,
-    /// Mean inter-arrival gap in SoC cycles (geometric-ish, seeded).
-    pub mean_gap_cycles: u64,
 }
+
+/// Mean inter-arrival gap of a generated job mix, in SoC cycles (bursty,
+/// seeded; see [`sample_gap`]).
+const MEAN_GAP_CYCLES: u64 = 200;
 
 impl Default for JobMixConfig {
     fn default() -> Self {
@@ -146,7 +148,6 @@ impl Default for JobMixConfig {
             jobs: 1000,
             seed: 0x50C_5EED,
             weights: JobMixWeights::default(),
-            mean_gap_cycles: 200,
         }
     }
 }
@@ -227,12 +228,12 @@ pub fn generate_job_mix(config: JobMixConfig) -> Vec<JobSpec> {
     let mut jobs = Vec::with_capacity(config.jobs as usize);
     let mut clock = 0u64;
     for id in 0..config.jobs {
-        clock += sample_gap(&mut rng, config.mean_gap_cycles);
+        clock += sample_gap(&mut rng, MEAN_GAP_CYCLES);
         let payload = sample_payload(&mut rng, config.weights);
         // Service classes rotate through phases: long quality stretches with
         // periodic battery-saver windows and occasional deadline/background
         // traffic, mirroring a device moving through operating conditions.
-        let class = match (clock / (config.mean_gap_cycles.max(1) * 64)) % 4 {
+        let class = match (clock / (MEAN_GAP_CYCLES * 64)) % 4 {
             0 | 2 => match rng.next_below(10) {
                 0 => ServiceClass::Deadline(16),
                 1 => ServiceClass::Background,

@@ -49,7 +49,6 @@ proptest! {
             seed,
             // ME-heavy so the property actually exercises the payload.
             weights: JobMixWeights { dct: 1, me: 8, encode: 1 },
-            ..Default::default()
         });
         for job in &mix {
             prop_assert!(me_window_fits(&job.payload), "{:?}", job.payload);

@@ -5,9 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use dsra::core::{
-    place, route, Bitstream, CoreError, Fabric, MeshSpec, PlacerOptions, RouterOptions,
-};
+use dsra::core::{place, route, Bitstream, CoreError, Fabric, MeshSpec};
 use dsra::dct::{reference, BasicDa, DaParams, DctImpl};
 
 fn main() -> Result<(), CoreError> {
@@ -33,8 +31,8 @@ fn main() -> Result<(), CoreError> {
 
     // 4. Map onto the DA array: place, route, generate the bitstream.
     let fabric = Fabric::da_array(16, 12, MeshSpec::mixed());
-    let placement = place(dct.netlist(), &fabric, PlacerOptions::default())?;
-    let routing = route(dct.netlist(), &fabric, &placement, RouterOptions::default())?;
+    let placement = place(dct.netlist(), &fabric)?;
+    let routing = route(dct.netlist(), &fabric, &placement)?;
     let bits = Bitstream::generate(dct.netlist(), &fabric, &placement, &routing);
     println!(
         "placed on {}x{} array: {} routed nets, {} track segments, {} switch points",

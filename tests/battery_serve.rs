@@ -53,7 +53,7 @@ fn discharge(policy: Box<dyn SchedulePolicy>) -> DischargeOutcome {
 #[test]
 fn energy_aware_policy_serves_more_jobs_per_charge() {
     let naive = discharge(Box::new(NaivePolicy));
-    let energy = discharge(Box::new(EnergyAwarePolicy::default()));
+    let energy = discharge(Box::new(EnergyAwarePolicy));
 
     // The E12 acceptance gate: strictly more jobs per full charge.
     assert!(
@@ -104,7 +104,7 @@ fn discharge_outcomes_are_pinned_per_policy() {
     let policies: [Box<dyn SchedulePolicy>; 3] = [
         Box::new(NaivePolicy),
         Box::new(DefaultPolicy),
-        Box::new(EnergyAwarePolicy::default()),
+        Box::new(EnergyAwarePolicy),
     ];
     let pins: Vec<(&str, usize, u64)> = policies
         .into_iter()
@@ -113,8 +113,7 @@ fn discharge_outcomes_are_pinned_per_policy() {
                 jobs: CHUNK_JOBS,
                 ..Default::default()
             };
-            let out =
-                discharge_battery(config(), policy, base, MAX_SERVES).expect("discharge run");
+            let out = discharge_battery(config(), policy, base, MAX_SERVES).expect("discharge run");
             let fold = out
                 .reports
                 .iter()
@@ -134,8 +133,8 @@ fn discharge_outcomes_are_pinned_per_policy() {
 
 #[test]
 fn discharge_run_is_byte_identical_across_runs() {
-    let a = discharge(Box::new(EnergyAwarePolicy::default()));
-    let b = discharge(Box::new(EnergyAwarePolicy::default()));
+    let a = discharge(Box::new(EnergyAwarePolicy));
+    let b = discharge(Box::new(EnergyAwarePolicy));
     assert_eq!(a.jobs_served, b.jobs_served);
     assert_eq!(a.reports.len(), b.reports.len());
     for (ra, rb) in a.reports.iter().zip(&b.reports) {
@@ -150,8 +149,8 @@ fn discharge_run_is_byte_identical_across_runs() {
 
 #[test]
 fn serve_drains_the_runtime_battery_and_recharge_restores_it() {
-    let mut rt = SocRuntime::with_policy(config(), Box::new(EnergyAwarePolicy::default()))
-        .expect("runtime builds");
+    let mut rt =
+        SocRuntime::with_policy(config(), Box::new(EnergyAwarePolicy)).expect("runtime builds");
     assert_eq!(rt.battery().charge_j(), CAPACITY_J);
     let report = rt
         .serve(&generate_job_mix(JobMixConfig {

@@ -69,7 +69,7 @@ fn recovered() -> &'static (ChaosReport, Option<String>) {
 
 fn oblivious() -> &'static ChaosReport {
     static O: OnceLock<ChaosReport> = OnceLock::new();
-    O.get_or_init(|| run(RecoveryConfig::oblivious(), false).0)
+    O.get_or_init(|| run(RecoveryConfig::Oblivious, false).0)
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use dsra::core::{place, route, Bitstream, PlacerOptions, RouterOptions};
+use dsra::core::{place, route, Bitstream};
 use dsra::dct::{BasicDa, DaParams, DctImpl};
 
 /// The exact code shown in README.md "Quickstart".
@@ -24,8 +24,8 @@ fn readme_quickstart() -> Result<(), dsra::core::CoreError> {
 fn design_overview_pipeline() -> Result<(), dsra::core::CoreError> {
     let imp = BasicDa::new(DaParams::precise())?;
     let fabric = dsra::core::Fabric::da_array(16, 12, dsra::core::MeshSpec::mixed());
-    let placement = place(imp.netlist(), &fabric, PlacerOptions::default())?;
-    let routing = route(imp.netlist(), &fabric, &placement, RouterOptions::default())?;
+    let placement = place(imp.netlist(), &fabric)?;
+    let routing = route(imp.netlist(), &fabric, &placement)?;
     let bits = Bitstream::generate(imp.netlist(), &fabric, &placement, &routing);
     assert!(bits.total_bits() > 0);
     Ok(())

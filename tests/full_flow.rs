@@ -2,7 +2,7 @@
 //! routing → bitstream on one shared fabric, and the full encode loop runs
 //! on hardware transforms — the complete story of Fig. 1's SoC.
 
-use dsra::core::{place, route, Bitstream, PlacerOptions, RouterOptions};
+use dsra::core::{place, route, Bitstream};
 use dsra::dct::{all_impls, DaParams};
 use dsra::me::SearchParams;
 use dsra::platform::{standard_da_fabric, Condition};
@@ -14,9 +14,9 @@ fn every_impl_places_routes_and_configures_on_the_shared_array() {
     let mut bitstreams = Vec::new();
     for imp in all_impls(DaParams::precise()).unwrap() {
         let nl = imp.netlist();
-        let placement = place(nl, &fabric, PlacerOptions::default())
-            .unwrap_or_else(|e| panic!("{} placement failed: {e}", imp.name()));
-        let routing = route(nl, &fabric, &placement, RouterOptions::default())
+        let placement =
+            place(nl, &fabric).unwrap_or_else(|e| panic!("{} placement failed: {e}", imp.name()));
+        let routing = route(nl, &fabric, &placement)
             .unwrap_or_else(|e| panic!("{} routing failed: {e}", imp.name()));
         assert!(routing.stats.track_segments > 0, "{}", imp.name());
         let bs = Bitstream::generate(nl, &fabric, &placement, &routing);
