@@ -10,7 +10,9 @@
 //! - every pixel of `SyntheticSequence` frames under odd sizes,
 //!   fractional pans, noise 0 and 3 and one to three objects;
 //! - the net and node toggle totals and lane-cycles that
-//!   `profiling_activity` records for each of the runtime's 15 kernels.
+//!   `profiling_activity` records for each of the runtime's 15 kernels;
+//! - the `energy_per_block` of every DCT mapping the runtime offers, as
+//!   `SocRuntime::profiles` prices it under both `DaParams`.
 //!
 //! A change that reorders one f64 sum, moves one RNG draw or drops one
 //! toggle fails here. The values were captured from the per-coefficient
@@ -22,7 +24,7 @@ use dsra::core::rng::{fnv1a_fold, SplitMix64};
 use dsra::dct::reference::{dct_1d, dct_2d, idct_1d, idct_2d, N};
 use dsra::dct::DaParams;
 use dsra::platform::profiling_activity;
-use dsra::runtime::{DctMapping, KernelId};
+use dsra::runtime::{DctMapping, KernelId, RuntimeConfig, SocRuntime};
 use dsra::video::{SequenceConfig, SyntheticSequence};
 
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -63,6 +65,23 @@ const ACTIVITY_PINS: &[(&str, u64, u64, u64, u64)] = &[
     ("me systolic4", 28430, 1905, 128, 0x3abf7e9011579e5e),
     ("me systolic8", 57198, 3429, 128, 0x165093361a6eaa22),
     ("me systolic16", 120912, 6477, 128, 0x7fbb7822a165d706),
+];
+
+/// `(params tag, mapping, energy_per_block.to_bits())`.
+#[rustfmt::skip]
+const ENERGY_PINS: &[(&str, &str, u64)] = &[
+    ("precise", "BASIC DA", 0x40f73d8ce9c93f16),
+    ("precise", "MIX ROM", 0x40d5aac3c44a1794),
+    ("precise", "CORDIC 1", 0x40efa103127cb51b),
+    ("precise", "CORDIC 2", 0x40e9aabd0f0b0b32),
+    ("precise", "SCC E/O", 0x40d5aac3c44a1794),
+    ("precise", "SCC", 0x40f73d8ce9c93f16),
+    ("paper", "BASIC DA", 0x40e91d790da86f25),
+    ("paper", "MIX ROM", 0x40d07a27003a4115),
+    ("paper", "CORDIC 1", 0x40e36587db95c18d),
+    ("paper", "CORDIC 2", 0x40de8b2a3a9e81e9),
+    ("paper", "SCC E/O", 0x40d07a27003a4115),
+    ("paper", "SCC", 0x40e9205712958f32),
 ];
 
 /// Block `k` of the seeded corpus. Every fourth block is drawn from one of
@@ -250,4 +269,31 @@ fn profiling_activity_keeps_its_toggle_totals() {
         .map(|&(l, n, d, c, h)| (l.to_owned(), n, d, c, h))
         .collect();
     assert_eq!(actual, expected, "activity totals moved; actual:\n{table}");
+}
+
+#[test]
+fn runtime_profiles_keep_their_energy_per_block() {
+    let mut actual = Vec::new();
+    for (tag, params) in [
+        ("precise", DaParams::precise()),
+        ("paper", DaParams::paper()),
+    ] {
+        let rt = SocRuntime::new(RuntimeConfig {
+            da_params: params,
+            ..Default::default()
+        })
+        .unwrap();
+        for p in rt.profiles() {
+            actual.push((tag, p.name.clone(), p.energy_per_block.to_bits()));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(t, n, b)| format!("    (\"{t}\", \"{n}\", {b:#018x}),\n"))
+        .collect();
+    let expected: Vec<(&str, String, u64)> = ENERGY_PINS
+        .iter()
+        .map(|&(t, n, b)| (t, n.to_owned(), b))
+        .collect();
+    assert_eq!(actual, expected, "profile energies moved; actual:\n{table}");
 }
