@@ -16,7 +16,7 @@
 //! same definition `tests/battery_serve.rs` gates in tier-1.
 
 use dsra_bench::{
-    arg_value, bad_value, banner, discharge_runtime, install_profile_arg, install_trace_arg,
+    arg_value, bad_value, banner, discharge_runtime, gate, install_profile_arg, install_trace_arg,
     json_flag, or_exit, parse_f64, parse_int, parse_u64, write_chrome_trace, write_json_summary,
     write_metrics_arg, write_profile_arg, DischargeOutcome, JsonValue, MAX_ARRAYS, MAX_JOBS,
 };
@@ -116,14 +116,14 @@ fn main() {
         naive.jobs_served,
         (energy.jobs_served as f64 / naive.jobs_served.max(1) as f64 - 1.0) * 100.0
     );
-    if energy.jobs_served <= naive.jobs_served {
-        eprintln!(
+    gate(
+        energy.jobs_served > naive.jobs_served,
+        &format!(
             "E12 gate missed: energy-aware must serve strictly more jobs per charge \
              (energy-aware {}, naive {})",
             energy.jobs_served, naive.jobs_served
-        );
-        std::process::exit(1);
-    }
+        ),
+    );
 
     let mut metrics: Vec<(String, JsonValue)> = vec![
         ("battery_capacity_j".into(), JsonValue::Num(capacity)),

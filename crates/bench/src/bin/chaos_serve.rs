@@ -20,9 +20,9 @@
 //! land on the array tracks next to the intervals they perturb.
 
 use dsra_bench::{
-    arg_value, banner, chaos_metrics, install_profile_arg, json_flag, latency_histogram, or_exit,
-    parse_int, parse_u64, tenant_trace, write_chrome_trace, write_json_summary, write_metrics_arg,
-    write_profile_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
+    arg_value, banner, chaos_metrics, gate, install_profile_arg, json_flag, latency_histogram,
+    or_exit, parse_int, parse_u64, tenant_trace, write_chrome_trace, write_json_summary,
+    write_metrics_arg, write_profile_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_chaos::{serve_with_chaos, ChaosConfig, ChaosReport, FaultPlan, RecoveryConfig};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
@@ -141,13 +141,22 @@ fn main() {
     // The E15 gate only means something once the plan actually corrupted
     // results the oblivious arm went on to serve.
     if oblivious.corrupt_served > 0 {
-        assert_eq!(
-            recovered.corrupt_served, 0,
-            "E15 gate: per-job spot checks must withhold every corrupt result"
+        gate(
+            recovered.corrupt_served == 0,
+            &format!(
+                "E15 gate: per-job spot checks must withhold every corrupt result \
+                 (recovery served {})",
+                recovered.corrupt_served
+            ),
         );
-        assert!(
+        gate(
             recovered.useful_goodput_pct() > oblivious.useful_goodput_pct(),
-            "E15 gate: recovery must beat oblivious on corruption-aware goodput"
+            &format!(
+                "E15 gate: recovery must beat oblivious on corruption-aware goodput \
+                 (recovery {:.2} %, oblivious {:.2} %)",
+                recovered.useful_goodput_pct(),
+                oblivious.useful_goodput_pct()
+            ),
         );
     }
 

@@ -13,7 +13,7 @@ use dsra_core::place::place;
 use dsra_core::route::route;
 use dsra_dct::{all_impls, measure_accuracy, DaParams};
 use dsra_platform::profiling_activity;
-use dsra_power::{energy_per_block, OperatingPoint};
+use dsra_power::energy_per_block;
 use dsra_tech::{dsra_cost, TechModel};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
         let cost = dsra_cost(nl, &routing.stats, &act, &model);
         let acc = measure_accuracy(imp.as_ref(), 8, 2047, 0xE9).unwrap();
         let split = cost.energy_split();
-        let e_block = energy_per_block(&split, imp.cycles_per_block(), &OperatingPoint::NOMINAL);
+        let e_block = energy_per_block(&split, imp.cycles_per_block());
         println!(
             "{:<10} {:>9} {:>10.1} {:>12.1} {:>10.1} {:>13.1} {:>11.3}",
             imp.name(),

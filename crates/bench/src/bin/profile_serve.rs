@@ -21,8 +21,8 @@
 //! virtual-time event stream that makes the serve itself deterministic.
 
 use dsra_bench::{
-    arg_value, banner, install_profiler, json_flag, latency_histogram, or_exit, parse_int,
-    parse_u64, runtime_profile_report, tenant_trace, write_chrome_trace, write_flame,
+    arg_value, banner, gate, install_profiler, json_flag, latency_histogram, or_exit, parse_int,
+    parse_u64, runtime_profile_report, tenant_trace, write_chrome_trace, write_file, write_flame,
     write_json_summary, write_metrics_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_profile::{flamegraph, utilization_tracks};
@@ -88,10 +88,12 @@ fn main() {
     println!("profile digest     : {:#018x}", prof.digest());
 
     // Gate 1 — the op rollup accounts for (essentially) every busy cycle.
-    assert!(
+    gate(
         prof.attribution_pct() >= 99.0,
-        "E16 gate: op attribution covers {:.3} % of busy cycles (< 99 %)",
-        prof.attribution_pct()
+        &format!(
+            "E16 gate: op attribution covers {:.3} % of busy cycles (< 99 %)",
+            prof.attribution_pct()
+        ),
     );
     // Gate 2 — per-kernel joules reconcile with the service report's
     // per-request energy attribution to the joule. Both sides sum the
@@ -103,9 +105,12 @@ fn main() {
         "energy reconciliation: profiler {:.9} eu vs outcomes {:.9} eu (|err| {:.3e} eu)\n",
         prof.total_energy_j, served_energy_j, energy_err_j
     );
-    assert!(
+    gate(
         energy_err_j < 1.0,
-        "E16 gate: kernel energy accounts diverge from request outcomes by {energy_err_j:.3e} eu"
+        &format!(
+            "E16 gate: kernel energy accounts diverge from request outcomes by \
+             {energy_err_j:.3e} eu"
+        ),
     );
 
     // `--profile-out <file>`: the collapsed-stack flamegraph.
@@ -118,7 +123,7 @@ fn main() {
     if let Some(path) = arg_value("--timeline") {
         let window = parse_u64("--timeline-window", 2_500).max(1);
         let tracks = handle.with(|p| utilization_tracks(p, window));
-        std::fs::write(&path, counter_tracks_doc(&tracks)).expect("write timeline file");
+        write_file(&path, counter_tracks_doc(&tracks));
         println!("wrote {path}");
     }
     if let Some(path) = &trace_path {

@@ -14,9 +14,9 @@
 //! plans — which is exactly what the `outcome digest` line pins.
 
 use dsra_bench::{
-    arg_value, bad_value, banner, install_profile_arg, install_trace_arg, json_flag, or_exit,
-    parse_int, parse_u64, write_chrome_trace, write_metrics_arg, write_profile_arg, JsonValue,
-    MAX_ARRAYS, MAX_JOBS,
+    arg_value, bad_value, banner, gate, install_profile_arg, install_trace_arg, json_flag, or_exit,
+    parse_int, parse_u64, write_chrome_trace, write_file, write_metrics_arg, write_profile_arg,
+    JsonValue, MAX_ARRAYS, MAX_JOBS,
 };
 use dsra_runtime::{BackendKind, RuntimeConfig, SocRuntime};
 use dsra_video::{generate_job_mix, JobMixConfig};
@@ -73,20 +73,19 @@ fn main() {
         runtime.cache_stats().misses,
         runtime.cache_stats().lookups()
     );
-    assert!(
+    gate(
         jobs < 200 || hit_rate > 0.9,
-        "cache hit rate {hit_rate:.3} below the E11 gate"
+        &format!("cache hit rate {hit_rate:.3} below the E11 gate"),
     );
 
     if json_flag() {
         // The phases object carries this run's wall-clock planning/exec
         // split; everything else in the document is byte-identical per
         // seed.
-        std::fs::write(
+        write_file(
             "BENCH_runtime.json",
             report.to_json_with_phases("E11", runtime.phase_timings()),
-        )
-        .expect("write BENCH_runtime.json");
+        );
         println!("wrote BENCH_runtime.json");
     }
     // `--metrics <file>`: the scalar view of the same report in

@@ -24,7 +24,7 @@
 //! which is exactly what each policy's `outcome digest` line pins.
 
 use dsra_bench::{
-    arg_value, bad_value, banner, install_profile_arg, json_flag, latency_histogram,
+    arg_value, bad_value, banner, gate, install_profile_arg, json_flag, latency_histogram,
     monitor_metrics, or_exit, parse_int, parse_u64, shed_wait_histogram, stream_metrics,
     tenant_trace, write_chrome_trace, write_json_summary, write_metrics_arg, write_profile_arg,
     JsonValue, MAX_ARRAYS, MAX_DURATION_US,
@@ -166,9 +166,9 @@ fn main() {
         // slightly longer tail for zero violations — is a valid
         // configuration, not a failure.
         if fifo.violations > 0 && edf.shed > 0 {
-            assert!(
+            gate(
                 he.p99() < hf.p99() && edf.violation_pct() < fifo.violation_pct(),
-                "E13 gate: EDF+shedding must beat FIFO on p99 latency and violation rate"
+                "E13 gate: EDF+shedding must beat FIFO on p99 latency and violation rate",
             );
         }
     }

@@ -275,6 +275,23 @@ pub fn or_exit<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
     })
 }
 
+/// An experiment's acceptance gate: when `passed` is false, prints
+/// `message` to stderr and exits with status 1. A missed gate is a
+/// measured outcome of the flags given, so it ends the run with an error,
+/// never with a panic.
+pub fn gate(passed: bool, message: &str) {
+    if !passed {
+        eprintln!("{message}");
+        std::process::exit(1)
+    }
+}
+
+/// Writes `contents` to a `path` given on the command line; a failed write
+/// goes to [`or_exit`] (status 2, the path in the message).
+pub fn write_file(path: &str, contents: impl AsRef<[u8]>) {
+    or_exit(&format!("write {path}"), std::fs::write(path, contents));
+}
+
 /// Parses `--name <f64>`, falling back to `default` when absent; an
 /// unparseable value goes to [`bad_value`].
 pub fn parse_f64(name: &str, default: f64) -> f64 {
@@ -287,7 +304,7 @@ pub fn parse_f64(name: &str, default: f64) -> f64 {
 /// and prints where it went.
 pub fn write_json_summary<K: AsRef<str>>(tag: &str, experiment: &str, metrics: &[(K, JsonValue)]) {
     let path = format!("BENCH_{tag}.json");
-    std::fs::write(&path, json_summary(experiment, metrics)).expect("write benchmark summary");
+    write_file(&path, json_summary(experiment, metrics));
     println!("wrote {path}");
 }
 
@@ -316,7 +333,7 @@ pub fn registry_from_metrics<K: AsRef<str>>(
 pub fn write_metrics_arg<K: AsRef<str>>(metrics: &[(K, JsonValue)]) {
     if let Some(path) = arg_value("--metrics") {
         let reg = registry_from_metrics(metrics);
-        std::fs::write(&path, reg.render_prometheus("dsra")).expect("write metrics file");
+        write_file(&path, reg.render_prometheus("dsra"));
         println!("wrote {path}");
     }
 }

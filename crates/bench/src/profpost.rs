@@ -47,11 +47,11 @@ pub fn runtime_profile_report(runtime: &SocRuntime, handle: &ProfilerHandle) -> 
 
 /// Writes a flamegraph's folded text at `path`.
 ///
-/// # Panics
-/// Panics when the file can't be written — profile capture fails loudly
-/// rather than silently dropping the artifact.
+/// A file that can't be written ends the run with status 2
+/// ([`crate::write_file`]) — profile capture fails loudly rather than
+/// silently dropping the artifact.
 pub fn write_flame(flame: &Flame, path: &str) {
-    std::fs::write(path, flame.render()).expect("write flamegraph file");
+    crate::write_file(path, flame.render());
     println!("wrote {path}");
 }
 

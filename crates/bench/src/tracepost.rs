@@ -37,16 +37,18 @@ pub fn install_trace_arg(runtime: &mut SocRuntime) -> Option<String> {
 /// Takes the runtime's recording sink and writes it as a Chrome
 /// trace-event document at `path`.
 ///
+/// A file that can't be written ends the run with status 2
+/// ([`crate::write_file`]) — trace capture fails loudly rather than
+/// silently dropping the artifact.
+///
 /// # Panics
-/// Panics when no recording sink was installed or the file can't be
-/// written — trace capture fails loudly rather than silently dropping
-/// the artifact.
+/// Panics when no recording sink was installed.
 pub fn write_chrome_trace(runtime: &mut SocRuntime, path: &str) {
     let log = runtime
         .take_trace_sink()
         .into_log()
         .expect("a recording sink was installed with --trace");
-    std::fs::write(path, chrome_trace(&log)).expect("write trace file");
+    crate::write_file(path, chrome_trace(&log));
     println!("wrote {path}");
 }
 

@@ -253,6 +253,76 @@ fn missed_e12_gate_exits_1_with_both_job_counts() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// One DA and one ME array under the default load: a faulted array has no
+/// healthy peer to retry on, so recovery's failed retries crowd the queue
+/// and its useful goodput falls just below oblivious serving's. E15's gate
+/// is missed; the binary names it and exits 1 without a panic.
+#[test]
+fn missed_e15_gate_exits_1_naming_the_gate() {
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos_serve"))
+        .args([
+            "--duration",
+            "3000",
+            "--seed",
+            "3",
+            "--da",
+            "1",
+            "--me",
+            "1",
+        ])
+        .output()
+        .expect("spawn chaos_serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("E15 gate"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Every artifact a serving binary writes to a path from its flags: a path
+/// under a missing directory exits 2 naming the path, never a panic.
+#[test]
+fn unwritable_output_paths_exit_2_naming_the_path() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("no-such-directory")
+        .join("out.txt");
+    let path = path.to_str().expect("utf-8 temp path");
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--jobs", "20", "--trace"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--jobs", "20", "--profile-out"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &["--duration", "200", "--metrics"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            &["--duration", "200", "--timeline"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            &["--duration", "200", "--profile-out"],
+        ),
+    ] {
+        let out = Command::new(bin)
+            .args(args)
+            .arg(path)
+            .output()
+            .expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("write {path} failed")),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn unreadable_trace_exits_2_without_panicking() {
     let out = Command::new(env!("CARGO_BIN_EXE_trace_report"))

@@ -102,11 +102,7 @@ pub fn profile_impl(
         // mappings pay for their 33k-bit configuration planes here).
         // E9 (`dct_energy`) prints the same call, so the offline table
         // and the run-time selection cannot drift.
-        energy_per_block: dsra_power::energy_per_block(
-            split,
-            imp.cycles_per_block(),
-            &dsra_power::OperatingPoint::NOMINAL,
-        ),
+        energy_per_block: dsra_power::energy_per_block(split, imp.cycles_per_block()),
         max_abs_err: accuracy.max_abs_err,
     })
 }

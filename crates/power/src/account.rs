@@ -6,10 +6,7 @@
 //! array is power-gated, in which case they charge nothing (and are
 //! tallied separately so reports can show what gating saved).
 
-use dsra_sim::Activity;
-use dsra_tech::{EnergySplit, TechModel};
-
-use crate::dvfs::OperatingPoint;
+use dsra_tech::EnergySplit;
 
 /// A point-in-time snapshot of an account's three energy components.
 ///
@@ -77,54 +74,30 @@ impl EnergyAccount {
     }
 
     /// Charges `cycles` of execution on a kernel with the given energy
-    /// split: dynamic switching plus leakage, both DVFS-scaled.
-    pub fn charge_active(&mut self, cycles: u64, split: &EnergySplit, point: &OperatingPoint) {
+    /// split: dynamic switching plus leakage.
+    pub fn charge_active(&mut self, cycles: u64, split: &EnergySplit) {
         let c = cycles as f64;
-        self.dynamic_j += c * split.dyn_energy_per_cycle * point.dyn_energy_scale();
-        self.static_j += c * point.leak_energy_per_cycle(split.leak_power);
+        self.dynamic_j += c * split.dyn_energy_per_cycle;
+        self.static_j += c * split.leak_power;
         self.active_cycles += cycles;
     }
 
     /// Charges `cycles` of idleness while the plane leaking `leak_power`
     /// stays powered — or nothing at all when `gated`.
-    pub fn charge_idle(
-        &mut self,
-        cycles: u64,
-        leak_power: f64,
-        point: &OperatingPoint,
-        gated: bool,
-    ) {
+    pub fn charge_idle(&mut self, cycles: u64, leak_power: f64, gated: bool) {
         if gated {
             self.gated_cycles += cycles;
         } else {
-            self.static_j += cycles as f64 * point.leak_energy_per_cycle(leak_power);
+            self.static_j += cycles as f64 * leak_power;
             self.idle_cycles += cycles;
         }
     }
 
-    /// Integrates measured switching activity into dynamic energy, priced
-    /// exactly as `dsra_tech::dsra_cost` prices it (wire toggles over the
-    /// mean net length plus cluster-output toggles), DVFS-scaled. Returns
-    /// the joules added.
-    pub fn charge_activity(
-        &mut self,
-        activity: &Activity,
-        model: &TechModel,
-        mean_net_hops: f64,
-        point: &OperatingPoint,
-    ) -> f64 {
-        let wire = activity.total_net_toggles() as f64 * model.e_wire_hop * mean_net_hops;
-        let cluster = activity.total_node_toggles() as f64 * model.e_cluster_toggle;
-        let joules = (wire + cluster) * point.dyn_energy_scale();
-        self.dynamic_j += joules;
-        joules
-    }
-
     /// Charges a reconfiguration that wrote `bits` configuration bits at
-    /// `energy_per_bit` (a dynamic, V²-scaled cost — config writes are
-    /// switching events on the configuration plane).
-    pub fn charge_reconfig(&mut self, bits: u64, energy_per_bit: f64, point: &OperatingPoint) {
-        self.reconfig_j += bits as f64 * energy_per_bit * point.dyn_energy_scale();
+    /// `energy_per_bit` (a dynamic cost — config writes are switching
+    /// events on the configuration plane).
+    pub fn charge_reconfig(&mut self, bits: u64, energy_per_bit: f64) {
+        self.reconfig_j += bits as f64 * energy_per_bit;
     }
 
     /// Everything this account has integrated.
@@ -156,7 +129,7 @@ mod tests {
     #[test]
     fn active_charges_both_halves() {
         let mut a = EnergyAccount::new("da0");
-        a.charge_active(100, &split(), &OperatingPoint::NOMINAL);
+        a.charge_active(100, &split());
         assert!((a.dynamic_j - 4000.0).abs() < 1e-9);
         assert!((a.static_j - 1000.0).abs() < 1e-9);
         assert_eq!(a.active_cycles, 100);
@@ -167,8 +140,8 @@ mod tests {
     fn gated_idle_is_free_and_tallied() {
         let mut powered = EnergyAccount::new("p");
         let mut gated = EnergyAccount::new("g");
-        powered.charge_idle(500, 10.0, &OperatingPoint::NOMINAL, false);
-        gated.charge_idle(500, 10.0, &OperatingPoint::NOMINAL, true);
+        powered.charge_idle(500, 10.0, false);
+        gated.charge_idle(500, 10.0, true);
         assert!((powered.static_j - 5000.0).abs() < 1e-9);
         assert_eq!(powered.idle_cycles, 500);
         assert_eq!(gated.total_j(), 0.0);
@@ -178,25 +151,14 @@ mod tests {
     #[test]
     fn totals_snapshot_differences_attribute_per_window_energy() {
         let mut a = EnergyAccount::new("da0");
-        a.charge_active(50, &split(), &OperatingPoint::NOMINAL);
+        a.charge_active(50, &split());
         let before = a.totals();
-        a.charge_reconfig(1000, 0.5, &OperatingPoint::NOMINAL);
-        a.charge_active(100, &split(), &OperatingPoint::NOMINAL);
+        a.charge_reconfig(1000, 0.5);
+        a.charge_active(100, &split());
         let delta = a.totals().since(&before);
         assert!((delta.reconfig_j - 500.0).abs() < 1e-9);
         assert!((delta.dynamic_j - 4000.0).abs() < 1e-9);
         assert!((delta.static_j - 1000.0).abs() < 1e-9);
         assert!((delta.total_j() - (a.total_j() - before.total_j())).abs() < 1e-9);
-    }
-
-    #[test]
-    fn eco_point_cuts_dynamic_energy() {
-        let mut nominal = EnergyAccount::new("n");
-        let mut eco = EnergyAccount::new("e");
-        nominal.charge_active(100, &split(), &OperatingPoint::NOMINAL);
-        eco.charge_active(100, &split(), &OperatingPoint::ECO);
-        assert!(eco.dynamic_j < nominal.dynamic_j);
-        // …while each (longer) eco cycle soaks up more leakage.
-        assert!(eco.static_j > nominal.static_j);
     }
 }

@@ -1,4 +1,4 @@
-//! # dsra-power — battery, DVFS and energy accounting
+//! # dsra-power — battery and energy accounting
 //!
 //! The paper's headline claims are *power* claims (−75 % for the ME
 //! array, §3.6's activity-driven energy differences between DCT
@@ -9,67 +9,65 @@
 //!
 //! * a [`Battery`] — capacity in (arbitrary) joules, drained by measured
 //!   per-serve energy, never negative;
-//! * [`OperatingPoint`]s — DVFS pairs scaling dynamic energy ∝ V² and
-//!   leakage ∝ V, with leakage paid per *time* so slow clocks soak up
-//!   more of it per cycle;
 //! * [`EnergyAccount`]s — per-array integration of static + dynamic
-//!   energy from `dsra_tech::EnergySplit` costs and `dsra_sim::Activity`
-//!   counters, with power-gating of idle arrays;
+//!   energy from `dsra_tech::EnergySplit` costs, with power-gating of
+//!   idle arrays;
 //! * the [`energy_per_block`] bridge both E9 (`dct_energy`) and the
 //!   runtime profiles consume, so the offline table and the serving
 //!   stack cannot drift.
 //!
+//! Every array runs at one clock, [`NOMINAL_FREQ_MHZ`], so one simulated
+//! cycle is one time unit and leakage power is leakage energy per cycle.
+//!
 //! ## Quick tour
 //!
 //! ```
-//! use dsra_power::{energy_per_block, Battery, EnergyAccount, OperatingPoint};
+//! use dsra_power::{energy_per_block, Battery, EnergyAccount};
 //! use dsra_tech::EnergySplit;
 //!
 //! let split = EnergySplit { dyn_energy_per_cycle: 40.0, leak_power: 10.0 };
-//! // At the nominal point a 16-cycle block costs (40 + 10) × 16 joules…
-//! let nominal = energy_per_block(&split, 16, &OperatingPoint::NOMINAL);
-//! assert!((nominal - 800.0).abs() < 1e-9);
-//! // …and the eco point trades voltage for time: cheaper switching,
-//! // more leakage soaked per (longer) cycle.
-//! let eco = energy_per_block(&split, 16, &OperatingPoint::ECO);
-//! assert!(eco < nominal);
+//! // A 16-cycle block costs (40 + 10) × 16 joules…
+//! let block = energy_per_block(&split, 16);
+//! assert!((block - 800.0).abs() < 1e-9);
+//! // …and an idle array leaks unless it is gated.
+//! let mut powered = EnergyAccount::new("powered");
+//! let mut gated = EnergyAccount::new("gated");
+//! powered.charge_idle(16, split.leak_power, false);
+//! gated.charge_idle(16, split.leak_power, true);
+//! assert!(gated.total_j() < powered.total_j());
 //!
 //! // A battery serves blocks until it runs dry — never below zero.
 //! let mut battery = Battery::new(2000.0);
 //! let mut blocks = 0;
 //! while !battery.is_empty() {
-//!     battery.drain(nominal);
+//!     battery.drain(block);
 //!     blocks += 1;
 //! }
 //! assert_eq!(blocks, 3); // 800 + 800 + saturated remainder
-//! # let _ = EnergyAccount::new("doc");
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod account;
 pub mod battery;
-pub mod dvfs;
 
 pub use account::{EnergyAccount, EnergyTotals};
 pub use battery::{burn_projection, Battery};
-pub use dvfs::{OperatingPoint, NOMINAL_FREQ_MHZ, NOMINAL_VOLTAGE};
 
 use dsra_tech::EnergySplit;
 
-/// Energy one cycle costs at an operating point: V²-scaled dynamic energy
-/// plus the leakage the (V-scaled, 1/f-stretched) cycle soaks up.
-pub fn energy_per_cycle(split: &EnergySplit, point: &OperatingPoint) -> f64 {
-    split.dyn_energy_per_cycle * point.dyn_energy_scale()
-        + point.leak_energy_per_cycle(split.leak_power)
-}
+/// The array clock every layer converts cycles with: reconfiguration µs,
+/// the streaming frontends' cycles per virtual µs, and one simulated cycle
+/// as one time unit.
+pub const NOMINAL_FREQ_MHZ: f64 = 100.0;
 
-/// Energy one block costs: [`energy_per_cycle`] × cycles. This is *the*
-/// energy-per-block producer — `dsra_platform::profile_impl` and the E9
-/// `dct_energy` table both call it, so the number the run-time policies
-/// select on and the number the offline table prints are one number.
-pub fn energy_per_block(split: &EnergySplit, cycles_per_block: u64, point: &OperatingPoint) -> f64 {
-    energy_per_cycle(split, point) * cycles_per_block as f64
+/// Energy one block costs: dynamic energy plus the leakage each cycle
+/// soaks up, × cycles. This is *the* energy-per-block producer —
+/// `dsra_platform::profile_impl` and the E9 `dct_energy` table both call
+/// it, so the number the run-time policies select on and the number the
+/// offline table prints are one number.
+pub fn energy_per_block(split: &EnergySplit, cycles_per_block: u64) -> f64 {
+    (split.dyn_energy_per_cycle + split.leak_power) * cycles_per_block as f64
 }
 
 #[cfg(test)]
@@ -79,13 +77,13 @@ mod tests {
     #[test]
     fn nominal_energy_per_block_matches_legacy_power_times_cycles() {
         // Pre-power-subsystem, profiles priced a block as
-        // `ImplCost::power() * cycles`. The nominal operating point must
-        // reproduce that exactly or every E7/E11 selection would shift.
+        // `ImplCost::power() * cycles`. This must reproduce that exactly
+        // or every E7/E11 selection would shift.
         let split = EnergySplit {
             dyn_energy_per_cycle: 123.25,
             leak_power: 77.5,
         };
         let legacy = (split.dyn_energy_per_cycle + split.leak_power) * 14.0;
-        assert!((energy_per_block(&split, 14, &OperatingPoint::NOMINAL) - legacy).abs() < 1e-9);
+        assert!((energy_per_block(&split, 14) - legacy).abs() < 1e-9);
     }
 }

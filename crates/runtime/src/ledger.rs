@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use dsra_core::report::ExecOutcome;
-use dsra_power::{EnergyAccount, OperatingPoint};
+use dsra_power::EnergyAccount;
 use dsra_trace::{ArrayPhase, EnergyBreakdown, TraceEvent, TraceSink};
 use dsra_video::JobSpec;
 
@@ -24,10 +24,9 @@ use crate::report::ArrayReport;
 use crate::scheduler::{Candidate, PlannedSlot};
 use crate::StreamArrayStatus;
 
-/// The operating point every array runs at.
-const POINT: OperatingPoint = OperatingPoint::NOMINAL;
-/// Energy per configuration bit written (dynamic, V²-scaled), in the
-/// technology model's energy units.
+/// Energy per configuration bit written (a dynamic cost: each written bit
+/// switches the configuration plane), in the technology model's energy
+/// units.
 const RECONFIG_ENERGY_PER_BIT: f64 = 2.0;
 
 /// Resident plane, energy, timeline cursor and tallies of one array over
@@ -135,8 +134,7 @@ impl ArrayLedger {
         }
         let before = self.account.total_j();
         let leak = self.resident.as_ref().map_or(0.0, |k| k.split.leak_power);
-        self.account
-            .charge_idle(t - self.free_at, leak, &POINT, gated);
+        self.account.charge_idle(t - self.free_at, leak, gated);
         if sink.enabled() {
             sink.emit(TraceEvent::ArrayInterval {
                 array: self.id as u32,
@@ -201,11 +199,10 @@ impl ArrayLedger {
         let split = &kernel.split;
         let before = self.account.totals();
         self.account
-            .charge_reconfig(slot.reconfig_bits, RECONFIG_ENERGY_PER_BIT, &POINT);
+            .charge_reconfig(slot.reconfig_bits, RECONFIG_ENERGY_PER_BIT);
         self.account
-            .charge_idle(slot.reconfig_cycles, split.leak_power, &POINT, false);
-        self.account
-            .charge_active(outcome.exec_cycles, split, &POINT);
+            .charge_idle(slot.reconfig_cycles, split.leak_power, false);
+        self.account.charge_active(outcome.exec_cycles, split);
         let energy_j = self.account.total_j() - before.total_j();
         if sink.enabled() {
             if slot.reconfig_cycles > 0 {

@@ -36,9 +36,9 @@
 //! thread — so the report, including its `digest()`, is byte-identical
 //! across runs regardless of thread interleaving.
 //!
-//! The arrays run at the nominal operating point, 100 MHz
-//! ([`CYCLES_PER_US`] = 100), and every configuration bit written costs
-//! 2.0 energy units; neither is a setting.
+//! The arrays run at one clock, 100 MHz ([`CYCLES_PER_US`] = 100), and
+//! every configuration bit written costs 2.0 energy units; neither is a
+//! setting.
 //!
 //! ## Quick tour
 //!
@@ -84,9 +84,9 @@ use dsra_core::netlist::{Fingerprint, Netlist};
 use dsra_core::report::ExecOutcome;
 use dsra_dct::DaParams;
 use dsra_platform::{profile_impl, standard_da_fabric, Condition, ImplProfile, SocConfig};
-use dsra_power::{Battery, OperatingPoint, NOMINAL_FREQ_MHZ};
+use dsra_power::{Battery, NOMINAL_FREQ_MHZ};
 use dsra_tech::TechModel;
-use dsra_trace::{HealthSnapshot, NoopSink, TraceEvent, TraceSink};
+use dsra_trace::{NoopSink, TraceEvent, TraceSink};
 use dsra_video::{JobPayload, JobSpec};
 
 pub use cache::{BitstreamCache, CacheStats, CompiledKernel};
@@ -120,8 +120,8 @@ pub struct PhaseTimings {
 pub const CYCLES_PER_US: u64 = NOMINAL_FREQ_MHZ as u64;
 
 /// Power-domain configuration of a [`SocRuntime`]: the battery the pool
-/// serves from. The arrays always run at [`OperatingPoint::NOMINAL`] and
-/// every configuration bit written costs 2.0 energy units.
+/// serves from. The arrays always run at [`NOMINAL_FREQ_MHZ`] and every
+/// configuration bit written costs 2.0 energy units.
 #[derive(Debug, Clone, Copy)]
 pub struct PowerConfig {
     /// Battery capacity in the technology model's (arbitrary) joules.
@@ -397,13 +397,6 @@ impl SocRuntime {
     /// `enabled()` exactly like the runtime's own emission.
     pub fn trace_sink(&mut self) -> &mut dyn TraceSink {
         self.sink.as_mut()
-    }
-
-    /// Health of this SoC at the virtual instant `now_cycle`, when the
-    /// installed sink is a streaming monitor (`dsra-monitor`'s
-    /// `MonitorSink`); `None` with a plain recorder or the no-op sink.
-    pub fn health_snapshot(&mut self, now_cycle: u64) -> Option<HealthSnapshot> {
-        self.sink.health_snapshot(now_cycle)
     }
 
     /// Profiles of the offered DCT mappings.
@@ -1030,7 +1023,6 @@ impl SocRuntime {
             total_reconfig_bits: arrays.iter().map(|a| a.reconfig_bits).sum(),
             reconfig_events: arrays.iter().map(|a| a.reconfig_events).sum(),
             energy: EnergyReport {
-                point: OperatingPoint::NOMINAL,
                 dynamic_j,
                 static_j,
                 reconfig_j,

@@ -5,8 +5,6 @@
 //! so two runs with the same seed render byte-identical reports — the
 //! property the E11 acceptance gate checks.
 
-use dsra_power::OperatingPoint;
-
 use crate::cache::CacheStats;
 use crate::kernel::ArrayKind;
 
@@ -108,8 +106,6 @@ pub struct BatteryTrajectory {
 /// report (DESIGN.md §7).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
-    /// DVFS operating point the serve ran at.
-    pub point: OperatingPoint,
     /// Activity-based dynamic energy (joules).
     pub dynamic_j: f64,
     /// Leakage energy, active and idle (joules).
@@ -240,8 +236,7 @@ impl RuntimeReport {
         ));
         let e = &self.energy;
         s.push_str(&format!(
-            "energy @ {:<9}: {:.1} eu ({:.1} dynamic, {:.1} static, {:.1} reconfig)\n",
-            e.point.name,
+            "energy @ nominal  : {:.1} eu ({:.1} dynamic, {:.1} static, {:.1} reconfig)\n",
             e.total_j(),
             e.dynamic_j,
             e.static_j,
@@ -353,11 +348,12 @@ impl RuntimeReport {
             ));
         }
         let e = &self.energy;
+        // Every array runs at the one nominal clock; `point` stays in the
+        // document because readers of `BENCH_runtime.json` require the key.
         s.push_str(&format!(
-            "  \"energy\": {{\"point\": \"{}\", \"total_j\": {:.6}, \"dynamic_j\": {:.6}, \
+            "  \"energy\": {{\"point\": \"nominal\", \"total_j\": {:.6}, \"dynamic_j\": {:.6}, \
              \"static_j\": {:.6}, \"reconfig_j\": {:.6}, \"gated_cycles\": {}, \
              \"joules_per_job\": {:.6}, \"encoded_frames\": {}, \"frames_per_joule\": {:.6}}},\n",
-            e.point.name,
             e.total_j(),
             e.dynamic_j,
             e.static_j,

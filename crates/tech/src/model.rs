@@ -116,9 +116,9 @@ impl ImplCost {
 
     /// The static/dynamic split the power subsystem (`dsra-power`)
     /// consumes: activity-driven energy per cycle on one side, leakage
-    /// power on the other. Voltage/frequency scaling applies differently
-    /// to the two halves, which is why downstream accounting must never
-    /// re-merge them into a single number.
+    /// power on the other. Idle and power-gated arrays pay only (or none
+    /// of) the leakage half, which is why downstream accounting must
+    /// never re-merge them into a single number.
     pub fn energy_split(&self) -> EnergySplit {
         EnergySplit {
             dyn_energy_per_cycle: self.dyn_energy_per_cycle,
@@ -127,21 +127,21 @@ impl ImplCost {
     }
 }
 
-/// An implementation's energy cost split into its voltage-scaling classes:
-/// dynamic (activity-based, scales ∝ V²) and static leakage (scales ∝ V,
-/// paid per *time* rather than per toggle). Produced by
+/// An implementation's energy cost split into its two classes: dynamic
+/// (activity-based, paid per executed cycle) and static leakage (paid per
+/// *time* the configured plane is powered, busy or idle). Produced by
 /// [`ImplCost::energy_split`]; consumed by `dsra-power`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergySplit {
-    /// Activity-based dynamic energy per simulated cycle at nominal V/f.
+    /// Activity-based dynamic energy per simulated cycle.
     pub dyn_energy_per_cycle: f64,
-    /// Leakage power at nominal V (energy per time unit; one cycle = one
-    /// time unit at the nominal clock).
+    /// Leakage power (energy per time unit; one cycle is one time unit at
+    /// the array clock).
     pub leak_power: f64,
 }
 
 /// Leakage power of one configured cluster: its private configuration
-/// plane plus its logic/memory area, at nominal voltage.
+/// plane plus its logic/memory area.
 ///
 /// This is the power-gating granularity — an idle array stops paying
 /// exactly the sum of its clusters' leakage (the routing plane's share is
@@ -161,7 +161,7 @@ pub fn cluster_leakage(cfg: &ClusterCfg, model: &TechModel) -> f64 {
 }
 
 /// Leakage power of the routing plane: its configuration bits plus the
-/// switch-point area, at nominal voltage.
+/// switch-point area.
 pub fn routing_leakage(routing: &RoutingStats, model: &TechModel) -> f64 {
     routing.config_bits as f64 * model.p_leak_cfg
         + routing.switch_points as f64 * model.a_switch * model.p_leak_area

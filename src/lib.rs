@@ -16,8 +16,8 @@
 //! * [`video`] — synthetic sequences, quantisation, PSNR, encode pipeline;
 //! * [`platform`] — the reconfigurable SoC: bitstream manager, run-time
 //!   policies, dynamic switching;
-//! * [`power`] — battery model, DVFS operating points, per-array energy
-//!   accounting and power gating;
+//! * [`power`] — battery model, per-array energy accounting and power
+//!   gating;
 //! * [`backend`] — execution backends behind one contract: the cycle-level
 //!   array simulator, a pure-software golden reference, and the
 //!   differential check mode that diffs them per job;
