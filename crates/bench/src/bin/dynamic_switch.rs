@@ -10,7 +10,7 @@ use dsra_bench::{arg_value, banner, json_flag, write_flame, write_json_summary, 
 use dsra_dct::DaParams;
 use dsra_me::SearchParams;
 use dsra_platform::{
-    dynamic_encode, profile_all_impls, standard_da_fabric, Condition, ReconfigManager, SocConfig,
+    dynamic_encode, profile_all_impls, standard_da_fabric, Condition, ReconfigManager,
 };
 use dsra_profile::{frame_label, Flame};
 use dsra_sim::ExecPlan;
@@ -23,7 +23,7 @@ fn main() {
         "§5 claim: dynamic reconfiguration under run-time constraints",
     );
     let fabric = standard_da_fabric();
-    let mut mgr = ReconfigManager::new(SocConfig::default());
+    let mut mgr = ReconfigManager::default();
     let impls = profile_all_impls(
         DaParams::precise(),
         &fabric,
@@ -71,7 +71,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let mut mgr = ReconfigManager::new(SocConfig::default());
+    let mut mgr = ReconfigManager::default();
     let impls = profile_all_impls(
         DaParams::precise(),
         &fabric,

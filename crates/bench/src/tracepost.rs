@@ -617,7 +617,9 @@ const MAX_SLO_WINDOWS: u64 = 1 << 18;
 ///
 /// # Errors
 /// Fails where [`events_from_chrome`] does, on zero window or bucket
-/// widths, and when the last event needs more than 2^18 windows.
+/// widths, when the last event needs more than 2^18 windows, and when
+/// the window and seal grace put the last window's seal cycle past
+/// `u64::MAX`.
 pub fn slo_replay(doc: &Json) -> Result<Monitor, String> {
     let mut events = events_from_chrome(doc)?;
     let cfg = slo_config_from_meta(&chrome_meta(doc));
@@ -630,6 +632,18 @@ pub fn slo_replay(doc: &Json) -> Result<Monitor, String> {
             "the trace reaches cycle {end}, past the {MAX_SLO_WINDOWS} windows of {} cycles \
              an SLO replay seals",
             cfg.window_cycles
+        ));
+    }
+    // The monitor seals window `w` once its watermark reaches
+    // `(w + 1) · window + grace`; the last window must be sealable.
+    let sealable = (end / cfg.window_cycles + 1)
+        .checked_mul(cfg.window_cycles)
+        .and_then(|c| c.checked_add(cfg.seal_grace_cycles));
+    if sealable.is_none() {
+        return Err(format!(
+            "monitor_window_cycles {} with monitor_seal_grace_cycles {} puts the seal of the \
+             window holding cycle {end} past u64::MAX",
+            cfg.window_cycles, cfg.seal_grace_cycles
         ));
     }
     let rank = |ev: &TraceEvent| match ev {

@@ -320,6 +320,41 @@ fn far_future_spans_are_analyzed_but_not_replayed() {
     }
 }
 
+/// The fixture with the geometry a `stream_serve --monitor` session
+/// stamps into `otherData`, `key` set to `value`.
+fn monitored(key: &str, value: u64) -> Json {
+    let mut doc = parsed();
+    if !fields_mut(&mut doc).iter().any(|(k, _)| k == "otherData") {
+        fields_mut(&mut doc).push(("otherData".into(), Json::Obj(Vec::new())));
+    }
+    let meta = fields_mut(field_mut(&mut doc, "otherData"));
+    for (k, v) in [
+        ("monitor_window_cycles", 25_000),
+        ("monitor_hist_bucket_cycles", 2_500),
+        ("monitor_seal_grace_cycles", 99),
+    ] {
+        let v = if k == key { value } else { v };
+        meta.retain(|(m, _)| m != k);
+        meta.push((k.into(), Json::Str(v.to_string())));
+    }
+    doc
+}
+
+/// A window or seal grace of `u64::MAX` in a monitored trace's geometry
+/// metadata puts the last window's seal cycle past `u64::MAX`: the replay
+/// names the key instead of overflowing.
+#[test]
+fn overflowing_monitor_geometry_is_an_error_naming_the_key() {
+    let clean = monitored("monitor_seal_grace_cycles", 99);
+    assert!(slo_replay(&clean).is_ok(), "the monitored fixture replays");
+    for key in ["monitor_seal_grace_cycles", "monitor_window_cycles"] {
+        let doc = monitored(key, u64::MAX);
+        let err = slo_replay(&doc).expect_err("overflowing geometry");
+        assert!(err.contains(key), "{err}");
+        read_all(&doc);
+    }
+}
+
 /// JSON-significant bytes: mutations built from these reach deep into
 /// the parser instead of failing at the first byte.
 const NOISE: &[u8] = b"{}[]\":,-+.0123456789eE\\u tfnrl ";

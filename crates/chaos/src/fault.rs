@@ -3,11 +3,9 @@
 //! them at the [`Backend`] execution boundary.
 //!
 //! Corruption happens on the *checksum* — the deterministic output digest
-//! every served result carries — with the same or/and mask semantics the
-//! cycle-level simulator uses for net-level stuck-at faults
-//! (`dsra_sim::StuckFault`): a stuck lane is forced on every execution,
-//! a transient XORs one execution, a dead array returns deterministic
-//! garbage. Timing is left honest (`exec_cycles` pass through), so a
+//! every served result carries: a stuck lane is forced on every
+//! execution (later faults win on a contested bit), a transient XORs one
+//! execution, a dead array returns deterministic garbage. Timing is left honest (`exec_cycles` pass through), so a
 //! faulty array still *looks* healthy to the scheduler — only the data
 //! is wrong, which is exactly what makes silent corruption dangerous and
 //! detection worth paying for.
@@ -33,8 +31,7 @@ const RECONFIG_SALT: u64 = 0xBAD0_C0DE_BAD0_C0DE;
 #[derive(Debug, Clone, Default)]
 struct ArrayFaults {
     /// Active stuck-at lanes: `(bit, high, until_us)`, in injection
-    /// order (later faults win, as in the simulator's sequential
-    /// replay).
+    /// order (later faults win).
     stuck: Vec<(u8, bool, u64)>,
     /// Pending transient mask — XORed into exactly one execution.
     transient: u64,
@@ -82,8 +79,8 @@ impl ChaosCore {
         if f.reconfig {
             v = v.rotate_left(5) ^ RECONFIG_SALT;
         }
-        // Stuck lanes compose exactly like the simulator's sequential
-        // fault replay: later injections win on a contested bit.
+        // Stuck lanes compose in injection order: later injections win
+        // on a contested bit.
         for &(bit, high, until_us) in &f.stuck {
             if until_us <= now_us {
                 continue; // intermittent fault, currently self-cleared

@@ -12,8 +12,8 @@
 //!   write, one array death, one battery brownout step — the same seed
 //!   always breaks the same things at the same instants;
 //! * an **injector** ([`ChaosBackend`] via [`install_chaos`]): a
-//!   [`dsra_backend::Backend`] decorator corrupting result checksums with
-//!   the simulator's stuck-at or/and mask semantics, while timing stays
+//!   [`dsra_backend::Backend`] decorator corrupting result checksums
+//!   (stuck lanes forced high or low, transient XORs), while timing stays
 //!   honest — silent data corruption, exactly the failure detection has
 //!   to earn its keep against;
 //! * **detection** ([`ChaosHook`]): golden spot checks — every served job

@@ -14,8 +14,7 @@ use dsra_core::rng::SplitMix64;
 pub enum FaultKind {
     /// A stuck-at fault on one lane of the array's output path: the
     /// checksum bit is forced `high`/low on every execution while the
-    /// fault is active (`at_us..until_us`) — the Backend-boundary mirror
-    /// of the simulator's net-level `StuckFault` or/and masking.
+    /// fault is active (`at_us..until_us`).
     StuckAt {
         /// Checksum bit lane (0..64) the fault pins.
         bit: u8,

@@ -143,7 +143,7 @@ fn quarantine_alerts_reach_the_online_monitor() {
     };
     let report =
         serve_with_chaos(&mut rt, &trace, &service, &plan, RecoveryConfig::default()).unwrap();
-    let counts = handle.chaos_counts();
+    let counts = handle.with(|m| m.chaos_counts());
     assert_eq!(counts.faults, report.counts.faults_injected);
     assert_eq!(counts.divergences, report.counts.divergences);
     assert_eq!(counts.retries, report.counts.retries);
@@ -152,7 +152,7 @@ fn quarantine_alerts_reach_the_online_monitor() {
     // A dead array never probes healthy, so it is still quarantined at
     // session end — and a quarantined array is an active alert, which is
     // what health-driven admission keys off.
-    assert!(!handle.quarantined_arrays().is_empty());
+    assert!(!handle.with(|m| m.quarantined_arrays()).is_empty());
     assert!(handle.final_snapshot().alerts_active >= 1);
 }
 

@@ -70,16 +70,6 @@ impl MonitorHandle {
     pub fn final_snapshot(&self) -> HealthSnapshot {
         self.lock().final_snapshot()
     }
-
-    /// Cumulative chaos/recovery counts observed so far.
-    pub fn chaos_counts(&self) -> crate::ChaosCounts {
-        self.lock().chaos_counts()
-    }
-
-    /// Arrays currently under quarantine, ascending.
-    pub fn quarantined_arrays(&self) -> Vec<u32> {
-        self.lock().quarantined_arrays()
-    }
 }
 
 /// A [`TraceSink`] that tees every event into the shared monitor and
@@ -102,11 +92,6 @@ impl MonitorSink {
     /// Tees into `handle`, forwarding to `inner`.
     pub fn new(handle: MonitorHandle, inner: Box<dyn TraceSink>) -> Self {
         MonitorSink { handle, inner }
-    }
-
-    /// The shared handle (clone to keep after installing the sink).
-    pub fn handle(&self) -> MonitorHandle {
-        self.handle.clone()
     }
 }
 

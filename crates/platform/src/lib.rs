@@ -42,7 +42,7 @@ pub mod reconfig;
 pub mod scenario;
 
 pub use policy::{select, Condition, ImplProfile};
-pub use reconfig::{ReconfigManager, ReconfigReport, SocConfig};
+pub use reconfig::{bus_cycles, ReconfigManager, ReconfigReport, CFG_BUS_BITS_PER_CYCLE};
 pub use scenario::{
     compile_netlist, dynamic_encode, profile_all_impls, profile_impl, profiling_activity,
     profiling_split, standard_da_fabric, CompiledArtifact, ProfiledImpl, ScenarioFrame,

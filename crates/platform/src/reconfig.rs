@@ -5,8 +5,8 @@
 //! run-time constraints, such as low-battery conditions and noisy channels
 //! in mobile devices." This module prices that switch: configurations are
 //! kept as bitstreams for one fabric, and swapping to another implementation
-//! costs `differing bits / configuration-bus width` cycles (partial
-//! reconfiguration) or a full rewrite.
+//! rewrites only the differing bits (partial reconfiguration), or the full
+//! bitstream on a cold array, at [`CFG_BUS_BITS_PER_CYCLE`] bits per cycle.
 
 use std::collections::BTreeMap;
 
@@ -14,23 +14,14 @@ use dsra_core::bitstream::Bitstream;
 use dsra_core::error::{CoreError, Result};
 use dsra_power::NOMINAL_FREQ_MHZ;
 
-/// SoC-level constants for the configuration path.
-#[derive(Debug, Clone, Copy)]
-pub struct SocConfig {
-    /// Configuration bits written per clock cycle (config-bus width).
-    pub cfg_bus_bits_per_cycle: u32,
-    /// `true` if the fabric supports partial reconfiguration (only
-    /// differing frames are rewritten).
-    pub partial_reconfig: bool,
-}
+/// Configuration bits the SoC's configuration bus writes per clock cycle.
+pub const CFG_BUS_BITS_PER_CYCLE: u64 = 32;
 
-impl Default for SocConfig {
-    fn default() -> Self {
-        SocConfig {
-            cfg_bus_bits_per_cycle: 32,
-            partial_reconfig: true,
-        }
-    }
+/// Configuration-bus cycles that writing `bits` takes: the one pricing
+/// rule both [`ReconfigManager::switch_to`] and the runtime's placement
+/// charge.
+pub fn bus_cycles(bits: u64) -> u64 {
+    bits.div_ceil(CFG_BUS_BITS_PER_CYCLE)
 }
 
 /// Cost of one reconfiguration event.
@@ -58,21 +49,11 @@ impl ReconfigReport {
 /// loaded one.
 #[derive(Debug, Default)]
 pub struct ReconfigManager {
-    soc: SocConfig,
     store: BTreeMap<String, Bitstream>,
     current: Option<String>,
-    history: Vec<(String, ReconfigReport)>,
 }
 
 impl ReconfigManager {
-    /// Creates a manager with the given SoC constants.
-    pub fn new(soc: SocConfig) -> Self {
-        ReconfigManager {
-            soc,
-            ..Default::default()
-        }
-    }
-
     /// Registers a configuration under a name.
     pub fn register(&mut self, name: impl Into<String>, bitstream: Bitstream) {
         self.store.insert(name.into(), bitstream);
@@ -88,22 +69,17 @@ impl ReconfigManager {
         self.current.as_deref()
     }
 
-    /// Switch history (name, cost) in order.
-    pub fn history(&self) -> &[(String, ReconfigReport)] {
-        &self.history
-    }
-
     /// Loads `name`, returning the switching cost.
     ///
     /// Switching to the configuration that is already loaded is an explicit
-    /// zero-cost no-op: nothing is written, no history entry is recorded and
-    /// [`ReconfigReport::NOOP`] is returned immediately. The diff-aware
-    /// scheduler in `dsra-runtime` leans on this — routing a job to the
-    /// array that already holds its kernel must cost exactly nothing.
+    /// zero-cost no-op: nothing is written and [`ReconfigReport::NOOP`] is
+    /// returned immediately. The diff-aware scheduler in `dsra-runtime`
+    /// leans on this — routing a job to the array that already holds its
+    /// kernel must cost exactly nothing.
     ///
-    /// Otherwise, with partial reconfiguration the cost is the
-    /// bit-difference against the currently loaded configuration; without it
-    /// (or from a cold start) the full bitstream is written.
+    /// Otherwise the cost is the bit-difference against the currently
+    /// loaded configuration (partial reconfiguration), or the full bitstream
+    /// from a cold start.
     ///
     /// # Errors
     /// [`CoreError::UnknownNode`] if the name was never registered.
@@ -115,21 +91,17 @@ impl ReconfigManager {
             .store
             .get(name)
             .ok_or_else(|| CoreError::UnknownNode(name.to_owned()))?;
-        let bits_written = match (&self.current, self.soc.partial_reconfig) {
-            (Some(cur), true) => {
-                let cur_bs = &self.store[cur];
-                cur_bs.diff_bits(target)
-            }
-            _ => target.total_bits(),
+        let bits_written = match &self.current {
+            Some(cur) => self.store[cur].diff_bits(target),
+            None => target.total_bits(),
         };
-        let cycles = bits_written.div_ceil(u64::from(self.soc.cfg_bus_bits_per_cycle));
+        let cycles = bus_cycles(bits_written);
         let report = ReconfigReport {
             bits_written,
             cycles,
             micros: cycles as f64 / NOMINAL_FREQ_MHZ,
         };
         self.current = Some(name.to_owned());
-        self.history.push((name.to_owned(), report));
         Ok(report)
     }
 }
@@ -158,7 +130,7 @@ mod tests {
 
     #[test]
     fn cold_start_writes_full_bitstream() {
-        let mut mgr = ReconfigManager::new(SocConfig::default());
+        let mut mgr = ReconfigManager::default();
         let bs = bitstream_for(AbsDiffMode::AbsDiff);
         let total = bs.total_bits();
         mgr.register("sad", bs);
@@ -169,7 +141,7 @@ mod tests {
 
     #[test]
     fn partial_switch_is_cheaper_than_full() {
-        let mut mgr = ReconfigManager::new(SocConfig::default());
+        let mut mgr = ReconfigManager::default();
         mgr.register("sad", bitstream_for(AbsDiffMode::AbsDiff));
         mgr.register("sub", bitstream_for(AbsDiffMode::Sub));
         mgr.switch_to("sad").unwrap();
@@ -186,7 +158,7 @@ mod tests {
 
     #[test]
     fn switching_to_current_is_free() {
-        let mut mgr = ReconfigManager::new(SocConfig::default());
+        let mut mgr = ReconfigManager::default();
         mgr.register("sad", bitstream_for(AbsDiffMode::AbsDiff));
         mgr.switch_to("sad").unwrap();
         let rep = mgr.switch_to("sad").unwrap();
@@ -197,49 +169,39 @@ mod tests {
     #[test]
     fn switch_to_current_is_an_explicit_noop() {
         // The runtime scheduler depends on this exact behaviour: re-loading
-        // the already-current configuration writes nothing, costs no cycles,
-        // records no history entry, and holds even without partial
-        // reconfiguration support.
-        for partial in [true, false] {
-            let mut mgr = ReconfigManager::new(SocConfig {
-                partial_reconfig: partial,
-                ..Default::default()
-            });
-            mgr.register("sad", bitstream_for(AbsDiffMode::AbsDiff));
-            mgr.switch_to("sad").unwrap();
-            let history_len = mgr.history().len();
-            for _ in 0..3 {
-                let rep = mgr.switch_to("sad").unwrap();
-                assert_eq!(rep, ReconfigReport::NOOP);
-            }
-            assert_eq!(mgr.history().len(), history_len, "no-ops must not log");
-            assert_eq!(mgr.current(), Some("sad"));
+        // the already-current configuration writes nothing, costs no cycles
+        // and leaves the configuration loaded.
+        let mut mgr = ReconfigManager::default();
+        mgr.register("sad", bitstream_for(AbsDiffMode::AbsDiff));
+        mgr.switch_to("sad").unwrap();
+        for _ in 0..3 {
+            let rep = mgr.switch_to("sad").unwrap();
+            assert_eq!(rep, ReconfigReport::NOOP);
         }
+        assert_eq!(mgr.current(), Some("sad"));
     }
 
     #[test]
     fn unknown_configuration_is_an_error() {
-        let mut mgr = ReconfigManager::new(SocConfig::default());
+        let mut mgr = ReconfigManager::default();
         assert!(mgr.switch_to("nope").is_err());
     }
 
     #[test]
     fn cycles_respect_bus_width() {
-        let mut wide = ReconfigManager::new(SocConfig {
-            cfg_bus_bits_per_cycle: 64,
-            ..Default::default()
-        });
-        let mut narrow = ReconfigManager::new(SocConfig {
-            cfg_bus_bits_per_cycle: 8,
-            ..Default::default()
-        });
-        let bs = bitstream_for(AbsDiffMode::AbsDiff);
-        wide.register("x", bs.clone());
-        narrow.register("x", bs);
-        let w = wide.switch_to("x").unwrap();
-        let n = narrow.switch_to("x").unwrap();
-        assert_eq!(w.cycles, w.bits_written.div_ceil(64));
-        assert_eq!(n.cycles, n.bits_written.div_ceil(8));
-        assert!(n.cycles >= w.cycles);
+        // Cold and partial writes alike take one bus cycle per started
+        // 32-bit word.
+        let mut mgr = ReconfigManager::default();
+        mgr.register("sad", bitstream_for(AbsDiffMode::AbsDiff));
+        mgr.register("sub", bitstream_for(AbsDiffMode::Sub));
+        for name in ["sad", "sub"] {
+            let rep = mgr.switch_to(name).unwrap();
+            assert!(rep.bits_written > 0);
+            assert_eq!(rep.cycles, rep.bits_written.div_ceil(32));
+        }
+        assert_eq!(bus_cycles(0), 0);
+        assert_eq!(bus_cycles(1), 1);
+        assert_eq!(bus_cycles(CFG_BUS_BITS_PER_CYCLE), 1);
+        assert_eq!(bus_cycles(CFG_BUS_BITS_PER_CYCLE + 1), 2);
     }
 }

@@ -232,13 +232,12 @@ pub fn standard_da_fabric() -> Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reconfig::SocConfig;
     use dsra_video::{SequenceConfig, SyntheticSequence};
 
     #[test]
     fn profiles_cover_all_six_impls() {
         let fabric = standard_da_fabric();
-        let mut mgr = ReconfigManager::new(SocConfig::default());
+        let mut mgr = ReconfigManager::default();
         let impls = profile_all_impls(
             DaParams::precise(),
             &fabric,
@@ -268,7 +267,7 @@ mod tests {
     #[test]
     fn battery_drop_triggers_one_switch() {
         let fabric = standard_da_fabric();
-        let mut mgr = ReconfigManager::new(SocConfig::default());
+        let mut mgr = ReconfigManager::default();
         let impls = profile_all_impls(
             DaParams::precise(),
             &fabric,

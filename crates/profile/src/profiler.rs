@@ -247,11 +247,6 @@ impl ProfilerHandle {
     pub fn observe(&self, ev: &TraceEvent) {
         self.lock().observe(ev);
     }
-
-    /// A clone of the profiler's current state.
-    pub fn snapshot(&self) -> Profiler {
-        self.lock().clone()
-    }
 }
 
 /// A [`TraceSink`] that tees every event into the shared profiler and
@@ -275,11 +270,6 @@ impl ProfileSink {
     /// Tees into `handle`, forwarding to `inner`.
     pub fn new(handle: ProfilerHandle, inner: Box<dyn TraceSink>) -> Self {
         ProfileSink { handle, inner }
-    }
-
-    /// The shared handle (clone to keep after installing the sink).
-    pub fn handle(&self) -> ProfilerHandle {
-        self.handle.clone()
     }
 }
 

@@ -83,7 +83,7 @@ use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::netlist::{Fingerprint, Netlist};
 use dsra_core::report::ExecOutcome;
 use dsra_dct::DaParams;
-use dsra_platform::{profile_impl, standard_da_fabric, Condition, ImplProfile, SocConfig};
+use dsra_platform::{profile_impl, standard_da_fabric, Condition, ImplProfile};
 use dsra_power::{Battery, NOMINAL_FREQ_MHZ};
 use dsra_tech::TechModel;
 use dsra_trace::{NoopSink, TraceEvent, TraceSink};
@@ -149,8 +149,6 @@ pub struct RuntimeConfig {
     pub da_arrays: usize,
     /// Number of ME arrays in the pool.
     pub me_arrays: usize,
-    /// SoC configuration-path constants (bus width, clock).
-    pub soc: SocConfig,
     /// Fixed-point parameters for the DCT mappings.
     pub da_params: DaParams,
     /// DCT mappings the runtime offers for policy selection.
@@ -170,7 +168,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             da_arrays: 2,
             me_arrays: 2,
-            soc: SocConfig::default(),
             da_params: DaParams::precise(),
             mappings: DctMapping::ALL.to_vec(),
             power: PowerConfig::default(),
@@ -474,11 +471,6 @@ impl SocRuntime {
         self.last_timings
     }
 
-    /// Distinct kernel pairs whose reconfiguration diff is memoised.
-    pub fn diff_memo_len(&self) -> usize {
-        self.diffs.len()
-    }
-
     /// Serves a job queue across the pool and reports what happened.
     ///
     /// Jobs are planned in `(arrival_cycle, id)` order on the current
@@ -531,7 +523,6 @@ impl SocRuntime {
                 &kernel,
                 job.arrival_cycle,
                 candidates,
-                &self.config.soc,
                 self.policy.as_ref(),
                 &power,
                 &mut self.diffs,
@@ -842,7 +833,6 @@ impl SocRuntime {
             &kernel,
             job.arrival_cycle,
             candidates,
-            &self.config.soc,
             self.policy.as_ref(),
             &power,
             &mut self.diffs,
@@ -1270,7 +1260,7 @@ mod tests {
             first.digest()
         );
         // The mix rotates kernels, so the memo actually learned pairs.
-        assert!(warm.diff_memo_len() > 0, "diff memo never engaged");
+        assert!(!warm.diffs.is_empty(), "diff memo never engaged");
     }
 
     #[test]
@@ -1583,7 +1573,7 @@ mod tests {
             makespan = makespan.max(rt.stream_serve_job(j).unwrap().end_cycle);
         }
         let summary = rt.stream_end(makespan).unwrap();
-        assert!(rt.diff_memo_len() > 0, "streaming placement fills the memo");
+        assert!(!rt.diffs.is_empty(), "streaming placement fills the memo");
         let drained = full - rt.battery().charge_j();
         assert!(
             (drained - summary.total_j()).abs() < 1e-6 * summary.total_j().max(1.0),

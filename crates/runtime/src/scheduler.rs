@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use dsra_core::netlist::Fingerprint;
-use dsra_platform::{select, Condition, ImplProfile, SocConfig};
+use dsra_platform::{bus_cycles, select, Condition, ImplProfile};
 use dsra_video::ServiceClass;
 
 use crate::cache::CompiledKernel;
@@ -326,15 +326,15 @@ pub struct PlannedSlot {
 /// callers own the array state and apply the slot themselves.
 ///
 /// The switch is priced as `ReconfigManager::switch_to` would charge it:
-/// free when the kernel is resident, a (memoised) frame diff under
-/// partial reconfiguration, a full rewrite otherwise. The policy weighs
+/// free when the kernel is resident, a (memoised) frame diff against the
+/// resident kernel, a full write on a cold array, each taking
+/// [`bus_cycles`] on the configuration bus. The policy weighs
 /// those bus cycles against the wait until the array is free; ties go to
 /// the lower array id.
 pub(crate) fn place<'a>(
     kernel: &CompiledKernel,
     arrival_cycle: u64,
     candidates: impl IntoIterator<Item = Candidate<'a>>,
-    soc: &SocConfig,
     policy: &dyn SchedulePolicy,
     power: &PowerSnapshot,
     diffs: &mut DiffMatrix,
@@ -347,10 +347,9 @@ pub(crate) fn place<'a>(
         let reconfig_bits = match a.resident {
             None => kernel.total_bits(),
             Some(resident) if resident.fingerprint == kernel.fingerprint => 0,
-            Some(_) if !soc.partial_reconfig => kernel.total_bits(),
             Some(resident) => diffs.bits(resident, kernel),
         };
-        let reconfig_cycles = reconfig_bits.div_ceil(u64::from(soc.cfg_bus_bits_per_cycle));
+        let reconfig_cycles = bus_cycles(reconfig_bits);
         let wait = a.free_at.saturating_sub(arrival_cycle);
         let cost = policy.assignment_cost(reconfig_cycles, wait, power);
         // First minimum wins: ties break towards the lower array id.
@@ -412,16 +411,14 @@ mod tests {
     /// Drives [`place`] the way batch planning does: each array's resident
     /// kernel and busy-until clock advance by the caller's estimate.
     struct Pool {
-        soc: SocConfig,
         diffs: DiffMatrix,
         arrays: Vec<(ArrayKind, Option<Arc<CompiledKernel>>, u64)>,
     }
 
     impl Pool {
-        fn new(da: usize, me: usize, soc: SocConfig) -> Self {
+        fn new(da: usize, me: usize) -> Self {
             let kinds = std::iter::repeat_n(ArrayKind::Da, da);
             Pool {
-                soc,
                 diffs: DiffMatrix::new(),
                 arrays: kinds
                     .chain(std::iter::repeat_n(ArrayKind::Me, me))
@@ -459,16 +456,8 @@ mod tests {
                     resident: resident.as_deref(),
                     free_at: *free_at,
                 });
-            let slot = place(
-                k,
-                arrival,
-                candidates,
-                &self.soc,
-                policy,
-                &snap(),
-                &mut self.diffs,
-            )
-            .expect("a candidate of the kernel's kind");
+            let slot = place(k, arrival, candidates, policy, &snap(), &mut self.diffs)
+                .expect("a candidate of the kernel's kind");
             let (_, resident, free_at) = &mut self.arrays[slot.array];
             *free_at = (*free_at).max(arrival) + slot.reconfig_cycles + est;
             *resident = Some(Arc::clone(k));
@@ -478,7 +467,7 @@ mod tests {
 
     #[test]
     fn resident_kernel_wins_over_cold_array() {
-        let mut pool = Pool::new(0, 2, SocConfig::default());
+        let mut pool = Pool::new(0, 2);
         let k = kernel(AbsDiffMode::AbsDiff);
         // First job cold-starts array 0 (tie on cost → lowest id).
         let p0 = pool.assign(&k, 0, 10, &DefaultPolicy);
@@ -493,7 +482,7 @@ mod tests {
 
     #[test]
     fn queueing_delay_eventually_spills_to_a_second_array() {
-        let mut pool = Pool::new(0, 2, SocConfig::default());
+        let mut pool = Pool::new(0, 2);
         let k = kernel(AbsDiffMode::AbsDiff);
         // A burst of same-kernel jobs all arriving at cycle 0: affinity
         // holds until array 0's queue costs more than a cold start of
@@ -512,7 +501,7 @@ mod tests {
 
     #[test]
     fn different_kernel_prefers_the_cheaper_diff() {
-        let mut pool = Pool::new(0, 2, SocConfig::default());
+        let mut pool = Pool::new(0, 2);
         let ka = kernel(AbsDiffMode::AbsDiff);
         let kb = kernel(AbsDiffMode::Sub);
         pool.assign(&ka, 0, 0, &DefaultPolicy); // array 0 holds ka
@@ -525,31 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn without_partial_reconfig_every_switch_is_a_full_rewrite() {
-        // The plan must price exactly what ReconfigManager::switch_to will
-        // charge: with partial reconfiguration off, a kernel change costs
-        // the full target bitstream (a resident kernel is still free).
-        let soc = SocConfig {
-            partial_reconfig: false,
-            ..Default::default()
-        };
-        let mut pool = Pool::new(0, 1, soc);
-        let ka = kernel(AbsDiffMode::AbsDiff);
-        let kb = kernel(AbsDiffMode::Sub);
-        pool.assign(&ka, 0, 0, &DefaultPolicy);
-        let resident = pool.assign(&ka, 1 << 20, 0, &DefaultPolicy);
-        assert_eq!(resident.reconfig_bits, 0);
-        let switch = pool.assign(&kb, 2 << 20, 0, &DefaultPolicy);
-        assert_eq!(switch.reconfig_bits, kb.total_bits());
-    }
-
-    #[test]
     fn planned_switch_costs_match_a_reconfig_manager_per_array() {
         // Ledgers never re-price a switch: they charge the slot's bits and
-        // cycles. So for random kernel sequences, pool sizes, bus widths
-        // and policies, with partial reconfiguration on and off, every
-        // slot must equal what a per-array `ReconfigManager` replaying the
-        // placements charges.
+        // cycles. So for random kernel sequences, pool sizes and policies,
+        // every slot must equal what a per-array `ReconfigManager`
+        // replaying the placements charges.
         use dsra_core::rng::SplitMix64;
         use dsra_platform::ReconfigManager;
         let kernels: Vec<Arc<CompiledKernel>> = [8, 12, 16]
@@ -562,16 +531,12 @@ mod tests {
         let policies: [&dyn SchedulePolicy; 3] = [&DefaultPolicy, &NaivePolicy, &EnergyAwarePolicy];
         let mut rng = SplitMix64::new(0x5107_C057);
         for case in 0..48 {
-            let soc = SocConfig {
-                partial_reconfig: case % 2 == 0,
-                cfg_bus_bits_per_cycle: [8, 32, 64][rng.next_below(3) as usize],
-            };
             let size = 1 + rng.next_below(4) as usize;
             let policy = policies[rng.next_below(3) as usize];
-            let mut pool = Pool::new(0, size, soc);
+            let mut pool = Pool::new(0, size);
             let mut managers: Vec<ReconfigManager> = (0..size)
                 .map(|_| {
-                    let mut m = ReconfigManager::new(soc);
+                    let mut m = ReconfigManager::default();
                     for k in &kernels {
                         m.register(k.fingerprint.to_hex(), k.artifact.bitstream.clone());
                     }
@@ -590,7 +555,7 @@ mod tests {
                 assert_eq!(
                     (slot.reconfig_bits, slot.reconfig_cycles),
                     (charged.bits_written, charged.cycles),
-                    "case {case} step {step}: plan and replay disagree ({soc:?})"
+                    "case {case} step {step}: plan and replay disagree"
                 );
             }
         }
@@ -598,7 +563,7 @@ mod tests {
 
     #[test]
     fn kinds_are_respected() {
-        let mut pool = Pool::new(1, 1, SocConfig::default());
+        let mut pool = Pool::new(1, 1);
         let k = kernel(AbsDiffMode::AbsDiff); // an ME kernel
         let p = pool.assign(&k, 0, 0, &DefaultPolicy);
         assert_eq!(pool.arrays[p.array].0, ArrayKind::Me);
@@ -609,10 +574,9 @@ mod tests {
             resident: None,
             free_at: 0,
         }];
-        let soc = SocConfig::default();
         let mut diffs = DiffMatrix::new();
         assert_eq!(
-            place(&k, 0, da_only, &soc, &DefaultPolicy, &snap(), &mut diffs),
+            place(&k, 0, da_only, &DefaultPolicy, &snap(), &mut diffs),
             None
         );
     }
@@ -636,7 +600,7 @@ mod tests {
 
     #[test]
     fn filtered_assignment_skips_unavailable_arrays_and_eviction_goes_cold() {
-        let mut pool = Pool::new(0, 2, SocConfig::default());
+        let mut pool = Pool::new(0, 2);
         let k = kernel(AbsDiffMode::AbsDiff);
         // Array 0 is not offered (gated): the cold start lands on array 1
         // even though 0 would win the tie.

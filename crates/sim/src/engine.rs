@@ -38,9 +38,8 @@
 //! dispatch once per `W` blocks. Lanes never interact: pins driven with
 //! [`Simulator::drive`] are broadcast to every lane (the shared control
 //! schedule), [`Simulator::drive_lane`] / [`Simulator::read_lane`] address
-//! one lane's data, stuck-at faults apply to every lane, and [`Activity`]
-//! sums toggles (and lane-cycles) over the lanes, so a `W`-lane record
-//! equals the sum of `W` single-lane runs.
+//! one lane's data, and [`Activity`] sums toggles (and lane-cycles) over
+//! the lanes, so a `W`-lane record equals the sum of `W` single-lane runs.
 //!
 //! ## Activity is recorded only by recording types
 //!
@@ -867,28 +866,6 @@ pub struct Simulator<'n, P: ProfSink = NoopProf, const W: usize = 1> {
     prof: P,
 }
 
-/// The composed effect of every fault on one net: `(v | or) & and`.
-#[derive(Debug, Clone, Copy)]
-struct FaultMask {
-    or: u64,
-    and: u64,
-}
-
-impl FaultMask {
-    const CLEAN: FaultMask = FaultMask { or: 0, and: !0 };
-}
-
-/// A stuck-at fault injected on one bit of a net (testability experiments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StuckFault {
-    /// Faulted net.
-    pub net: dsra_core::netlist::NetId,
-    /// Bit position within the bus.
-    pub bit: u8,
-    /// Stuck value.
-    pub stuck_high: bool,
-}
-
 impl<'n> Simulator<'n> {
     /// Builds a simulator, validating the netlist (`check()`) and compiling
     /// its private execution plan.
@@ -1012,7 +989,6 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
                 .collect(),
             states: p.initial_state.iter().map(|&v| [v; W]).collect(),
             external: vec![[0; W]; netlist.nodes().len()],
-            fault_masks: Vec::new(),
         };
         let (prev_values, activity) = if P::RECORDS_ACTIVITY {
             (
@@ -1147,56 +1123,6 @@ impl<'n, P: ProfSink, const W: usize> Simulator<'n, P, W> {
         self.waveform.as_ref()
     }
 
-    /// Injects a stuck-at fault on one bit of a net, in every lane. The
-    /// fault applies from the next evaluation onward; several faults may be
-    /// active at once and later injections on the same bit win, exactly as
-    /// if the fault list were replayed in order. While no faults are
-    /// injected (the common case) the write path skips fault handling
-    /// entirely; with faults present each write costs one indexed mask
-    /// load, not a list scan.
-    ///
-    /// # Errors
-    /// [`CoreError::Mismatch`] when the net is not one of this netlist's,
-    /// or the bit lies outside the net's width; nothing is injected then.
-    pub fn inject_fault(&mut self, fault: StuckFault) -> Result<()> {
-        let net = self
-            .netlist
-            .nets()
-            .get(fault.net.0 as usize)
-            .ok_or_else(|| {
-                CoreError::Mismatch(format!(
-                    "fault on net {} of a {}-net netlist",
-                    fault.net.0,
-                    self.netlist.nets().len()
-                ))
-            })?;
-        if fault.bit >= net.width {
-            return Err(CoreError::Mismatch(format!(
-                "fault on bit {} of {}-bit net `{}`",
-                fault.bit, net.width, net.name
-            )));
-        }
-        let masks = &mut self.lanes.fault_masks;
-        if masks.is_empty() {
-            *masks = vec![FaultMask::CLEAN; self.plan.get().nets];
-        }
-        let m = &mut masks[fault.net.0 as usize];
-        let bit = 1u64 << fault.bit;
-        if fault.stuck_high {
-            m.or |= bit;
-            m.and |= bit;
-        } else {
-            m.and &= !bit;
-            m.or &= !bit;
-        }
-        Ok(())
-    }
-
-    /// Removes all injected faults.
-    pub fn clear_faults(&mut self) {
-        self.lanes.fault_masks.clear();
-    }
-
     /// Runs `n` cycles.
     pub fn run(&mut self, n: u64) {
         for _ in 0..n {
@@ -1258,27 +1184,14 @@ struct Lanes<const W: usize> {
     states: Vec<[u64; W]>,
     /// Externally driven word per input node, one per lane.
     external: Vec<[u64; W]>,
-    /// Per-net or/and fault masks, indexed by net id. Empty while no faults
-    /// are injected; rebuilt incrementally by `inject_fault` and dropped by
-    /// `clear_faults`, so the faulted write path is one indexed load instead
-    /// of a scan over the whole fault list.
-    fault_masks: Vec<FaultMask>,
 }
 
 impl<const W: usize> Lanes<W> {
-    /// Writes one settled output value in every lane, applying stuck-at
-    /// faults only when any are injected (one indexed mask load, no
-    /// fault-list scan).
+    /// Writes one settled output value in every lane.
     #[inline]
-    fn write(&mut self, out: u32, mut value: [u64; W]) {
+    fn write(&mut self, out: u32, value: [u64; W]) {
         if out == NO_NET {
             return;
-        }
-        if !self.fault_masks.is_empty() {
-            let m = self.fault_masks[out as usize];
-            for v in &mut value {
-                *v = (*v | m.or) & m.and;
-            }
         }
         self.nets[out as usize] = value;
     }
@@ -1684,36 +1597,6 @@ mod tests {
                 "lane {lane}"
             );
         }
-    }
-
-    /// A fault must name a real net and a bit inside its width: bit 64
-    /// would overflow the mask shift, and bit 5 of the 3-bit ROM address
-    /// would write a value the net cannot carry. Each bad fault, and one
-    /// on an unknown net, is an error that leaves no fault armed.
-    #[test]
-    fn inject_fault_rejects_bits_past_the_net_and_unknown_nets() {
-        use dsra_core::netlist::NetId;
-        let nl = rom8();
-        let addr = NetId(nl.nets().iter().position(|n| n.width == 3).unwrap() as u32);
-        let mut sim = Simulator::new(&nl).unwrap();
-        for (net, bit) in [(addr, 64), (addr, 5), (addr, 3), (NetId(99), 0)] {
-            let err = sim
-                .inject_fault(StuckFault {
-                    net,
-                    bit,
-                    stuck_high: true,
-                })
-                .unwrap_err();
-            assert!(matches!(err, CoreError::Mismatch(_)), "{err}");
-        }
-        assert!(sim.lanes.fault_masks.is_empty(), "nothing was injected");
-        sim.inject_fault(StuckFault {
-            net: addr,
-            bit: 2,
-            stuck_high: true,
-        })
-        .unwrap();
-        assert_eq!(sim.lanes.fault_masks[addr.0 as usize].or, 4);
     }
 
     #[test]

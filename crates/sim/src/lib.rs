@@ -37,6 +37,6 @@ pub mod prof;
 pub mod trace;
 
 pub use activity::Activity;
-pub use engine::{ExecPlan, InputPort, OutputPort, Simulator, StuckFault};
+pub use engine::{ExecPlan, InputPort, OutputPort, Simulator};
 pub use prof::{CountingProf, NoopProf, OpClass, OpMix, ProfSink, RecordActivity};
 pub use trace::Waveform;

@@ -11,7 +11,7 @@ use dsra::core::CoreError;
 use dsra::dct::DaParams;
 use dsra::me::SearchParams;
 use dsra::platform::{
-    dynamic_encode, profile_all_impls, standard_da_fabric, Condition, ReconfigManager, SocConfig,
+    dynamic_encode, profile_all_impls, standard_da_fabric, Condition, ReconfigManager,
 };
 use dsra::tech::TechModel;
 use dsra::video::{EncodeConfig, SequenceConfig, SyntheticSequence};
@@ -19,7 +19,7 @@ use dsra::video::{EncodeConfig, SequenceConfig, SyntheticSequence};
 fn main() -> Result<(), CoreError> {
     // Build, place, route and profile all six DCT mappings on one DA array.
     let fabric = standard_da_fabric();
-    let mut manager = ReconfigManager::new(SocConfig::default());
+    let mut manager = ReconfigManager::default();
     let impls = profile_all_impls(
         DaParams::precise(),
         &fabric,

@@ -36,10 +36,12 @@ const MATRIX: [[u64; 6]; 6] = [
     [13002, 14499, 14731, 14603, 14499, 0],
 ];
 
-/// Per scenario frame: the mapping and `(bits_written, cycles, micros bits)`
-/// of its switch, if it switched.
+/// `(bits_written, cycles, micros bits)` of one switch.
+type Switch = (u64, u64, u64);
+
+/// Per scenario frame: the mapping and its switch, if it switched.
 #[rustfmt::skip]
-const SCENARIO: [(&str, Option<(u64, u64, u64)>); 4] = [
+const SCENARIO: [(&str, Option<Switch>); 4] = [
     ("BASIC DA", Some((33549, 1049, 0x4024fae147ae147b))),
     ("BASIC DA", None),
     ("MIX ROM", Some((14489, 453, 0x40121eb851eb851f))),
@@ -96,7 +98,7 @@ fn battery_drop_reconfig_reports_are_pinned() {
         ..Default::default()
     };
     let frames = dynamic_encode(seq.frames(), &conditions, &impls, &mut mgr, &cfg).unwrap();
-    let got: Vec<(&str, Option<(u64, u64, u64)>)> = frames
+    let got: Vec<(&str, Option<Switch>)> = frames
         .iter()
         .map(|f| {
             let rep = f

@@ -75,10 +75,10 @@ fn encode_loop_runs_on_every_dct_mapping() {
 
 #[test]
 fn policy_conditions_pick_sane_impls() {
-    use dsra::platform::{profile_all_impls, select, ReconfigManager, SocConfig};
+    use dsra::platform::{profile_all_impls, select, ReconfigManager};
     use dsra::tech::TechModel;
     let fabric = standard_da_fabric();
-    let mut mgr = ReconfigManager::new(SocConfig::default());
+    let mut mgr = ReconfigManager::default();
     let impls = profile_all_impls(
         DaParams::precise(),
         &fabric,

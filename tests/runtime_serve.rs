@@ -52,7 +52,7 @@ fn serve_small_mix_end_to_end() {
 #[test]
 fn runtime_profiles_equal_the_offline_profiles_bit_for_bit() {
     use dsra::dct::DaParams;
-    use dsra::platform::{profile_all_impls, standard_da_fabric, ReconfigManager, SocConfig};
+    use dsra::platform::{profile_all_impls, standard_da_fabric, ReconfigManager};
     use dsra::tech::TechModel;
 
     for params in [DaParams::precise(), DaParams::paper()] {
@@ -65,7 +65,7 @@ fn runtime_profiles_equal_the_offline_profiles_bit_for_bit() {
             params,
             &standard_da_fabric(),
             &TechModel::default(),
-            &mut ReconfigManager::new(SocConfig::default()),
+            &mut ReconfigManager::default(),
         )
         .expect("offline profiles");
         assert_eq!(rt.profiles().len(), offline.len());
