@@ -16,9 +16,9 @@
 //! same definition `tests/battery_serve.rs` gates in tier-1.
 
 use dsra_bench::{
-    arg_value, bad_value, banner, discharge_runtime, gate, install_profile_arg, install_trace_arg,
-    json_flag, or_exit, parse_f64, parse_int, parse_u64, write_chrome_trace, write_json_summary,
-    write_metrics_arg, write_profile_arg, DischargeOutcome, JsonValue, MAX_ARRAYS, MAX_JOBS,
+    banner, discharge_runtime, gate, install_profiler, install_trace, metric, or_exit, outln,
+    write_chrome_trace, write_json_summary, write_metrics, write_profile, Args, DischargeOutcome,
+    JsonValue, MAX_ARRAYS, MAX_JOBS,
 };
 use dsra_runtime::{
     DefaultPolicy, EnergyAwarePolicy, NaivePolicy, PowerConfig, RuntimeConfig, SchedulePolicy,
@@ -27,24 +27,28 @@ use dsra_runtime::{
 use dsra_video::JobMixConfig;
 
 fn main() {
-    let capacity = parse_f64("--capacity", 2.0e9);
-    if !(capacity.is_finite() && capacity > 0.0) {
-        bad_value(
-            "--capacity (a finite number above 0)",
-            &arg_value("--capacity").unwrap_or_default(),
-        );
-    }
-    let chunk: u32 = parse_int("--chunk", 120, MAX_JOBS);
-    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
-    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
-    let seed = parse_u64("--seed", 0x50C_5EED);
-    let low_pct: u8 = parse_int("--low-pct", 20, u8::MAX.into());
-    let max_serves = parse_u64("--max-serves", 64);
+    let mut args = Args::from_env();
+    let capacity = args.num(
+        "--capacity",
+        2.0e9,
+        ("a finite number above 0", |c| c.is_finite() && c > 0.0),
+    );
+    let chunk: u32 = args.int("--chunk", 120, 1..=MAX_JOBS);
+    let da: usize = args.int("--da", 2, 0..=MAX_ARRAYS);
+    let me: usize = args.int("--me", 2, 0..=MAX_ARRAYS);
+    let seed: u64 = args.int("--seed", 0x50C_5EED, 0..=u64::MAX);
+    let low_pct: u8 = args.int("--low-pct", 20, 0..=u8::MAX.into());
+    let max_serves: u64 = args.int("--max-serves", 64, 1..=u64::MAX);
+    let trace = args.value("--trace");
+    let profile_out = args.value("--profile-out");
+    let json = args.switch("--json");
+    let metrics_out = args.value("--metrics");
+    args.finish();
     banner("E12", "energy-aware serving: jobs per full battery charge");
-    println!(
+    outln(format!(
         "battery {capacity:.3e} eu, {chunk}-job chunks of the E11 mix (seed {seed:#x}), \
          pool {da} DA + {me} ME, low-battery threshold {low_pct}%\n"
-    );
+    ));
 
     let config = || RuntimeConfig {
         da_arrays: da,
@@ -70,32 +74,26 @@ fn main() {
     for (i, policy) in policies.into_iter().enumerate() {
         let mut runtime = SocRuntime::with_policy(config(), policy).expect("runtime construction");
         // `--trace <file>` records the last policy's discharge (the
-        // energy-aware run the E12 gate celebrates).
-        let trace_path = if i + 1 == count {
-            install_trace_arg(&mut runtime)
-        } else {
-            None
-        };
-        // `--profile-out <file>` captures the same (last) policy's
-        // discharge as an attribution flamegraph.
-        let profile = if i + 1 == count {
-            install_profile_arg(&mut runtime)
-        } else {
-            None
-        };
+        // energy-aware run the E12 gate celebrates), and `--profile-out
+        // <file>` captures the same discharge as an attribution flamegraph.
+        let last = i + 1 == count;
+        let trace_path = trace.as_deref().filter(|_| last);
+        install_trace(&mut runtime, trace_path);
+        let profile = profile_out
+            .clone()
+            .filter(|_| last)
+            .map(|path| (path, install_profiler(&mut runtime)));
         runs.push(or_exit(
             "discharge run",
             discharge_runtime(&mut runtime, base, max_serves),
         ));
-        write_profile_arg(&runtime, &profile);
-        if let Some(path) = &trace_path {
-            write_chrome_trace(&mut runtime, path);
-        }
+        write_profile(&runtime, &profile);
+        write_chrome_trace(&mut runtime, trace_path);
     }
 
-    println!("policy        jobs/charge  serves  low-batt  eu/job      frames/eu");
+    outln("policy        jobs/charge  serves  low-batt  eu/job      frames/eu");
     for r in &runs {
-        println!(
+        outln(format!(
             "{:<12}  {:>11}  {:>6}  {:>8}  {:>10.3e}  {:.6e}",
             r.policy,
             r.jobs_served,
@@ -103,19 +101,19 @@ fn main() {
             r.low_battery_serves,
             r.joules_per_job(),
             r.frames_per_joule()
-        );
+        ));
     }
 
     let by_name = |n: &str| runs.iter().find(|r| r.policy == n).unwrap();
     let naive = by_name("naive");
     let energy = by_name("energy-aware");
-    println!(
+    outln(format!(
         "\nenergy-aware served {} jobs per charge vs. {} naive ({:+.1} %) — \
          the paper's low-battery argument, measured.",
         energy.jobs_served,
         naive.jobs_served,
         (energy.jobs_served as f64 / naive.jobs_served.max(1) as f64 - 1.0) * 100.0
-    );
+    ));
     gate(
         energy.jobs_served > naive.jobs_served,
         &format!(
@@ -126,28 +124,25 @@ fn main() {
     );
 
     let mut metrics: Vec<(String, JsonValue)> = vec![
-        ("battery_capacity_j".into(), JsonValue::Num(capacity)),
-        ("chunk_jobs".into(), JsonValue::Int(u64::from(chunk))),
-        ("low_battery_pct".into(), JsonValue::Int(u64::from(low_pct))),
+        metric("battery_capacity_j", capacity),
+        metric("chunk_jobs", u64::from(chunk)),
+        metric("low_battery_pct", u64::from(low_pct)),
     ];
     for r in &runs {
         let key = r.policy.replace('-', "_");
-        metrics.push((
+        metrics.push(metric(
             format!("{key}_jobs_per_charge"),
-            JsonValue::Int(r.jobs_served as u64),
+            r.jobs_served as u64,
         ));
-        metrics.push((
-            format!("{key}_serves"),
-            JsonValue::Int(r.reports.len() as u64),
-        ));
-        metrics.push((format!("{key}_total_j"), JsonValue::Num(r.total_j)));
+        metrics.push(metric(format!("{key}_serves"), r.reports.len() as u64));
+        metrics.push(metric(format!("{key}_total_j"), r.total_j));
     }
-    metrics.push((
-        "energy_aware_gain_pct".into(),
-        JsonValue::Num((energy.jobs_served as f64 / naive.jobs_served.max(1) as f64 - 1.0) * 100.0),
+    metrics.push(metric(
+        "energy_aware_gain_pct",
+        (energy.jobs_served as f64 / naive.jobs_served.max(1) as f64 - 1.0) * 100.0,
     ));
-    if json_flag() {
+    if json {
         write_json_summary("battery_serve", "E12", &metrics);
     }
-    write_metrics_arg(&metrics);
+    write_metrics(metrics_out.as_deref(), &metrics);
 }

@@ -13,7 +13,7 @@
 //! change; fractional numbers fail beyond the relative `--threshold`
 //! (default 1 %); missing or extra keys always fail.
 
-use dsra_bench::{arg_value, bad_value, diff_documents, parse_f64, parse_json};
+use dsra_bench::{diff_documents, out, parse_json, Args};
 
 fn load(path: &str) -> dsra_bench::Json {
     let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -27,23 +27,17 @@ fn load(path: &str) -> dsra_bench::Json {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (old, new) = match (args.get(1), args.get(2)) {
-        (Some(a), Some(b)) if !a.starts_with("--") && !b.starts_with("--") => (a, b),
-        _ => {
-            eprintln!("usage: bench_diff <baseline.json> <candidate.json> [--threshold f]");
-            std::process::exit(2);
-        }
-    };
-    let threshold = parse_f64("--threshold", 0.01);
-    if !(threshold.is_finite() && threshold >= 0.0) {
-        bad_value(
-            "--threshold (a finite number, at least 0)",
-            &arg_value("--threshold").unwrap_or_default(),
-        );
-    }
-    let report = diff_documents(&load(old), &load(new), threshold);
-    print!("{}", report.render());
+    const USAGE: &str = "bench_diff <baseline.json> <candidate.json> [--threshold f]";
+    let mut args = Args::from_env();
+    let (old, new) = (args.positional(USAGE), args.positional(USAGE));
+    let threshold = args.num(
+        "--threshold",
+        0.01,
+        ("a finite number, at least 0", |t| t.is_finite() && t >= 0.0),
+    );
+    args.finish();
+    let report = diff_documents(&load(&old), &load(&new), threshold);
+    out(report.render());
     if report.regressed() {
         std::process::exit(1);
     }

@@ -6,10 +6,13 @@
 //! cargo run -p dsra-bench --release --bin dct_accuracy
 //! ```
 
-use dsra_bench::{banner, json_flag, write_json_summary, JsonValue};
+use dsra_bench::{banner, metric, outln, write_json_summary, Args, JsonValue};
 use dsra_dct::{all_impls, measure_accuracy, DaParams};
 
 fn main() {
+    let mut args = Args::from_env();
+    let json = args.switch("--json");
+    args.finish();
     banner("E2", "Figs. 4-9: functional behaviour of the DCT mappings");
     let mut metrics: Vec<(String, JsonValue)> = Vec::new();
     for (label, tag, params, amplitude) in [
@@ -26,38 +29,35 @@ fn main() {
             255,
         ),
     ] {
-        println!("\n--- {label} ---");
-        println!(
+        outln(format!("\n--- {label} ---"));
+        outln(format!(
             "{:<10} {:>8} {:>12} {:>12}",
             "impl", "cycles", "max |err|", "rms err"
-        );
+        ));
         let impls = all_impls(params).expect("builders are infallible");
         for imp in &impls {
             let acc = measure_accuracy(imp.as_ref(), 16, amplitude, 0xE2).expect("driver ok");
-            println!(
+            outln(format!(
                 "{:<10} {:>8} {:>12.3} {:>12.4}",
                 imp.name(),
                 imp.cycles_per_block(),
                 acc.max_abs_err,
                 acc.rms_err
-            );
-            let key = imp.name().to_lowercase().replace([' ', '/'], "_");
-            metrics.push((
-                format!("{tag}_{key}_max_abs_err"),
-                JsonValue::Num(acc.max_abs_err),
             ));
-            metrics.push((
+            let key = imp.name().to_lowercase().replace([' ', '/'], "_");
+            metrics.push(metric(format!("{tag}_{key}_max_abs_err"), acc.max_abs_err));
+            metrics.push(metric(
                 format!("{tag}_{key}_cycles_per_block"),
-                JsonValue::Int(imp.cycles_per_block()),
+                imp.cycles_per_block(),
             ));
         }
     }
-    if json_flag() {
+    if json {
         write_json_summary("dct_accuracy", "E2", &metrics);
     }
-    println!(
+    outln(
         "\nShape check: pure-DA paths (BASIC DA, MIX ROM, SCC*) are exact up\n\
          to ROM rounding; the CORDIC paths add re-serialisation truncation;\n\
-         Fig.-4 widths degrade everything uniformly (quality/area trade, §5)."
+         Fig.-4 widths degrade everything uniformly (quality/area trade, §5).",
     );
 }

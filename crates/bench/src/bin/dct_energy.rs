@@ -7,7 +7,7 @@
 //! cargo run -p dsra-bench --release --bin dct_energy
 //! ```
 
-use dsra_bench::{banner, json_flag, write_json_summary, JsonValue};
+use dsra_bench::{banner, metric, outln, write_json_summary, Args, JsonValue};
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_core::place::place;
 use dsra_core::route::route;
@@ -17,16 +17,19 @@ use dsra_power::energy_per_block;
 use dsra_tech::{dsra_cost, TechModel};
 
 fn main() {
+    let mut args = Args::from_env();
+    let json = args.switch("--json");
+    args.finish();
     banner(
         "E9",
         "§3.6: area/activity/power differences across the mappings",
     );
     let fabric = Fabric::da_array(20, 14, MeshSpec::mixed());
     let model = TechModel::default();
-    println!(
+    outln(format!(
         "{:<10} {:>9} {:>10} {:>12} {:>10} {:>13} {:>11}",
         "impl", "clusters", "area", "E-dyn/cyc", "P-leak", "E/block", "max |err|"
-    );
+    ));
     let mut rows = Vec::new();
     for imp in all_impls(DaParams::precise()).unwrap() {
         let nl = imp.netlist();
@@ -42,7 +45,7 @@ fn main() {
         let acc = measure_accuracy(imp.as_ref(), 8, 2047, 0xE9).unwrap();
         let split = cost.energy_split();
         let e_block = energy_per_block(&split, imp.cycles_per_block());
-        println!(
+        outln(format!(
             "{:<10} {:>9} {:>10.1} {:>12.1} {:>10.1} {:>13.1} {:>11.3}",
             imp.name(),
             nl.resource_report().total_clusters(),
@@ -51,11 +54,11 @@ fn main() {
             split.leak_power,
             e_block,
             acc.max_abs_err
-        );
+        ));
         rows.push((imp.name().to_owned(), cost.area, e_block, acc.max_abs_err));
     }
     // Pareto front over (area, energy/block, error).
-    println!("\nPareto-optimal mappings (no other beats them on area, energy and error at once):");
+    outln("\nPareto-optimal mappings (no other beats them on area, energy and error at once):");
     for (i, a) in rows.iter().enumerate() {
         let dominated = rows.iter().enumerate().any(|(j, b)| {
             j != i
@@ -65,20 +68,20 @@ fn main() {
                 && (b.1 < a.1 || b.2 < a.2 || b.3 < a.3)
         });
         if !dominated {
-            println!("  {}", a.0);
+            outln(format!("  {}", a.0));
         }
     }
-    println!(
+    outln(
         "\nThis is the table the run-time policies (dsra-platform) select\n\
-         from when conditions change — §5's low-battery argument."
+         from when conditions change — §5's low-battery argument.",
     );
-    if json_flag() {
+    if json {
         let mut metrics: Vec<(String, JsonValue)> = Vec::new();
         for (name, area, e_block, max_err) in &rows {
             let key = name.to_lowercase().replace([' ', '/'], "_");
-            metrics.push((format!("{key}_area"), JsonValue::Num(*area)));
-            metrics.push((format!("{key}_energy_per_block"), JsonValue::Num(*e_block)));
-            metrics.push((format!("{key}_max_abs_err"), JsonValue::Num(*max_err)));
+            metrics.push(metric(format!("{key}_area"), *area));
+            metrics.push(metric(format!("{key}_energy_per_block"), *e_block));
+            metrics.push(metric(format!("{key}_max_abs_err"), *max_err));
         }
         write_json_summary("dct_energy", "E9", &metrics);
     }

@@ -6,7 +6,7 @@
 //! cargo run -p dsra-bench --release --bin dynamic_switch
 //! ```
 
-use dsra_bench::{arg_value, banner, json_flag, write_flame, write_json_summary, JsonValue};
+use dsra_bench::{banner, metric, out, outln, write_file, write_json_summary, Args};
 use dsra_dct::DaParams;
 use dsra_me::SearchParams;
 use dsra_platform::{
@@ -18,6 +18,10 @@ use dsra_tech::TechModel;
 use dsra_video::{EncodeConfig, SequenceConfig, SyntheticSequence};
 
 fn main() {
+    let mut args = Args::from_env();
+    let profile_out = args.value("--profile-out");
+    let json = args.switch("--json");
+    args.finish();
     banner(
         "E7",
         "§5 claim: dynamic reconfiguration under run-time constraints",
@@ -33,22 +37,22 @@ fn main() {
     .unwrap();
 
     // Pairwise switching costs.
-    println!("\npartial-reconfiguration cost matrix (bits to rewrite):");
+    outln("\npartial-reconfiguration cost matrix (bits to rewrite):");
     let names: Vec<String> = impls.iter().map(|p| p.profile.name.clone()).collect();
-    print!("{:<10}", "");
+    out(format!("{:<10}", ""));
     for n in &names {
-        print!("{n:>10}");
+        out(format!("{n:>10}"));
     }
-    println!();
+    outln("");
     for from in &names {
         mgr.switch_to(from).unwrap();
-        print!("{from:<10}");
+        out(format!("{from:<10}"));
         for to in &names {
             let rep = mgr.switch_to(to).unwrap();
-            print!("{:>10}", rep.bits_written);
+            out(format!("{:>10}", rep.bits_written));
             mgr.switch_to(from).unwrap();
         }
-        println!();
+        outln("");
     }
 
     // Battery-drop scenario.
@@ -80,8 +84,8 @@ fn main() {
     )
     .unwrap();
     let frames = dynamic_encode(seq.frames(), &conditions, &impls, &mut mgr, &cfg).unwrap();
-    println!("\nbattery-drop scenario:");
-    println!("frame  condition      impl        PSNR(dB)  reconfig cost");
+    outln("\nbattery-drop scenario:");
+    outln("frame  condition      impl        PSNR(dB)  reconfig cost");
     for f in &frames {
         let rc = match f.reconfig {
             Some(r) => format!(
@@ -90,21 +94,21 @@ fn main() {
             ),
             None => "-".to_owned(),
         };
-        println!(
+        outln(format!(
             "{:>5}  {:<13} {:<11} {:>7.2}  {}",
             f.frame_index,
             format!("{:?}", f.condition),
             f.impl_name,
             f.stats.psnr_db,
             rc
-        );
+        ));
     }
 
     // `--profile-out <file>`: E7 has no SocRuntime, so the flamegraph is
     // built straight from the frame schedule — each frame's DCT cycles
     // split over its implementation's op mix, switch costs under a
     // reconfig leaf. Same folded format as the runtime experiments.
-    if let Some(path) = arg_value("--profile-out") {
+    if let Some(path) = profile_out {
         let mut flame = Flame::new();
         for f in &frames {
             let imp = impls
@@ -125,10 +129,10 @@ fn main() {
                 flame.add(&format!("soc;array0;kernel:{name};reconfig"), r.cycles);
             }
         }
-        write_flame(&flame, &path);
+        write_file(&path, flame.render());
     }
 
-    if json_flag() {
+    if json {
         let total_bits: u64 = frames
             .iter()
             .filter_map(|f| f.reconfig.map(|r| r.bits_written))
@@ -142,10 +146,10 @@ fn main() {
             "dynamic_switch",
             "E7",
             &[
-                ("frames", JsonValue::Int(frames.len() as u64)),
-                ("switches", JsonValue::Int(switches)),
-                ("total_reconfig_bits", JsonValue::Int(total_bits)),
-                ("min_psnr_db", JsonValue::Num(min_psnr)),
+                metric("frames", frames.len() as u64),
+                metric("switches", switches),
+                metric("total_reconfig_bits", total_bits),
+                metric("min_psnr_db", min_psnr),
             ],
         );
     }

@@ -6,26 +6,29 @@
 //! cargo run -p dsra-bench --release --bin mesh_ablation
 //! ```
 
-use dsra_bench::{banner, json_flag, write_json_summary, JsonValue};
+use dsra_bench::{banner, metric, outln, write_json_summary, Args, JsonValue};
 use dsra_core::fabric::{Fabric, MeshSpec};
 use dsra_dct::{all_impls, DaParams};
 use dsra_me::{MeEngine, Systolic2d};
 use dsra_tech::mesh_ablation;
 
 fn main() {
+    let mut args = Args::from_env();
+    let json = args.switch("--json");
+    args.finish();
     banner(
         "E6",
         "§2 claim: mixed 8b/1b mesh needs fewer switches + config bits",
     );
-    println!(
+    outln(format!(
         "{:<12} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8}",
         "design", "sw mixed", "sw fine", "ratio", "cfg mixed", "cfg fine", "ratio"
-    );
+    ));
     let da_fabric = Fabric::da_array(20, 14, MeshSpec::mixed());
     let mut metrics: Vec<(String, JsonValue)> = Vec::new();
     for imp in all_impls(DaParams::precise()).unwrap() {
         let (m, f) = mesh_ablation(imp.netlist(), &da_fabric).unwrap();
-        println!(
+        outln(format!(
             "{:<12} {:>10} {:>10} {:>7.2}x {:>10} {:>10} {:>7.2}x",
             imp.name(),
             m.switch_points,
@@ -34,21 +37,21 @@ fn main() {
             m.config_bits,
             f.config_bits,
             f.config_bits as f64 / m.config_bits as f64
-        );
-        let key = imp.name().to_lowercase().replace([' ', '/'], "_");
-        metrics.push((
-            format!("{key}_switch_ratio"),
-            JsonValue::Num(f.switch_points as f64 / m.switch_points as f64),
         ));
-        metrics.push((
+        let key = imp.name().to_lowercase().replace([' ', '/'], "_");
+        metrics.push(metric(
+            format!("{key}_switch_ratio"),
+            f.switch_points as f64 / m.switch_points as f64,
+        ));
+        metrics.push(metric(
             format!("{key}_cfg_bit_ratio"),
-            JsonValue::Num(f.config_bits as f64 / m.config_bits as f64),
+            f.config_bits as f64 / m.config_bits as f64,
         ));
     }
     let eng = Systolic2d::new(8).unwrap();
     let me_fabric = Fabric::me_array(26, 20, MeshSpec::mixed());
     let (m, f) = mesh_ablation(eng.netlist(), &me_fabric).unwrap();
-    println!(
+    outln(format!(
         "{:<12} {:>10} {:>10} {:>7.2}x {:>10} {:>10} {:>7.2}x",
         "ME 4x8",
         m.switch_points,
@@ -57,19 +60,19 @@ fn main() {
         m.config_bits,
         f.config_bits,
         f.config_bits as f64 / m.config_bits as f64
-    );
-    println!(
+    ));
+    outln(
         "\nEvery multi-bit net on the mixed mesh rides a bus track: one\n\
-         switch + one configuration bit steer eight wires at once."
+         switch + one configuration bit steer eight wires at once.",
     );
-    if json_flag() {
-        metrics.push((
-            "me_switch_ratio".to_owned(),
-            JsonValue::Num(f.switch_points as f64 / m.switch_points as f64),
+    if json {
+        metrics.push(metric(
+            "me_switch_ratio",
+            f.switch_points as f64 / m.switch_points as f64,
         ));
-        metrics.push((
-            "me_cfg_bit_ratio".to_owned(),
-            JsonValue::Num(f.config_bits as f64 / m.config_bits as f64),
+        metrics.push(metric(
+            "me_cfg_bit_ratio",
+            f.config_bits as f64 / m.config_bits as f64,
         ));
         write_json_summary("mesh_ablation", "E6", &metrics);
     }

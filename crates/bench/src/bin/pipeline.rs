@@ -6,12 +6,15 @@
 //! cargo run -p dsra-bench --release --bin pipeline
 //! ```
 
-use dsra_bench::{banner, json_flag, write_json_summary, JsonValue};
+use dsra_bench::{banner, metric, outln, write_json_summary, Args, JsonValue};
 use dsra_dct::{BasicDa, Cordic2, DaParams, DctImpl, SccFull};
 use dsra_me::SearchParams;
 use dsra_video::{encode_frame, EncodeConfig, Quantizer, SequenceConfig, SyntheticSequence};
 
 fn main() {
+    let mut args = Args::from_env();
+    let json = args.switch("--json");
+    args.finish();
     banner("E10", "mini MPEG-4-style encode loop on the arrays");
     let seq = SyntheticSequence::generate(SequenceConfig {
         width: 64,
@@ -27,10 +30,10 @@ fn main() {
         Box::new(SccFull::new(DaParams::precise()).unwrap()),
         Box::new(Cordic2::new(DaParams::precise()).unwrap()),
     ];
-    println!(
+    outln(format!(
         "{:<10} {:>6} {:>12} {:>10} {:>12}",
         "impl", "QP", "nz levels", "PSNR dB", "DCT cycles"
-    );
+    ));
     let mut metrics: Vec<(String, JsonValue)> = Vec::new();
     for imp in &impls {
         for qp in [4.0, 10.0, 24.0] {
@@ -42,31 +45,28 @@ fn main() {
                 quantizer: Quantizer::uniform(qp),
             };
             let (_, stats) = encode_frame(seq.frame(1), seq.frame(0), imp.as_ref(), &cfg).unwrap();
-            println!(
+            outln(format!(
                 "{:<10} {:>6.0} {:>12} {:>10.2} {:>12}",
                 imp.name(),
                 qp,
                 stats.nonzero_levels,
                 stats.psnr_db,
                 stats.dct_cycles
-            );
-            let key = imp.name().to_lowercase().replace([' ', '/'], "_");
-            metrics.push((
-                format!("{key}_qp{qp:.0}_psnr_db"),
-                JsonValue::Num(stats.psnr_db),
             ));
-            metrics.push((
+            let key = imp.name().to_lowercase().replace([' ', '/'], "_");
+            metrics.push(metric(format!("{key}_qp{qp:.0}_psnr_db"), stats.psnr_db));
+            metrics.push(metric(
                 format!("{key}_qp{qp:.0}_nonzero_levels"),
-                JsonValue::Int(stats.nonzero_levels as u64),
+                stats.nonzero_levels as u64,
             ));
         }
     }
-    println!(
+    outln(
         "\nShape: rate (nonzero levels) falls and PSNR drops as QP grows;\n\
          all mappings sit on the same rate-distortion curve — they are\n\
-         interchangeable implementations of one transform."
+         interchangeable implementations of one transform.",
     );
-    if json_flag() {
+    if json {
         write_json_summary("pipeline", "E10", &metrics);
     }
 }

@@ -21,33 +21,41 @@
 //! virtual-time event stream that makes the serve itself deterministic.
 
 use dsra_bench::{
-    arg_value, banner, gate, install_profiler, json_flag, latency_histogram, or_exit, parse_int,
-    parse_u64, runtime_profile_report, tenant_trace, write_chrome_trace, write_file, write_flame,
-    write_json_summary, write_metrics_arg, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
+    banner, gate, install_profiler, install_trace, latency_histogram, metric, or_exit, out, outln,
+    runtime_flame, runtime_profile_report, tenant_trace, write_chrome_trace, write_file,
+    write_json_summary, write_metrics, Args, JsonValue, MAX_ARRAYS, MAX_DURATION_US,
 };
-use dsra_profile::{flamegraph, utilization_tracks};
+use dsra_profile::utilization_tracks;
 use dsra_runtime::{RuntimeConfig, SocRuntime};
 use dsra_service::{serve_trace, AdmitPolicy, ServiceConfig};
-use dsra_trace::{counter_tracks_doc, EventLog};
+use dsra_trace::counter_tracks_doc;
 
 fn main() {
-    let tenants: u16 = parse_int("--tenants", 4, u16::MAX.into());
-    let duration_us = parse_int("--duration", 20_000, MAX_DURATION_US);
-    let rate_per_ms = parse_u64("--rate", 900).max(1);
-    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
-    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
-    let seed = parse_u64("--seed", 0x57EA_4AED);
-    let top_k: usize = parse_int("--top", 8, u64::MAX);
+    let mut args = Args::from_env();
+    let tenants: u16 = args.int("--tenants", 4, 1..=u16::MAX.into());
+    let duration_us: u64 = args.int("--duration", 20_000, 0..=MAX_DURATION_US);
+    let rate_per_ms: u64 = args.int("--rate", 900, 1..=u64::MAX);
+    let da: usize = args.int("--da", 2, 0..=MAX_ARRAYS);
+    let me: usize = args.int("--me", 2, 0..=MAX_ARRAYS);
+    let seed: u64 = args.int("--seed", 0x57EA_4AED, 0..=u64::MAX);
+    let top_k: usize = args.int("--top", 8, 0..=u64::MAX);
+    let trace_path = args.value("--trace");
+    let profile_out = args.value("--profile-out");
+    let timeline = args.value("--timeline");
+    let window: u64 = args.int("--timeline-window", 2_500, 1..=u64::MAX);
+    let json = args.switch("--json");
+    let metrics_out = args.value("--metrics");
+    args.finish();
+    let trace = tenant_trace(tenants, duration_us, rate_per_ms, seed);
     banner(
         "E16",
         "cycle-exact attribution: where the stream's cycles and joules went",
     );
-    println!(
+    outln(format!(
         "{tenants} tenants, {duration_us} µs trace, ~{rate_per_ms} req/ms offered, \
          pool {da} DA + {me} ME, seed {seed:#x}\n"
-    );
+    ));
 
-    let trace = tenant_trace(tenants, duration_us, rate_per_ms, seed);
     let mut runtime = SocRuntime::new(RuntimeConfig {
         da_arrays: da,
         me_arrays: me,
@@ -56,10 +64,7 @@ fn main() {
     .expect("runtime construction");
     // `--trace <file>` still records the raw event stream: the profiler
     // tee wraps the recorder, so both artifacts come from one session.
-    let trace_path = arg_value("--trace");
-    if trace_path.is_some() {
-        runtime.set_trace_sink(Box::new(EventLog::new()));
-    }
+    install_trace(&mut runtime, trace_path.as_deref());
     let handle = install_profiler(&mut runtime);
 
     let report = or_exit(
@@ -73,19 +78,19 @@ fn main() {
             },
         ),
     );
-    print!("{}", report.render());
+    out(report.render());
     let h = latency_histogram(&report);
-    println!(
+    outln(format!(
         "serve latency      : p50 {} µs, p90 {} µs, p99 {} µs, max {} µs\n",
         h.p50(),
         h.p90(),
         h.p99(),
         h.max()
-    );
+    ));
 
     let prof = runtime_profile_report(&runtime, &handle);
-    print!("{}", prof.render(top_k));
-    println!("profile digest     : {:#018x}", prof.digest());
+    out(prof.render(top_k));
+    outln(format!("profile digest     : {:#018x}", prof.digest()));
 
     // Gate 1 — the op rollup accounts for (essentially) every busy cycle.
     gate(
@@ -101,10 +106,10 @@ fn main() {
     // slack is f64 summation order (observed ~1e-4 J at 1e10 J scale).
     let served_energy_j: f64 = report.outcomes.iter().map(|o| o.energy_j).sum();
     let energy_err_j = (prof.total_energy_j - served_energy_j).abs();
-    println!(
+    outln(format!(
         "energy reconciliation: profiler {:.9} eu vs outcomes {:.9} eu (|err| {:.3e} eu)\n",
         prof.total_energy_j, served_energy_j, energy_err_j
-    );
+    ));
     gate(
         energy_err_j < 1.0,
         &format!(
@@ -114,77 +119,47 @@ fn main() {
     );
 
     // `--profile-out <file>`: the collapsed-stack flamegraph.
-    if let Some(path) = arg_value("--profile-out") {
-        let mixes = runtime.kernel_op_mixes();
-        let flame = handle.with(|p| flamegraph(p, &mixes));
-        write_flame(&flame, &path);
+    if let Some(path) = &profile_out {
+        write_file(path, runtime_flame(&runtime, &handle).render());
     }
     // `--timeline <file>`: per-array occupancy as Chrome counter tracks.
-    if let Some(path) = arg_value("--timeline") {
-        let window = parse_u64("--timeline-window", 2_500).max(1);
+    if let Some(path) = &timeline {
         let tracks = handle.with(|p| utilization_tracks(p, window));
-        write_file(&path, counter_tracks_doc(&tracks));
-        println!("wrote {path}");
+        write_file(path, counter_tracks_doc(&tracks));
     }
-    if let Some(path) = &trace_path {
-        write_chrome_trace(&mut runtime, path);
-    }
+    write_chrome_trace(&mut runtime, trace_path.as_deref());
 
     let mut metrics: Vec<(String, JsonValue)> = vec![
-        ("tenants".into(), JsonValue::Int(u64::from(tenants))),
-        ("duration_us".into(), JsonValue::Int(duration_us)),
-        ("rate_per_ms".into(), JsonValue::Int(rate_per_ms)),
-        ("served".into(), JsonValue::Int(report.served as u64)),
-        ("shed".into(), JsonValue::Int(report.shed as u64)),
-        ("busy_cycles".into(), JsonValue::Int(prof.busy_cycles)),
-        (
-            "attributed_cycles".into(),
-            JsonValue::Int(prof.attributed_cycles),
-        ),
-        (
-            "attribution_pct".into(),
-            JsonValue::Num(prof.attribution_pct()),
-        ),
-        (
-            "unrouted_cycles".into(),
-            JsonValue::Int(prof.unrouted_cycles),
-        ),
-        (
-            "profiled_energy_j".into(),
-            JsonValue::Num(prof.total_energy_j),
-        ),
-        ("served_energy_j".into(), JsonValue::Num(served_energy_j)),
-        (
-            "mean_utilization_pct".into(),
-            JsonValue::Num(prof.mean_utilization_pct()),
-        ),
-        (
-            "profile_digest".into(),
-            JsonValue::Str(format!("{:#018x}", prof.digest())),
-        ),
+        metric("tenants", u64::from(tenants)),
+        metric("duration_us", duration_us),
+        metric("rate_per_ms", rate_per_ms),
+        metric("served", report.served as u64),
+        metric("shed", report.shed as u64),
+        metric("busy_cycles", prof.busy_cycles),
+        metric("attributed_cycles", prof.attributed_cycles),
+        metric("attribution_pct", prof.attribution_pct()),
+        metric("unrouted_cycles", prof.unrouted_cycles),
+        metric("profiled_energy_j", prof.total_energy_j),
+        metric("served_energy_j", served_energy_j),
+        metric("mean_utilization_pct", prof.mean_utilization_pct()),
+        metric("profile_digest", format!("{:#018x}", prof.digest())),
     ];
     for (array, p) in &prof.arrays {
-        metrics.push((
+        metrics.push(metric(
             format!("array{array}_utilization_pct"),
-            JsonValue::Num(p.utilization_pct()),
+            p.utilization_pct(),
         ));
     }
     for (i, k) in prof.kernels.iter().take(top_k).enumerate() {
-        metrics.push((format!("kernel{i}_name"), JsonValue::Str(k.kernel.clone())));
-        metrics.push((
-            format!("kernel{i}_exec_cycles"),
-            JsonValue::Int(k.exec_cycles),
-        ));
-        metrics.push((format!("kernel{i}_energy_j"), JsonValue::Num(k.energy_j())));
+        metrics.push(metric(format!("kernel{i}_name"), k.kernel.clone()));
+        metrics.push(metric(format!("kernel{i}_exec_cycles"), k.exec_cycles));
+        metrics.push(metric(format!("kernel{i}_energy_j"), k.energy_j()));
     }
     for op in prof.hot_ops.iter().take(top_k) {
-        metrics.push((
-            format!("op_{}_cycles", op.class.tag()),
-            JsonValue::Int(op.cycles),
-        ));
+        metrics.push(metric(format!("op_{}_cycles", op.class.tag()), op.cycles));
     }
-    if json_flag() {
+    if json {
         write_json_summary("profile", "E16", &metrics);
     }
-    write_metrics_arg(&metrics);
+    write_metrics(metrics_out.as_deref(), &metrics);
 }

@@ -14,35 +14,41 @@
 //! plans — which is exactly what the `outcome digest` line pins.
 
 use dsra_bench::{
-    arg_value, bad_value, banner, gate, install_profile_arg, install_trace_arg, json_flag, or_exit,
-    parse_int, parse_u64, write_chrome_trace, write_file, write_metrics_arg, write_profile_arg,
-    JsonValue, MAX_ARRAYS, MAX_JOBS,
+    bad_value, banner, gate, install_profiler, install_trace, metric, or_exit, out, outln,
+    write_chrome_trace, write_file, write_metrics, write_profile, Args, JsonValue, MAX_ARRAYS,
+    MAX_JOBS,
 };
 use dsra_runtime::{BackendKind, RuntimeConfig, SocRuntime};
 use dsra_video::{generate_job_mix, JobMixConfig};
 
 fn main() {
-    let jobs: u32 = parse_int("--jobs", 1000, MAX_JOBS);
-    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
-    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
-    let seed = parse_u64("--seed", 0x50C_5EED);
+    let mut args = Args::from_env();
+    let jobs: u32 = args.int("--jobs", 1000, 0..=MAX_JOBS);
+    let da: usize = args.int("--da", 2, 0..=MAX_ARRAYS);
+    let me: usize = args.int("--me", 2, 0..=MAX_ARRAYS);
+    let seed: u64 = args.int("--seed", 0x50C_5EED, 0..=u64::MAX);
     // `--backend check` runs every job through the array simulator *and*
     // the software golden reference, failing on the first divergence; the
     // report (and its digest) is byte-identical across all three because
     // outcomes are pinned by the backend contract.
-    let backend = match arg_value("--backend") {
+    let backend = match args.value("--backend") {
         None => BackendKind::default(),
         Some(name) => BackendKind::from_name(&name)
             .unwrap_or_else(|| bad_value("--backend (array | golden | check)", &name)),
     };
+    let trace = args.value("--trace");
+    let profile_out = args.value("--profile-out");
+    let json = args.switch("--json");
+    let metrics_out = args.value("--metrics");
+    args.finish();
     banner(
         "E11",
         "multi-array SoC runtime: cache + diff-aware scheduling",
     );
-    println!(
+    outln(format!(
         "pool: {da} DA + {me} ME arrays, {jobs} jobs, seed {seed:#x}, {} backend\n",
         backend.name()
-    );
+    ));
 
     let mix = generate_job_mix(JobMixConfig {
         jobs,
@@ -56,29 +62,27 @@ fn main() {
         ..Default::default()
     })
     .expect("runtime construction");
-    let trace_path = install_trace_arg(&mut runtime);
+    install_trace(&mut runtime, trace.as_deref());
     // `--profile-out <file>` tees the same event stream into the
     // attribution profiler and dumps the serve as a flamegraph.
-    let profile = install_profile_arg(&mut runtime);
+    let profile = profile_out.map(|path| (path, install_profiler(&mut runtime)));
     let report = or_exit("serve", runtime.serve(&mix));
-    print!("{}", report.render());
-    write_profile_arg(&runtime, &profile);
-    if let Some(path) = &trace_path {
-        write_chrome_trace(&mut runtime, path);
-    }
+    out(report.render());
+    write_profile(&runtime, &profile);
+    write_chrome_trace(&mut runtime, trace.as_deref());
 
     let hit_rate = report.cache.hit_rate();
-    println!(
+    outln(format!(
         "\nplace-and-route paid {} time(s) for {} job-kernel lookups",
         runtime.cache_stats().misses,
         runtime.cache_stats().lookups()
-    );
+    ));
     gate(
         jobs < 200 || hit_rate > 0.9,
         &format!("cache hit rate {hit_rate:.3} below the E11 gate"),
     );
 
-    if json_flag() {
+    if json {
         // The phases object carries this run's wall-clock planning/exec
         // split; everything else in the document is byte-identical per
         // seed.
@@ -86,45 +90,23 @@ fn main() {
             "BENCH_runtime.json",
             report.to_json_with_phases("E11", runtime.phase_timings()),
         );
-        println!("wrote BENCH_runtime.json");
     }
     // `--metrics <file>`: the scalar view of the same report in
     // Prometheus text exposition (counters for counts, gauges for rates).
     let metrics: Vec<(String, JsonValue)> = vec![
-        ("jobs".into(), JsonValue::Int(report.jobs as u64)),
-        ("dct_jobs".into(), JsonValue::Int(report.dct_jobs as u64)),
-        ("me_jobs".into(), JsonValue::Int(report.me_jobs as u64)),
-        (
-            "encode_jobs".into(),
-            JsonValue::Int(report.encode_jobs as u64),
-        ),
-        (
-            "makespan_cycles".into(),
-            JsonValue::Int(report.makespan_cycles),
-        ),
-        (
-            "jobs_per_megacycle".into(),
-            JsonValue::Num(report.jobs_per_megacycle),
-        ),
-        (
-            "cache_lookups".into(),
-            JsonValue::Int(report.cache.lookups()),
-        ),
-        ("cache_hits".into(), JsonValue::Int(report.cache.hits)),
-        ("cache_misses".into(), JsonValue::Int(report.cache.misses)),
-        ("cache_hit_rate".into(), JsonValue::Num(hit_rate)),
-        (
-            "total_reconfig_bits".into(),
-            JsonValue::Int(report.total_reconfig_bits),
-        ),
-        (
-            "reconfig_events".into(),
-            JsonValue::Int(report.reconfig_events as u64),
-        ),
-        (
-            "energy_total_j".into(),
-            JsonValue::Num(report.energy.total_j()),
-        ),
+        metric("jobs", report.jobs as u64),
+        metric("dct_jobs", report.dct_jobs as u64),
+        metric("me_jobs", report.me_jobs as u64),
+        metric("encode_jobs", report.encode_jobs as u64),
+        metric("makespan_cycles", report.makespan_cycles),
+        metric("jobs_per_megacycle", report.jobs_per_megacycle),
+        metric("cache_lookups", report.cache.lookups()),
+        metric("cache_hits", report.cache.hits),
+        metric("cache_misses", report.cache.misses),
+        metric("cache_hit_rate", hit_rate),
+        metric("total_reconfig_bits", report.total_reconfig_bits),
+        metric("reconfig_events", report.reconfig_events as u64),
+        metric("energy_total_j", report.energy.total_j()),
     ];
-    write_metrics_arg(&metrics);
+    write_metrics(metrics_out.as_deref(), &metrics);
 }

@@ -24,38 +24,34 @@
 //! which is exactly what each policy's `outcome digest` line pins.
 
 use dsra_bench::{
-    arg_value, bad_value, banner, gate, install_profile_arg, json_flag, latency_histogram,
-    monitor_metrics, or_exit, parse_int, parse_u64, shed_wait_histogram, stream_metrics,
-    tenant_trace, write_chrome_trace, write_json_summary, write_metrics_arg, write_profile_arg,
-    JsonValue, MAX_ARRAYS, MAX_DURATION_US,
+    bad_value, banner, gate, install_profiler, install_trace, latency_histogram, metric,
+    monitor_metrics, or_exit, out, outln, shed_wait_histogram, stream_metrics, tenant_trace,
+    write_chrome_trace, write_json_summary, write_metrics, write_profile, Args, JsonValue,
+    MAX_ARRAYS, MAX_DURATION_US,
 };
 use dsra_monitor::{render_dashboard, MonitorHandle};
 use dsra_runtime::{RuntimeConfig, SocRuntime};
 use dsra_service::{install_monitor, serve_trace, AdmitPolicy, ServiceConfig, ServiceReport};
-use dsra_trace::{EventLog, NoopSink, TraceSink};
 
 fn main() {
-    let tenants: u16 = parse_int("--tenants", 4, u16::MAX.into());
-    let duration_us = parse_int("--duration", 20_000, MAX_DURATION_US);
+    let mut args = Args::from_env();
+    let tenants: u16 = args.int("--tenants", 4, 1..=u16::MAX.into());
+    let duration_us: u64 = args.int("--duration", 20_000, 0..=MAX_DURATION_US);
     // Aggregate offered load in requests per virtual millisecond; the
     // per-tenant mean gap follows from it (background tenants halve
     // their own rate).
-    let rate_per_ms = parse_u64("--rate", 900).max(1);
-    let da: usize = parse_int("--da", 2, MAX_ARRAYS);
-    let me: usize = parse_int("--me", 2, MAX_ARRAYS);
-    let seed = parse_u64("--seed", 0x57EA_4AED);
-    let policy_arg = arg_value("--policy").unwrap_or_else(|| "both".into());
-    banner(
-        "E13",
-        "open-loop streaming: admission control + elastic pools vs. SLOs",
-    );
-    println!(
-        "{tenants} tenants, {duration_us} µs trace, ~{rate_per_ms} req/ms offered, \
-         pool {da} DA + {me} ME, seed {seed:#x}\n"
-    );
-
+    let rate_per_ms: u64 = args.int("--rate", 900, 1..=u64::MAX);
+    let da: usize = args.int("--da", 2, 0..=MAX_ARRAYS);
+    let me: usize = args.int("--me", 2, 0..=MAX_ARRAYS);
+    let seed: u64 = args.int("--seed", 0x57EA_4AED, 0..=u64::MAX);
+    let policy_arg = args.value("--policy").unwrap_or_else(|| "both".into());
+    let monitored = args.switch("--monitor");
+    let trace_out = args.value("--trace");
+    let profile_out = args.value("--profile-out");
+    let json = args.switch("--json");
+    let metrics_out = args.value("--metrics");
+    args.finish();
     let trace = tenant_trace(tenants, duration_us, rate_per_ms, seed);
-    let monitored = std::env::args().any(|a| a == "--monitor");
     let mut policies: Vec<AdmitPolicy> = match policy_arg.as_str() {
         "both" => vec![AdmitPolicy::FifoUnbounded, AdmitPolicy::EdfShed],
         name => vec![AdmitPolicy::from_name(name)
@@ -64,6 +60,14 @@ fn main() {
     if monitored && !policies.contains(&AdmitPolicy::MonitorShed) {
         policies.push(AdmitPolicy::MonitorShed);
     }
+    banner(
+        "E13",
+        "open-loop streaming: admission control + elastic pools vs. SLOs",
+    );
+    outln(format!(
+        "{tenants} tenants, {duration_us} µs trace, ~{rate_per_ms} req/ms offered, \
+         pool {da} DA + {me} ME, seed {seed:#x}\n"
+    ));
 
     let mut runs: Vec<ServiceReport> = Vec::new();
     let mut last_monitor: Option<MonitorHandle> = None;
@@ -76,35 +80,22 @@ fn main() {
         .expect("runtime construction");
         // `--trace <file>` records the last policy's session (the one the
         // E13 gate cares about) as a Chrome trace-event document.
-        let trace_path = if i + 1 == policies.len() {
-            arg_value("--trace")
-        } else {
-            None
-        };
+        let last = i + 1 == policies.len();
+        let trace_path = trace_out.as_deref().filter(|_| last);
         // The monitor (and `monitor-shed`) needs the online monitor
         // installed as a tee over whatever the session records into.
-        let use_monitor = monitored || *policy == AdmitPolicy::MonitorShed;
-        let monitor = if use_monitor {
-            let inner: Box<dyn TraceSink> = if trace_path.is_some() {
-                Box::new(EventLog::new())
-            } else {
-                Box::new(NoopSink)
-            };
-            Some(install_monitor(&mut runtime, &trace.tenants, inner))
-        } else {
-            if trace_path.is_some() {
-                runtime.set_trace_sink(Box::new(EventLog::new()));
-            }
-            None
-        };
+        install_trace(&mut runtime, trace_path);
+        let monitor = (monitored || *policy == AdmitPolicy::MonitorShed).then(|| {
+            let inner = runtime.take_trace_sink();
+            install_monitor(&mut runtime, &trace.tenants, inner)
+        });
         // `--profile-out <file>` captures the last policy's session as
         // an attribution flamegraph; the tee wraps whatever the monitor
         // and `--trace` wiring installed, so all three compose.
-        let profile = if i + 1 == policies.len() {
-            install_profile_arg(&mut runtime)
-        } else {
-            None
-        };
+        let profile = profile_out
+            .clone()
+            .filter(|_| last)
+            .map(|path| (path, install_profiler(&mut runtime)));
         let report = or_exit(
             "streaming session",
             serve_trace(
@@ -117,31 +108,29 @@ fn main() {
                 },
             ),
         );
-        print!("{}", report.render());
+        out(report.render());
         if let Some(handle) = &monitor {
-            print!(
-                "{}",
-                render_dashboard(&handle.final_snapshot(), &handle.alert_log())
-            );
+            out(render_dashboard(
+                &handle.final_snapshot(),
+                &handle.alert_log(),
+            ));
             last_monitor = Some(handle.clone());
         }
         let h = latency_histogram(&report);
-        println!(
+        outln(format!(
             "serve latency      : p50 {} µs, p90 {} µs, p99 {} µs, max {} µs",
             h.p50(),
             h.p90(),
             h.p99(),
             h.max()
-        );
-        println!(
+        ));
+        outln(format!(
             "shed waits         : p99 {} µs over {} shed\n",
             shed_wait_histogram(&report).p99(),
             report.shed
-        );
-        write_profile_arg(&runtime, &profile);
-        if let Some(path) = &trace_path {
-            write_chrome_trace(&mut runtime, path);
-        }
+        ));
+        write_profile(&runtime, &profile);
+        write_chrome_trace(&mut runtime, trace_path);
         runs.push(report);
     }
 
@@ -149,7 +138,7 @@ fn main() {
         let fifo = &runs[0];
         let edf = &runs[1];
         let (hf, he) = (latency_histogram(fifo), latency_histogram(edf));
-        println!(
+        outln(format!(
             "edf-shed vs fifo   : p99 {} vs {} µs, violations {} vs {}, shed {} vs {} — \
              saying \"no\" to blown budgets keeps the tail inside the SLO.",
             he.p99(),
@@ -158,7 +147,7 @@ fn main() {
             fifo.violations,
             edf.shed,
             fifo.shed
-        );
+        ));
         // The gate only means something once overload made EDF actually
         // shed (tier-1's tests/stream_serve.rs pins it against a
         // guaranteed-overloaded trace). Light or marginal load — where
@@ -174,11 +163,11 @@ fn main() {
     }
 
     let mut metrics: Vec<(String, JsonValue)> = vec![
-        ("tenants".into(), JsonValue::Int(u64::from(tenants))),
-        ("duration_us".into(), JsonValue::Int(duration_us)),
-        ("rate_per_ms".into(), JsonValue::Int(rate_per_ms)),
-        ("da_arrays".into(), JsonValue::Int(da as u64)),
-        ("me_arrays".into(), JsonValue::Int(me as u64)),
+        metric("tenants", u64::from(tenants)),
+        metric("duration_us", duration_us),
+        metric("rate_per_ms", rate_per_ms),
+        metric("da_arrays", da as u64),
+        metric("me_arrays", me as u64),
     ];
     for report in &runs {
         metrics.extend(stream_metrics(report));
@@ -189,8 +178,8 @@ fn main() {
             &handle.alert_log(),
         ));
     }
-    if json_flag() {
+    if json {
         write_json_summary("stream", "E13", &metrics);
     }
-    write_metrics_arg(&metrics);
+    write_metrics(metrics_out.as_deref(), &metrics);
 }

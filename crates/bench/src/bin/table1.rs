@@ -5,11 +5,14 @@
 //! cargo run -p dsra-bench --release --bin table1
 //! ```
 
-use dsra_bench::{banner, json_flag, write_json_summary, JsonValue};
+use dsra_bench::{banner, metric, outln, write_json_summary, Args, JsonValue};
 use dsra_core::report::table1;
 use dsra_dct::{all_impls, DaParams};
 
 fn main() {
+    let mut args = Args::from_env();
+    let json = args.switch("--json");
+    args.finish();
     banner("E1", "Table 1: Area usage of the DCT implementations");
     let impls = all_impls(DaParams::precise()).expect("builders are infallible");
     // Paper column order: MIX ROM, CORDIC 1, CORDIC 2, SCC EVEN/ODD, SCC.
@@ -27,30 +30,27 @@ fn main() {
         })
         .collect();
     let refs: Vec<_> = reports.iter().collect();
-    println!("{}", table1(&refs));
-    println!("Paper totals:        32      48      38      32      24      (n/a)");
-    println!("\nROM geometry per implementation:");
+    outln(table1(&refs));
+    outln("Paper totals:        32      48      38      32      24      (n/a)");
+    outln("\nROM geometry per implementation:");
     for r in &reports {
-        println!(
+        outln(format!(
             "  {:<10} {:>6} ROM words total, {:>6} cluster config bits",
             r.name(),
             r.memory_words(),
             r.config_bits()
-        );
+        ));
     }
 
-    if json_flag() {
+    if json {
         let mut metrics: Vec<(String, JsonValue)> = Vec::new();
         for r in &reports {
             let key = r.name().to_lowercase().replace([' ', '/'], "_");
-            metrics.push((
+            metrics.push(metric(
                 format!("{key}_clusters"),
-                JsonValue::Int(u64::from(r.total_clusters())),
+                u64::from(r.total_clusters()),
             ));
-            metrics.push((
-                format!("{key}_config_bits"),
-                JsonValue::Int(r.config_bits()),
-            ));
+            metrics.push(metric(format!("{key}_config_bits"), r.config_bits()));
         }
         write_json_summary("table1", "E1", &metrics);
     }

@@ -18,15 +18,15 @@
 //! The report is a pure function of the trace document, which is itself
 //! byte-identical per seed — so the breakdown is too.
 
-use dsra_bench::{analyze_chrome_trace, banner, parse_int, parse_json, slo_replay};
+use dsra_bench::{analyze_chrome_trace, banner, out, outln, parse_json, slo_replay, Args};
 use dsra_monitor::{render_dashboard, render_timeline};
 
 fn main() {
-    let path = std::env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: trace_report <trace.json> [--top N] [--slo]");
-        std::process::exit(2);
-    });
-    let top_k: usize = parse_int("--top", 8, u64::MAX);
+    let mut args = Args::from_env();
+    let path = args.positional("trace_report <trace.json> [--top N] [--slo]");
+    let top_k: usize = args.int("--top", 8, 0..=u64::MAX);
+    let slo = args.switch("--slo");
+    args.finish();
     banner("trace_report", "job-lifecycle trace breakdowns");
     let fail = |what: String| -> ! {
         eprintln!("{what}");
@@ -37,15 +37,15 @@ fn main() {
     let doc = parse_json(&src).unwrap_or_else(|e| fail(format!("{path} is not strict JSON: {e}")));
     let analysis =
         analyze_chrome_trace(&doc).unwrap_or_else(|e| fail(format!("{path} is not a trace: {e}")));
-    print!("{}", analysis.render(top_k));
-    if std::env::args().any(|a| a == "--slo") {
+    out(analysis.render(top_k));
+    if slo {
         let monitor =
             slo_replay(&doc).unwrap_or_else(|e| fail(format!("{path} cannot be replayed: {e}")));
-        println!("== error-budget timeline ==");
-        print!("{}", render_timeline(monitor.timeline()));
-        print!(
-            "{}",
-            render_dashboard(&monitor.final_snapshot(), monitor.alert_log())
-        );
+        outln("== error-budget timeline ==");
+        out(render_timeline(monitor.timeline()));
+        out(render_dashboard(
+            &monitor.final_snapshot(),
+            monitor.alert_log(),
+        ));
     }
 }

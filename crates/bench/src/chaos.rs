@@ -6,7 +6,7 @@
 use dsra_chaos::ChaosReport;
 
 use crate::stream::latency_histogram;
-use crate::JsonValue;
+use crate::{metric, JsonValue};
 
 /// The per-arm metric block of `BENCH_chaos.json`, keys prefixed with
 /// the arm tag (`recovery_…` / `oblivious_…`): the dispatch totals, the
@@ -16,59 +16,35 @@ pub fn chaos_metrics(report: &ChaosReport, tag: &str) -> Vec<(String, JsonValue)
     let s = &report.service;
     let h = latency_histogram(s);
     vec![
-        (format!("{tag}_requests"), JsonValue::Int(s.requests as u64)),
-        (format!("{tag}_served"), JsonValue::Int(s.served as u64)),
-        (format!("{tag}_shed"), JsonValue::Int(s.shed as u64)),
-        (format!("{tag}_failed"), JsonValue::Int(s.failed as u64)),
-        (
-            format!("{tag}_violations"),
-            JsonValue::Int(s.violations as u64),
-        ),
-        (format!("{tag}_p50_latency_us"), JsonValue::Int(h.p50())),
-        (format!("{tag}_p99_latency_us"), JsonValue::Int(h.p99())),
-        (
-            format!("{tag}_goodput_pct"),
-            JsonValue::Num(s.goodput_pct()),
-        ),
-        (
+        metric(format!("{tag}_requests"), s.requests as u64),
+        metric(format!("{tag}_served"), s.served as u64),
+        metric(format!("{tag}_shed"), s.shed as u64),
+        metric(format!("{tag}_failed"), s.failed as u64),
+        metric(format!("{tag}_violations"), s.violations as u64),
+        metric(format!("{tag}_p50_latency_us"), h.p50()),
+        metric(format!("{tag}_p99_latency_us"), h.p99()),
+        metric(format!("{tag}_goodput_pct"), s.goodput_pct()),
+        metric(
             format!("{tag}_useful_goodput_pct"),
-            JsonValue::Num(report.useful_goodput_pct()),
+            report.useful_goodput_pct(),
         ),
-        (
+        metric(
             format!("{tag}_corrupt_served"),
-            JsonValue::Int(report.corrupt_served as u64),
+            report.corrupt_served as u64,
         ),
-        (
-            format!("{tag}_corrupt_execs"),
-            JsonValue::Int(report.corrupt_execs),
-        ),
-        (
-            format!("{tag}_total_execs"),
-            JsonValue::Int(report.total_execs),
-        ),
-        (
+        metric(format!("{tag}_corrupt_execs"), report.corrupt_execs),
+        metric(format!("{tag}_total_execs"), report.total_execs),
+        metric(
             format!("{tag}_faults_injected"),
-            JsonValue::Int(report.counts.faults_injected),
+            report.counts.faults_injected,
         ),
-        (
-            format!("{tag}_divergences"),
-            JsonValue::Int(report.counts.divergences),
-        ),
-        (
-            format!("{tag}_retries"),
-            JsonValue::Int(report.counts.retries),
-        ),
-        (
-            format!("{tag}_quarantines"),
-            JsonValue::Int(report.counts.quarantines),
-        ),
-        (
-            format!("{tag}_restores"),
-            JsonValue::Int(report.counts.restores),
-        ),
-        (
+        metric(format!("{tag}_divergences"), report.counts.divergences),
+        metric(format!("{tag}_retries"), report.counts.retries),
+        metric(format!("{tag}_quarantines"), report.counts.quarantines),
+        metric(format!("{tag}_restores"), report.counts.restores),
+        metric(
             format!("{tag}_digest"),
-            JsonValue::Str(format!("{:#018x}", report.digest())),
+            format!("{:#018x}", report.digest()),
         ),
     ]
 }

@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod cli;
 pub mod diff;
 pub mod discharge;
 pub mod json;
@@ -38,17 +39,15 @@ use dsra_service::{standard_tenants, TraceConfig};
 use dsra_sim::{Activity, Simulator};
 
 pub use chaos::chaos_metrics;
+pub use cli::{bad_value, gate, or_exit, out, outln, write_file, Args};
 pub use diff::{diff_documents, DiffReport, KeyClass};
 pub use discharge::{discharge_battery, discharge_runtime, DischargeOutcome};
 pub use hist::Histogram;
 pub use json::{parse_json, Json};
-pub use profpost::{
-    install_profile_arg, install_profiler, runtime_flame, runtime_profile_report, write_flame,
-    write_profile_arg,
-};
+pub use profpost::{install_profiler, runtime_flame, runtime_profile_report, write_profile};
 pub use stream::{latency_histogram, monitor_metrics, shed_wait_histogram, stream_metrics};
 pub use tracepost::{
-    analyze_chrome_trace, events_from_chrome, install_trace_arg, slo_config_from_meta, slo_replay,
+    analyze_chrome_trace, events_from_chrome, install_trace, slo_config_from_meta, slo_replay,
     write_chrome_trace, TraceAnalysis,
 };
 
@@ -116,9 +115,9 @@ pub fn da_activity(nl: &Netlist, cycles: u64) -> Activity {
 
 /// Prints a header line for experiment binaries.
 pub fn banner(experiment: &str, artifact: &str) {
-    println!("==============================================================");
-    println!("{experiment} — reproduces {artifact}");
-    println!("==============================================================");
+    outln("==============================================================");
+    outln(format!("{experiment} — reproduces {artifact}"));
+    outln("==============================================================");
 }
 
 /// A metric value in a machine-readable benchmark summary.
@@ -145,6 +144,30 @@ impl JsonValue {
     }
 }
 
+impl From<u64> for JsonValue {
+    fn from(v: u64) -> Self {
+        JsonValue::Int(v)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> Self {
+        JsonValue::Num(v)
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(v: String) -> Self {
+        JsonValue::Str(v)
+    }
+}
+
+/// One entry of a flat metric vec; the value's type picks its
+/// [`JsonValue`] variant.
+pub fn metric(key: impl Into<String>, value: impl Into<JsonValue>) -> (String, JsonValue) {
+    (key.into(), value.into())
+}
+
 /// Renders a flat `{"experiment": .., "metrics": {..}}` JSON summary —
 /// the `BENCH_<experiment>.json` payload every experiment binary can emit
 /// with `--json`, so the perf trajectory is machine-readable. Keys may be
@@ -164,29 +187,6 @@ pub fn json_summary<K: AsRef<str>>(experiment: &str, metrics: &[(K, JsonValue)])
     }
     s.push_str("  }\n}\n");
     s
-}
-
-/// `true` when the binary was invoked with `--json`.
-pub fn json_flag() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// The value following `name` on the command line, if present — the one
-/// flag parser every experiment binary shares.
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Rejects a command-line value: prints `bad value for <name>: <value>`
-/// to stderr and exits with status 2. Experiment binaries fail loudly on
-/// bad arguments rather than silently measuring something else, and
-/// never with a panic.
-pub fn bad_value(name: &str, value: &str) -> ! {
-    eprintln!("bad value for {name}: {value}");
-    std::process::exit(2)
 }
 
 /// Largest `--da` / `--me` pool a serving binary accepts: batch serving
@@ -240,72 +240,13 @@ pub fn tenant_trace(tenants: u16, duration_us: u64, rate_per_ms: u64, seed: u64)
     }
 }
 
-/// Parses `--name <integer>` (decimal or `0x…` hex) into `T`, falling back
-/// to `default` when the flag is absent — the one integer flag parser
-/// every experiment binary shares. A value that does not parse, exceeds
-/// `max` or does not fit `T` goes to [`bad_value`]; nothing is truncated.
-pub fn parse_int<T: TryFrom<u64>>(name: &str, default: T, max: u64) -> T {
-    let Some(v) = arg_value(name) else {
-        return default;
-    };
-    let text = v.trim();
-    let parsed = match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    };
-    let n = parsed.unwrap_or_else(|_| bad_value(name, &v));
-    if n > max {
-        bad_value(&format!("{name} (at most {max})"), &v);
-    }
-    T::try_from(n).unwrap_or_else(|_| bad_value(name, &v))
-}
-
-/// [`parse_int`] for a flag that takes any `u64`.
-pub fn parse_u64(name: &str, default: u64) -> u64 {
-    parse_int(name, default, u64::MAX)
-}
-
-/// The value of a fallible step whose input came from the command line;
-/// on an error, prints `<what> failed: <error>` to stderr and exits with
-/// status 2 — the same contract as [`bad_value`], never a panic.
-pub fn or_exit<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("{what} failed: {e}");
-        std::process::exit(2)
-    })
-}
-
-/// An experiment's acceptance gate: when `passed` is false, prints
-/// `message` to stderr and exits with status 1. A missed gate is a
-/// measured outcome of the flags given, so it ends the run with an error,
-/// never with a panic.
-pub fn gate(passed: bool, message: &str) {
-    if !passed {
-        eprintln!("{message}");
-        std::process::exit(1)
-    }
-}
-
-/// Writes `contents` to a `path` given on the command line; a failed write
-/// goes to [`or_exit`] (status 2, the path in the message).
-pub fn write_file(path: &str, contents: impl AsRef<[u8]>) {
-    or_exit(&format!("write {path}"), std::fs::write(path, contents));
-}
-
-/// Parses `--name <f64>`, falling back to `default` when absent; an
-/// unparseable value goes to [`bad_value`].
-pub fn parse_f64(name: &str, default: f64) -> f64 {
-    arg_value(name)
-        .map(|v| v.trim().parse().unwrap_or_else(|_| bad_value(name, &v)))
-        .unwrap_or(default)
-}
-
 /// Writes a [`json_summary`] to `BENCH_<tag>.json` in the working directory
 /// and prints where it went.
 pub fn write_json_summary<K: AsRef<str>>(tag: &str, experiment: &str, metrics: &[(K, JsonValue)]) {
-    let path = format!("BENCH_{tag}.json");
-    write_file(&path, json_summary(experiment, metrics));
-    println!("wrote {path}");
+    write_file(
+        &format!("BENCH_{tag}.json"),
+        json_summary(experiment, metrics),
+    );
 }
 
 /// Folds a flat metric vec (the same one [`json_summary`] renders) into a
@@ -328,12 +269,13 @@ pub fn registry_from_metrics<K: AsRef<str>>(
     reg
 }
 
-/// Writes `render_prometheus("dsra")` of the metric vec to the path given
-/// by `--metrics <file>`, when the flag is present.
-pub fn write_metrics_arg<K: AsRef<str>>(metrics: &[(K, JsonValue)]) {
-    if let Some(path) = arg_value("--metrics") {
-        let reg = registry_from_metrics(metrics);
-        write_file(&path, reg.render_prometheus("dsra"));
-        println!("wrote {path}");
+/// Writes `render_prometheus("dsra")` of the metric vec to `path`, a
+/// `--metrics <file>` value, when one was given.
+pub fn write_metrics<K: AsRef<str>>(path: Option<&str>, metrics: &[(K, JsonValue)]) {
+    if let Some(path) = path {
+        write_file(
+            path,
+            registry_from_metrics(metrics).render_prometheus("dsra"),
+        );
     }
 }

@@ -24,14 +24,6 @@ pub fn install_profiler(runtime: &mut SocRuntime) -> ProfilerHandle {
     handle
 }
 
-/// Installs the profiler when `--profile-out <file>` was passed on the
-/// command line; returns the target path and the handle so the caller
-/// can [`write_profile_arg`] after serving.
-pub fn install_profile_arg(runtime: &mut SocRuntime) -> Option<(String, ProfilerHandle)> {
-    let path = crate::arg_value("--profile-out")?;
-    Some((path, install_profiler(runtime)))
-}
-
 /// The session's flamegraph: the profiler's accounts joined with the
 /// runtime's kernel op mixes.
 pub fn runtime_flame(runtime: &SocRuntime, handle: &ProfilerHandle) -> Flame {
@@ -45,22 +37,17 @@ pub fn runtime_profile_report(runtime: &SocRuntime, handle: &ProfilerHandle) -> 
     handle.with(|p| ProfileReport::build(p, &mixes))
 }
 
-/// Writes a flamegraph's folded text at `path`.
+/// Writes the folded flamegraph of a capture the caller installed with
+/// [`install_profiler`] for its `--profile-out` path, if it asked for one.
+/// Call after the serve, while the runtime still holds the session's
+/// kernel cache.
 ///
 /// A file that can't be written ends the run with status 2
 /// ([`crate::write_file`]) — profile capture fails loudly rather than
 /// silently dropping the artifact.
-pub fn write_flame(flame: &Flame, path: &str) {
-    crate::write_file(path, flame.render());
-    println!("wrote {path}");
-}
-
-/// Writes the flamegraph for an [`install_profile_arg`] capture, if one
-/// was requested. Call after the serve, while the runtime still holds
-/// the session's kernel cache.
-pub fn write_profile_arg(runtime: &SocRuntime, target: &Option<(String, ProfilerHandle)>) {
+pub fn write_profile(runtime: &SocRuntime, target: &Option<(String, ProfilerHandle)>) {
     if let Some((path, handle)) = target {
-        write_flame(&runtime_flame(runtime, handle), path);
+        crate::write_file(path, runtime_flame(runtime, handle).render());
     }
 }
 

@@ -8,7 +8,7 @@ use dsra_service::ServiceReport;
 use dsra_trace::HealthSnapshot;
 
 use crate::hist::Histogram;
-use crate::JsonValue;
+use crate::{metric, JsonValue};
 
 /// Bucket width of the serve-latency histogram (virtual µs).
 pub const LATENCY_BUCKET_US: u64 = 25;
@@ -38,52 +38,28 @@ pub fn stream_metrics(report: &ServiceReport) -> Vec<(String, JsonValue)> {
     let h = latency_histogram(report);
     let sw = shed_wait_histogram(report);
     vec![
-        (
-            format!("{tag}_requests"),
-            JsonValue::Int(report.requests as u64),
-        ),
-        (
-            format!("{tag}_served"),
-            JsonValue::Int(report.served as u64),
-        ),
-        (format!("{tag}_shed"), JsonValue::Int(report.shed as u64)),
-        (
-            format!("{tag}_violations"),
-            JsonValue::Int(report.violations as u64),
-        ),
-        (format!("{tag}_p50_latency_us"), JsonValue::Int(h.p50())),
-        (format!("{tag}_p90_latency_us"), JsonValue::Int(h.p90())),
-        (format!("{tag}_p99_latency_us"), JsonValue::Int(h.p99())),
-        (format!("{tag}_max_latency_us"), JsonValue::Int(h.max())),
-        (format!("{tag}_shed_wait_p99_us"), JsonValue::Int(sw.p99())),
-        (
-            format!("{tag}_violation_pct"),
-            JsonValue::Num(report.violation_pct()),
-        ),
-        (format!("{tag}_shed_pct"), JsonValue::Num(report.shed_pct())),
-        (
-            format!("{tag}_goodput_pct"),
-            JsonValue::Num(report.goodput_pct()),
-        ),
-        (
-            format!("{tag}_energy_j"),
-            JsonValue::Num(report.pool.total_j()),
-        ),
-        (
+        metric(format!("{tag}_requests"), report.requests as u64),
+        metric(format!("{tag}_served"), report.served as u64),
+        metric(format!("{tag}_shed"), report.shed as u64),
+        metric(format!("{tag}_violations"), report.violations as u64),
+        metric(format!("{tag}_p50_latency_us"), h.p50()),
+        metric(format!("{tag}_p90_latency_us"), h.p90()),
+        metric(format!("{tag}_p99_latency_us"), h.p99()),
+        metric(format!("{tag}_max_latency_us"), h.max()),
+        metric(format!("{tag}_shed_wait_p99_us"), sw.p99()),
+        metric(format!("{tag}_violation_pct"), report.violation_pct()),
+        metric(format!("{tag}_shed_pct"), report.shed_pct()),
+        metric(format!("{tag}_goodput_pct"), report.goodput_pct()),
+        metric(format!("{tag}_energy_j"), report.pool.total_j()),
+        metric(
             format!("{tag}_joules_per_served"),
-            JsonValue::Num(report.joules_per_served()),
+            report.joules_per_served(),
         ),
-        (
-            format!("{tag}_gate_events"),
-            JsonValue::Int(report.gate_events() as u64),
-        ),
-        (
-            format!("{tag}_wakes"),
-            JsonValue::Int(report.wakes() as u64),
-        ),
-        (
+        metric(format!("{tag}_gate_events"), report.gate_events() as u64),
+        metric(format!("{tag}_wakes"), report.wakes() as u64),
+        metric(
             format!("{tag}_digest"),
-            JsonValue::Str(format!("{:#018x}", report.digest())),
+            format!("{:#018x}", report.digest()),
         ),
     ]
 }
@@ -95,25 +71,10 @@ pub fn stream_metrics(report: &ServiceReport) -> Vec<(String, JsonValue)> {
 /// with the full log.
 pub fn monitor_metrics(health: &HealthSnapshot, log: &AlertLog) -> Vec<(String, JsonValue)> {
     vec![
-        (
-            "monitor_windows_sealed".to_owned(),
-            JsonValue::Int(health.windows_sealed),
-        ),
-        (
-            "monitor_alerts_active".to_owned(),
-            JsonValue::Int(u64::from(health.alerts_active)),
-        ),
-        (
-            "monitor_alert_transitions".to_owned(),
-            JsonValue::Int(log.len() as u64),
-        ),
-        (
-            "monitor_alert_digest".to_owned(),
-            JsonValue::Str(format!("{:#018x}", log.digest())),
-        ),
-        (
-            "monitor_alert_log".to_owned(),
-            JsonValue::Str(log.compact()),
-        ),
+        metric("monitor_windows_sealed", health.windows_sealed),
+        metric("monitor_alerts_active", u64::from(health.alerts_active)),
+        metric("monitor_alert_transitions", log.len() as u64),
+        metric("monitor_alert_digest", format!("{:#018x}", log.digest())),
+        metric("monitor_alert_log", log.compact()),
     ]
 }

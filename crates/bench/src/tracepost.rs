@@ -25,31 +25,31 @@ use dsra_trace::{
 
 use crate::json::Json;
 
-/// Installs a recording [`EventLog`] sink on the runtime when
-/// `--trace <file>` was passed on the command line; returns the target
-/// path so the caller can [`write_chrome_trace`] after serving.
-pub fn install_trace_arg(runtime: &mut SocRuntime) -> Option<String> {
-    let path = crate::arg_value("--trace")?;
-    runtime.set_trace_sink(Box::new(EventLog::new()));
-    Some(path)
+/// Installs a recording [`EventLog`] sink on the runtime when `path`, a
+/// `--trace <file>` value, was given; pass the same path to
+/// [`write_chrome_trace`] after serving.
+pub fn install_trace(runtime: &mut SocRuntime, path: Option<&str>) {
+    if path.is_some() {
+        runtime.set_trace_sink(Box::new(EventLog::new()));
+    }
 }
 
 /// Takes the runtime's recording sink and writes it as a Chrome
-/// trace-event document at `path`.
+/// trace-event document at `path`, when one was given.
 ///
 /// A file that can't be written ends the run with status 2
 /// ([`crate::write_file`]) — trace capture fails loudly rather than
 /// silently dropping the artifact.
 ///
 /// # Panics
-/// Panics when no recording sink was installed.
-pub fn write_chrome_trace(runtime: &mut SocRuntime, path: &str) {
+/// Panics when `path` is set but no recording sink was installed.
+pub fn write_chrome_trace(runtime: &mut SocRuntime, path: Option<&str>) {
+    let Some(path) = path else { return };
     let log = runtime
         .take_trace_sink()
         .into_log()
         .expect("a recording sink was installed with --trace");
     crate::write_file(path, chrome_trace(&log));
-    println!("wrote {path}");
 }
 
 /// One tenant's queue-delay breakdown.

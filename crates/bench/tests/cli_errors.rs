@@ -1,7 +1,8 @@
-//! A malformed flag value ends an experiment binary with a message and
-//! exit status 2, never with a panic.
+//! A malformed command line ends an experiment binary with a message and
+//! exit status 2, and a closed stdout ends it with status 141; never with
+//! a panic.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// A committed benchmark summary: a well-formed document to diff against
 /// itself.
@@ -187,6 +188,52 @@ fn bad_flag_values_exit_2_without_panicking() {
             ONE_TENANT_AT_1US,
             "--tenants/--duration/--rate",
         ),
+        // Degenerate values once clamped to 1 or served as an empty run.
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &["--rate", "0"],
+            "--rate (at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos_serve"),
+            &["--rate", "0"],
+            "--rate (at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            &["--rate", "0"],
+            "--rate (at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            &["--timeline", "t.json", "--timeline-window", "0"],
+            "--timeline-window (at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--chunk", "0"],
+            "--chunk (at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--max-serves", "0"],
+            "--max-serves (at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &["--tenants", "0"],
+            "--tenants (at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos_serve"),
+            &["--tenants", "0"],
+            "--tenants (at least 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            &["--tenants", "0"],
+            "--tenants (at least 1)",
+        ),
     ] {
         let out = Command::new(bin).args(args).output().expect("spawn binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -358,4 +405,153 @@ fn far_future_slo_replay_exits_2_naming_the_cycle() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("cycle 9223372036854775808"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Every experiment binary, each with a command line it runs to its first
+/// output line with.
+const BINARIES: &[(&str, &[&str])] = &[
+    (env!("CARGO_BIN_EXE_table1"), &[]),
+    (env!("CARGO_BIN_EXE_dct_accuracy"), &[]),
+    (env!("CARGO_BIN_EXE_dct_energy"), &[]),
+    (env!("CARGO_BIN_EXE_me_systolic"), &[]),
+    (env!("CARGO_BIN_EXE_fpga_compare"), &[]),
+    (env!("CARGO_BIN_EXE_mesh_ablation"), &[]),
+    (env!("CARGO_BIN_EXE_pipeline"), &[]),
+    (env!("CARGO_BIN_EXE_dynamic_switch"), &[]),
+    (env!("CARGO_BIN_EXE_soc_serve"), &[]),
+    (env!("CARGO_BIN_EXE_battery_serve"), &[]),
+    (env!("CARGO_BIN_EXE_stream_serve"), &[]),
+    (env!("CARGO_BIN_EXE_chaos_serve"), &[]),
+    (env!("CARGO_BIN_EXE_profile_serve"), &[]),
+    (env!("CARGO_BIN_EXE_trace_report"), &["no-such-trace.json"]),
+    (env!("CARGO_BIN_EXE_bench_diff"), &[BASELINE, BASELINE]),
+];
+
+/// Runs `bin args`, expecting exit status `code`, a stderr containing
+/// every one of `needles`, and no panic.
+fn expect_exit(bin: &str, args: &[&str], code: i32, needles: &[&str]) {
+    let out = Command::new(bin).args(args).output().expect("spawn binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{bin} {args:?}: {stderr}");
+    for needle in needles {
+        assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+    }
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+}
+
+/// An unknown flag exits 2 naming it, before anything is served.
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    for (bin, args) in BINARIES {
+        let args = [args, &["--bogus"][..]].concat();
+        expect_exit(
+            bin,
+            &args,
+            2,
+            &["unexpected argument --bogus", " accepts --"],
+        );
+    }
+}
+
+/// A valued flag given last, with no value, exits 2 naming the flag; so do
+/// a repeated flag and a stray operand.
+#[test]
+fn malformed_command_lines_exit_2_naming_the_token() {
+    for (bin, args, needle) in [
+        (
+            env!("CARGO_BIN_EXE_dynamic_switch"),
+            &["--profile-out"][..],
+            "--profile-out needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--jobs"],
+            "--jobs needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_battery_serve"),
+            &["--capacity"],
+            "--capacity needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_stream_serve"),
+            &["--policy"],
+            "--policy needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos_serve"),
+            &["--seed"],
+            "--seed needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_serve"),
+            &["--timeline"],
+            "--timeline needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_report"),
+            &["t.json", "--top"],
+            "--top needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench_diff"),
+            &["a", "b", "--threshold"],
+            "--threshold needs a value",
+        ),
+        // A flag followed by another flag has no value either.
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--trace", "--json"],
+            "--trace needs a value",
+        ),
+        // `soc_serve --jbos 5` once served the default 1 000 jobs.
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--jbos", "5"],
+            "unexpected argument --jbos",
+        ),
+        (
+            env!("CARGO_BIN_EXE_soc_serve"),
+            &["--jobs", "5", "--jobs", "6"],
+            "--jobs given 2 times",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["extra"],
+            "unexpected argument extra",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_report"),
+            &["t.json", "extra"],
+            "unexpected argument extra",
+        ),
+    ] {
+        expect_exit(bin, args, 2, &[needle]);
+    }
+    expect_exit(
+        env!("CARGO_BIN_EXE_trace_report"),
+        &["--top", "5"],
+        2,
+        &["usage: trace_report <trace.json>"],
+    );
+}
+
+/// A stdout whose reader is gone ends every binary at its first line with
+/// status 141 (128 + SIGPIPE) and nothing on stderr: no panic, no
+/// "Broken pipe" message.
+#[test]
+fn closed_stdout_exits_141_quietly() {
+    for (bin, args) in BINARIES {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(*args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(141), "{bin} {args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{bin} {args:?}: {stderr}");
+    }
 }
